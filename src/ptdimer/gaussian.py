@@ -26,8 +26,6 @@ def drift_matrix(params: SystemParams) -> np.ndarray:
 
 def diffusion_matrix(params: SystemParams, temperature: float) -> np.ndarray:
     """D = diag(gamma_a*nbar_a, gamma_b*nbar_b) at the given bath temperature."""
-    if temperature == 0.0:
-        return np.zeros((2, 2))
     return np.diag([
         params.gamma_a * thermal_occupation(params.omega_a, temperature),
         params.gamma_b * thermal_occupation(params.omega_b, temperature),

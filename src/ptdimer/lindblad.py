@@ -1,10 +1,17 @@
 """Lindblad master equation on the truncated two-mode space.
 
 d rho/dt = i[rho, H] + sum_k rate_k D[A_k] rho with thermal up/down channels
-on both modes. The right-hand side applies operators by left/right
-multiplication on the density matrix; no superoperator matrix is ever formed.
-Also hosts the closed first-moment system (occupations + coherence) and its
-finite-difference consistency check.
+on both modes, evaluated in its no-jump + jump form
+
+    d rho/dt = -i(H_eff rho - rho H_eff^dag) + sum_k rate_k A_k rho A_k^dag,
+    H_eff = H - (i/2) sum_k rate_k A_k^dag A_k,
+
+on dense arrays; no superoperator matrix is ever formed. At zero temperature
+H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine evolves mixed
+states with the same generator and no jumps. ``dissipator_apply`` keeps the
+textbook D[A] form as an independent reference. Also hosts the closed
+first-moment system (occupations + coherence) and its finite-difference
+consistency check.
 """
 
 from __future__ import annotations
@@ -19,8 +26,6 @@ from .fock import FockOperator, FockSpace, QuantumState, beam_splitter_hamiltoni
 from .observables import ObservableOps, ObservableTrajectory
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams, thermal_occupation
-
-_DENSE_CUTOFF = 256  # joint dimension below which the RHS uses dense BLAS
 
 
 @dataclass(frozen=True)
@@ -41,10 +46,8 @@ def thermal_channels(params: SystemParams, space: FockSpace) -> list[LindbladCha
     Mode a: rate gamma_a*(nbar_a+1) on c and gamma_a*nbar_a on c^dag; likewise
     for mode b. Zero-rate channels are dropped.
     """
-    nbar_a = thermal_occupation(params.omega_a, params.temperature) \
-        if params.temperature > 0 else 0.0
-    nbar_b = thermal_occupation(params.omega_b, params.temperature) \
-        if params.temperature > 0 else 0.0
+    nbar_a = thermal_occupation(params.omega_a, params.temperature)
+    nbar_b = thermal_occupation(params.omega_b, params.temperature)
     c = mode_annihilator("a", space)
     d = mode_annihilator("b", space)
     raw = [
@@ -72,50 +75,40 @@ def dissipator_apply(channel_op: FockOperator, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def density_generator(hamiltonian: FockOperator,
+                      channels: list[LindbladChannel] = ()):
+    """Flat-vector RHS of d rho/dt = -i(H_eff rho - rho H_eff^dag) + jumps.
+
+    H_eff = H - (i/2) sum_k rate_k A_k^dag A_k and the jump term is
+    sum_k rate_k A_k rho A_k^dag. With no channels this is the no-jump
+    evolution under ``hamiltonian`` itself, which may be non-Hermitian.
+    """
+    dim = hamiltonian.space.dim
+    h_eff = hamiltonian.toarray()
+    jumps = []
+    for ch in channels:
+        a = ch.operator.toarray()
+        ad = a.conj().T
+        h_eff = h_eff - 0.5j * ch.rate * (ad @ a)
+        jumps.append((ch.rate * a, ad))
+    k = -1j * h_eff  # -i(H_eff rho - rho H_eff^dag) = K rho + rho K^dag
+    kd = k.conj().T
+
+    def rhs(t, yflat):
+        rho = yflat.reshape(dim, dim)
+        out = k @ rho + rho @ kd
+        for ra, ad in jumps:
+            out += (ra @ rho) @ ad
+        return out.ravel()
+    return rhs
+
+
 def lindblad_rhs(rho: np.ndarray, hamiltonian: FockOperator,
                  channels: list[LindbladChannel]) -> np.ndarray:
-    """Full generator i[rho, H] + sum rate*D[A]rho (test-facing slow path)."""
-    h = hamiltonian.matrix
+    """Full generator i[rho, H] + sum rate*D[A]rho, via density_generator."""
     rho = np.asarray(rho, dtype=complex)
-    out = 1j * (_right_mul(rho, h) - h @ rho)
-    for ch in channels:
-        out += ch.rate * dissipator_apply(ch.operator, rho)
-    return out
-
-
-def _make_rhs(hamiltonian: FockOperator, channels: list[LindbladChannel],
-              dim: int):
-    """Flat-vector RHS closure; dense matrices below the BLAS cutoff."""
-    if dim <= _DENSE_CUTOFF:
-        h = hamiltonian.matrix.toarray()
-        chans = []
-        for ch in channels:
-            a = ch.operator.matrix.toarray()
-            ad = a.conj().T
-            chans.append((ch.rate, a, ad, ad @ a))
-
-        def rhs(t, yflat):
-            rho = yflat.reshape(dim, dim)
-            out = 1j * (rho @ h - h @ rho)
-            for rate, a, ad, ada in chans:
-                out += rate * ((a @ rho) @ ad - 0.5 * (ada @ rho + rho @ ada))
-            return out.ravel()
-    else:
-        h = hamiltonian.matrix
-        chans = []
-        for ch in channels:
-            a = ch.operator.matrix
-            ad = a.conj().T.tocsr()
-            chans.append((ch.rate, a, ad, (ad @ a).tocsr()))
-
-        def rhs(t, yflat):
-            rho = yflat.reshape(dim, dim)
-            out = 1j * (_right_mul(rho, h) - h @ rho)
-            for rate, a, ad, ada in chans:
-                out += rate * (_right_mul(a @ rho, ad)
-                               - 0.5 * (ada @ rho + _right_mul(rho, ada)))
-            return out.ravel()
-    return rhs
+    return density_generator(hamiltonian, channels)(0.0, rho.ravel()) \
+        .reshape(rho.shape)
 
 
 def evolve_density(state0, params: SystemParams, space: FockSpace,
@@ -135,8 +128,7 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
     rho0 = state0.density()
     omega = 0.0 if interaction_picture else params.omega_b
     h = beam_splitter_hamiltonian(omega, params.g, space)
-    channels = thermal_channels(params, space)
-    rhs = _make_rhs(h, channels, space.dim)
+    rhs = density_generator(h, thermal_channels(params, space))
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, rho0.ravel(), (0.0, float(samples[-1])), samples,
@@ -145,21 +137,15 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b)
     records = []
+    pops = []
     snapshots = [] if keep_states else None
-    max_leak = 0.0
-    t_leak = 0.0
     for t, flat in zip(sol.times, sol.states):
         rho = flat.reshape(space.dim, space.dim)
         records.append(ops.record_from_density(t, rho))
-        leak = ops.top_level_population(np.diagonal(rho).real)
-        if leak > max_leak:
-            max_leak, t_leak = leak, t
+        pops.append(np.diagonal(rho).real)
         if keep_states:
             snapshots.append(rho.copy())
-    warnings = []
-    if max_leak > 1e-6:
-        warnings.append(f"truncation leakage: top-level population "
-                        f"{max_leak:.3e} at t={t_leak:.6e}")
+    warnings = ops.leakage_warnings(sol.times, pops)
     return ObservableTrajectory("lindblad", params.omega_b, sol.times, records,
                                 sol.stats, warnings, snapshots)
 
@@ -175,10 +161,8 @@ def moment_rhs(m, params: SystemParams, temperature: float = 0.0):
     thermal source at any temperature.
     """
     x, y, z = m
-    nbar_a = thermal_occupation(params.omega_a, temperature) \
-        if temperature > 0 else 0.0
-    nbar_b = thermal_occupation(params.omega_b, temperature) \
-        if temperature > 0 else 0.0
+    nbar_a = thermal_occupation(params.omega_a, temperature)
+    nbar_b = thermal_occupation(params.omega_b, temperature)
     g = params.g
     dx = 2.0 * g * z.imag - params.gamma_a * x + params.gamma_a * nbar_a
     dy = -2.0 * g * z.imag - params.gamma_b * y + params.gamma_b * nbar_b

@@ -1,11 +1,13 @@
 """Post-selected (no-jump) evolution under the lossy Hamiltonian.
 
-Pure states follow d|psi>/dt = -i H_L |psi|; mixed states follow
-d rho/dt = -i(H_L rho - rho H_L^dag). The squared norm / trace decays
-monotonically and observables are reported both raw (unnormalized) and
-renormalized by the total occupation. Records carry the quartic loss moments
-<n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that drive the occupation
-ODEs, enabling a finite-difference consistency check.
+This is the no-jump half of the Lindblad generator: H_L is the H_eff of the
+zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
+on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
+evaluated by ``lindblad.density_generator`` with no jump channels. The
+squared norm / trace decays monotonically and observables are reported both
+raw (unnormalized) and renormalized by the total occupation. Records carry the
+quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that
+drive the occupation ODEs, enabling a finite-difference consistency check.
 """
 
 from __future__ import annotations
@@ -13,42 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fock import FockSpace, QuantumState, lossy_hamiltonian
+from .lindblad import density_generator
 from .observables import ObservableOps, ObservableTrajectory, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
-_DENSE_CUTOFF = 256
 _NORM_FLOOR = 1e-300
-
-
-def _make_rhs(h_lossy, dim: int, pure: bool):
-    if pure:
-        if dim <= _DENSE_CUTOFF:
-            h = h_lossy.matrix.toarray()
-
-            def rhs(t, psi):
-                return -1j * (h @ psi)
-        else:
-            h = h_lossy.matrix
-
-            def rhs(t, psi):
-                return -1j * (h @ psi)
-        return rhs
-    h = h_lossy.matrix.toarray() if dim <= _DENSE_CUTOFF else None
-    if h is not None:
-        hd = h.conj().T
-
-        def rhs(t, yflat):
-            rho = yflat.reshape(dim, dim)
-            return (-1j * (h @ rho - rho @ hd)).ravel()
-    else:
-        hs = h_lossy.matrix
-        hds = hs.conj().T.tocsr()
-
-        def rhs(t, yflat):
-            rho = yflat.reshape(dim, dim)
-            return (-1j * (hs @ rho - (hds.T @ rho.T).T)).ravel()
-    return rhs
 
 
 def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
@@ -66,8 +38,15 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
     omega = 0.0 if interaction_picture else None
     h_lossy = lossy_hamiltonian(params, space, omega_b=omega)
     pure = state0.is_pure
-    y0 = state0.data.copy() if pure else state0.density().ravel()
-    rhs = _make_rhs(h_lossy, space.dim, pure)
+    if pure:
+        k = -1j * h_lossy.toarray()
+        y0 = state0.data.copy()
+
+        def rhs(t, psi):
+            return k @ psi
+    else:
+        y0 = state0.density().ravel()
+        rhs = density_generator(h_lossy)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,
@@ -76,11 +55,9 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b)
     records = []
+    kept_pops = []
     snapshots = [] if keep_states else None
     warnings = []
-    max_leak = 0.0
-    t_leak = 0.0
-    kept = 0
     for t, flat in zip(sol.times, sol.states):
         if pure:
             weight = float(np.vdot(flat, flat).real)
@@ -96,15 +73,11 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
             records.append(ops.record_from_pure(t, flat, quartics=True))
         else:
             records.append(ops.record_from_nh_density(t, rho))
-        leak = ops.top_level_population(pops)
-        if leak > max_leak:
-            max_leak, t_leak = leak, t
+        kept_pops.append(pops)
         if keep_states:
             snapshots.append(flat.copy() if pure else rho.copy())
-        kept += 1
-    if max_leak > 1e-6:
-        warnings.append(f"truncation leakage: top-level population "
-                        f"{max_leak:.3e} at t={t_leak:.6e}")
+    kept = len(records)
+    warnings += ops.leakage_warnings(sol.times[:kept], kept_pops)
     return ObservableTrajectory("nonhermitian", params.omega_b,
                                 sol.times[:kept], records, sol.stats,
                                 warnings, snapshots)

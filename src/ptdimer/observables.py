@@ -135,6 +135,20 @@ class ObservableOps:
     def top_level_population(self, diag_populations: np.ndarray) -> float:
         return float(diag_populations[self._top_mask].sum())
 
+    def leakage_warnings(self, times, populations) -> list[str]:
+        """Truncation-leakage warning of a run, if any.
+
+        ``populations`` holds the diagonal populations at each of ``times``.
+        Warns once the top Fock level of either mode holds more than 1e-6,
+        naming the largest such population and the first time it occurs.
+        """
+        leaks = [self.top_level_population(p) for p in populations]
+        if not leaks or max(leaks) <= 1e-6:
+            return []
+        k = int(np.argmax(leaks))
+        return [f"truncation leakage: top-level population "
+                f"{leaks[k]:.3e} at t={times[k]:.6e}"]
+
     # -- record builders ---------------------------------------------------
 
     def record_from_density(self, t: float, rho: np.ndarray) -> ObservableRecord:

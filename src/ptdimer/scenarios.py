@@ -344,10 +344,9 @@ def _zero_t_initial(cfg: ScenarioConfig, space: FockSpace):
     if kind == "noon":
         return noon_state(cfg.state[1], space)
     t_init = cfg.state[1]
-    return thermal_density_matrix(
-        thermal_occupation(cfg.omega_a, t_init) if t_init > 0 else 0.0,
-        thermal_occupation(cfg.omega_b, t_init) if t_init > 0 else 0.0,
-        space)
+    return thermal_density_matrix(thermal_occupation(cfg.omega_a, t_init),
+                                  thermal_occupation(cfg.omega_b, t_init),
+                                  space)
 
 
 def run_engine(engine: str, cfg: ScenarioConfig,
@@ -356,11 +355,7 @@ def run_engine(engine: str, cfg: ScenarioConfig,
     if engine == "gaussian":
         if cfg.state[0] != "thermal":
             raise ConfigError("gaussian engine needs a thermal initial state")
-        t_init = cfg.state[1]
-        n0 = np.diag([
-            thermal_occupation(cfg.omega_a, t_init) if t_init > 0 else 0.0,
-            thermal_occupation(cfg.omega_b, t_init) if t_init > 0 else 0.0,
-        ]).astype(complex)
+        n0 = gaussian_mod.thermal_moment_state(params, cfg.state[1])
         return gaussian_mod.evolve_moments(n0, params, params.temperature,
                                            times, rtol=cfg.rtol, atol=cfg.atol)
     dims = cfg.mode_dims()

@@ -12,6 +12,7 @@ from ptdimer import (
     evolve_moments,
     fock_product_state,
     lindblad_rhs,
+    lossy_hamiltonian,
     mode_annihilator,
     mode_number,
     moment_closure_residual,
@@ -151,6 +152,36 @@ class TestLindbladRhs:
             if check_z:
                 assert np.trace(hop @ rhs) == pytest.approx(dz, rel=1e-10,
                                                             abs=1e-12)
+
+
+class TestGeneratorIdentity:
+    @pytest.mark.parametrize("temperature", [0.0, 6e-5, ROOM_T],
+                             ids=["zero", "cold", "room"])
+    def test_no_jump_plus_jump_form(self, temperature):
+        # the production generator against the textbook commutator +
+        # dissipator form; at zero temperature its no-jump part is the
+        # evolution under the lossy Hamiltonian H_L
+        space = FockSpace(4, 4)
+        p = make_params(temperature=temperature)
+        h = beam_splitter_hamiltonian(0.0, p.g, space)
+        hd = h.toarray()
+        chans = thermal_channels(p, space)
+        h_l = lossy_hamiltonian(p, space, omega_b=0.0).toarray()
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            rho = random_density(rng, space.dim)
+            rhs = lindblad_rhs(rho, h, chans)
+            textbook = 1j * (rho @ hd - hd @ rho)
+            for ch in chans:
+                textbook += ch.rate * dissipator_apply(ch.operator, rho)
+            scale = np.abs(textbook).max()
+            assert np.abs(rhs - textbook).max() < 1e-12 * scale
+            if temperature == 0.0:
+                jumps = sum(ch.rate * (ch.operator.toarray() @ rho
+                                       @ ch.operator.dag().toarray())
+                            for ch in chans)
+                no_jump = -1j * (h_l @ rho - rho @ h_l.conj().T)
+                assert np.abs(rhs - jumps - no_jump).max() < 1e-12 * scale
 
 
 class TestEvolveDensity:

@@ -144,6 +144,19 @@ class TestNormUnderflow:
         assert traj.weight.min() >= 1e-300
 
 
+class TestTruncationLeakage:
+    @pytest.mark.parametrize("evolve", [evolve_density, evolve_nonhermitian],
+                             ids=["lindblad", "nonhermitian"])
+    def test_top_level_population_warns(self, evolve):
+        # on FockSpace(2, 2) the level n_a = 1 is already the top one
+        space = FockSpace(2, 2)
+        rho = np.zeros((space.dim, space.dim), dtype=complex)
+        rho[space.index(1, 0), space.index(1, 0)] = 1.0
+        times = np.linspace(0.0, 1.0 / GAMMA_A, 5)
+        traj = evolve(rho, make_params(), space, times)
+        assert any("truncation leakage" in w for w in traj.warnings)
+
+
 class TestOccupationOdeResidual:
     def test_single_photon(self):
         space = FockSpace(3, 2)
