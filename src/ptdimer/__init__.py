@@ -20,7 +20,7 @@ from .lindblad import LindbladChannel, dissipator_apply, evolve_density, \
     lindblad_rhs, moment_closure_residual, moment_rhs, thermal_channels
 from .nonhermitian import evolve_nonhermitian, occupation_ode_residual, \
     renormalized_observables
-from .observables import ObservableRecord, ObservableTrajectory
+from .observables import ObservableTrajectory
 from .ode import IntegrationFailure, IntegratorStats, OdeProblem, Trajectory, \
     integrate_adaptive, integrate_fixed, step_embedded
 from .params import Phase, Regime, SystemParams, classify_regime, \
@@ -46,7 +46,7 @@ __all__ = [
     "moment_closure_residual", "moment_rhs", "thermal_channels",
     "evolve_nonhermitian", "occupation_ode_residual",
     "renormalized_observables",
-    "ObservableRecord", "ObservableTrajectory",
+    "ObservableTrajectory",
     "IntegrationFailure", "IntegratorStats", "OdeProblem", "Trajectory",
     "integrate_adaptive", "integrate_fixed", "step_embedded",
     "Phase", "Regime", "SystemParams", "classify_regime",

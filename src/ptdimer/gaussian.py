@@ -87,10 +87,9 @@ def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
     problem = OdeProblem(rhs, n0.ravel(), (0.0, float(samples[-1])), samples,
                          rtol=rtol, atol=atol)
     sol = integrate_adaptive(problem)
-    records = [record_from_moments(t, flat.reshape(2, 2))
-               for t, flat in zip(sol.times, sol.states)]
-    return ObservableTrajectory("gaussian", params.omega_b, sol.times, records,
-                                sol.stats)
+    return ObservableTrajectory(
+        "gaussian", params.omega_b, sol.times,
+        **record_from_moments(sol.states.reshape(-1, 2, 2)), stats=sol.stats)
 
 
 def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray:

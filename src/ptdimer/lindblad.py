@@ -121,7 +121,8 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
     or a raw density matrix. With ``interaction_picture`` the omega_b*(n_a+n_b)
     rotation is removed from the Hamiltonian; all recorded observables are
     invariant under that choice. A warning is attached when the top Fock level
-    of either mode accumulates more than 1e-6 population.
+    of either mode accumulates more than 1e-6 population. With ``keep_states``
+    the ``snapshots`` are a (S, d, d) view of the integrator's state stack.
     """
     if not isinstance(state0, QuantumState):
         state0 = QuantumState(space, state0)
@@ -136,18 +137,11 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
     sol = integrate_adaptive(problem)
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b)
-    records = []
-    pops = []
-    snapshots = [] if keep_states else None
-    for t, flat in zip(sol.times, sol.states):
-        rho = flat.reshape(space.dim, space.dim)
-        records.append(ops.record_from_density(t, rho))
-        pops.append(np.diagonal(rho).real)
-        if keep_states:
-            snapshots.append(rho.copy())
-    warnings = ops.leakage_warnings(sol.times, pops)
-    return ObservableTrajectory("lindblad", params.omega_b, sol.times, records,
-                                sol.stats, warnings, snapshots)
+    rhos = sol.states.reshape(-1, space.dim, space.dim)
+    return ObservableTrajectory(
+        "lindblad", params.omega_b, sol.times, **ops.record_from_density(rhos),
+        stats=sol.stats, warnings=ops.leakage_warnings(sol.times, rhos),
+        snapshots=rhos if keep_states else None)
 
 
 def moment_rhs(m, params: SystemParams, temperature: float = 0.0):
@@ -178,7 +172,7 @@ def moment_closure_residual(traj: ObservableTrajectory, params: SystemParams,
     in time units of the fastest rate max(gamma_a, gamma_b, 2g), so the result
     is dimensionless. Endpoints are excluded. Needs at least five samples.
     """
-    if len(traj.records) < 5:
+    if len(traj.times) < 5:
         raise ValueError("insufficient sampling density for finite differences")
     scale = max(params.gamma_a, params.gamma_b, 2.0 * params.g)
     if scale <= 0.0:

@@ -5,9 +5,10 @@ zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
 on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
 evaluated by ``lindblad.density_generator`` with no jump channels. The
 squared norm / trace decays monotonically and observables are reported both
-raw (unnormalized) and renormalized by the total occupation. Records carry the
-quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that
-drive the occupation ODEs, enabling a finite-difference consistency check.
+raw (unnormalized) and renormalized by the total occupation. Trajectories
+carry the quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and
+<n_b (...)> that drive the occupation ODEs, enabling a finite-difference
+consistency check.
 """
 
 from __future__ import annotations
@@ -54,33 +55,19 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
     sol = integrate_adaptive(problem)
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b)
-    records = []
-    kept_pops = []
-    snapshots = [] if keep_states else None
-    warnings = []
-    for t, flat in zip(sol.times, sol.states):
-        if pure:
-            weight = float(np.vdot(flat, flat).real)
-            pops = np.abs(flat) ** 2
-        else:
-            rho = flat.reshape(space.dim, space.dim)
-            pops = np.diagonal(rho).real
-            weight = float(pops.sum())
-        if weight < _NORM_FLOOR:
-            warnings.append(f"norm underflow at t={t:.6e}; trajectory truncated")
-            break
-        if pure:
-            records.append(ops.record_from_pure(t, flat, quartics=True))
-        else:
-            records.append(ops.record_from_nh_density(t, rho))
-        kept_pops.append(pops)
-        if keep_states:
-            snapshots.append(flat.copy() if pure else rho.copy())
-    kept = len(records)
-    warnings += ops.leakage_warnings(sol.times[:kept], kept_pops)
-    return ObservableTrajectory("nonhermitian", params.omega_b,
-                                sol.times[:kept], records, sol.stats,
-                                warnings, snapshots)
+    states = sol.states if pure else sol.states.reshape(-1, space.dim, space.dim)
+    record = ops.record_from_pure if pure else ops.record_from_nh_density
+    cols = record(states)
+    under = np.flatnonzero(cols["weight"] < _NORM_FLOOR)
+    kept = under[0] if under.size else len(sol.times)
+    warnings = [f"norm underflow at t={sol.times[kept]:.6e}; trajectory "
+                f"truncated"] if under.size else []
+    states = states[:kept]
+    warnings += ops.leakage_warnings(sol.times[:kept], states)
+    return ObservableTrajectory(
+        "nonhermitian", params.omega_b, sol.times[:kept],
+        **{name: col[:kept] for name, col in cols.items()}, stats=sol.stats,
+        warnings=warnings, snapshots=states if keep_states else None)
 
 
 def renormalized_observables(state: QuantumState) -> tuple[float, float, complex]:
@@ -90,18 +77,14 @@ def renormalized_observables(state: QuantumState) -> tuple[float, float, complex
     the ratios are undefined. Invariant: n_a + n_b = 1.
     """
     ops = ObservableOps(state.space)
-    if state.is_pure:
-        pops = np.abs(state.data) ** 2
-        x = float(np.dot(ops._diag_a, pops))
-        y = float(np.dot(ops._diag_b, pops))
-        z = ops.expect_pure(ops.hop, state.data)
-    else:
-        rho = state.data
-        pops = np.diagonal(rho).real
-        x = float(np.dot(ops._diag_a, pops))
-        y = float(np.dot(ops._diag_b, pops))
-        z = ops.expect_mixed(ops.hop, rho)
-    return renormalized_ratios(x, y, z, strict=True)
+    record = ops.record_from_pure if state.is_pure else ops.record_from_nh_density
+    cols = record(state.data[np.newaxis])
+    n_a, n_b, g1 = renormalized_ratios(cols["n_a_raw"], cols["n_b_raw"],
+                                       cols["coherence"])
+    if np.isnan(n_a[0]):
+        raise ValueError("renormalized observables are undefined: "
+                         "total occupation <N> is zero")
+    return float(n_a[0]), float(n_b[0]), complex(g1[0])
 
 
 def occupation_ode_residual(traj: ObservableTrajectory,
@@ -115,14 +98,14 @@ def occupation_ode_residual(traj: ObservableTrajectory,
     max(gamma_a, gamma_b, 2g); returns the maximum dimensionless residual over
     interior samples. Needs at least five samples and recorded quartics.
     """
-    if len(traj.records) < 5:
+    if len(traj.times) < 5:
         raise ValueError("insufficient sampling density for finite differences")
-    if traj.records[0].quartic_a is None:
+    if traj.quartic_a is None:
         raise ValueError("trajectory lacks quartic loss moments")
     scale = max(params.gamma_a, params.gamma_b, 2.0 * params.g)
     if scale <= 0.0:
         raise ValueError("all rates vanish; residual scale undefined")
-    tau = traj.times[:len(traj.records)] * scale
+    tau = traj.times * scale
     x = traj.n_a_raw
     y = traj.n_b_raw
     imz = traj.coherence.imag

@@ -1,14 +1,16 @@
-"""Observable records shared by the three evolution engines.
+"""Columnar observable trajectories shared by the three evolution engines.
 
 Raw moments are unnormalized expectations <c^dag c>, <d^dag d>, <c^dag d>;
-renormalized occupations divide by the total <N> so that n_a + n_b = 1. The
-record also carries the state weight (trace or squared norm) and, for the
-non-Hermitian engine, the quartic loss moments entering the occupation ODEs.
+renormalized occupations divide by the total <N> so that n_a + n_b = 1. A
+trajectory holds one array per observable with one entry per sample: the raw
+moments, the state weight (trace or squared norm) and, for the non-Hermitian
+engine, the quartic loss moments entering the occupation ODEs. The recorders
+turn an engine's whole stack of sampled states into these columns in one
+call; their sanity checks raise FloatingPointError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,200 +19,151 @@ from .fock import FockSpace, mode_annihilator
 from .ode import IntegratorStats
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    t: float
-    n_a_raw: float
-    n_b_raw: float
-    coherence: complex
-    weight: float
-    n_a: float
-    n_b: float
-    g1: complex
-    quartic_a: float | None = None
-    quartic_b: float | None = None
+def renormalized_ratios(x, y, z):
+    """(n_a, n_b, g1) = (x, y, z)/(x + y); NaN where x + y <= 0."""
+    total = x + y
+    total = np.where(total > 0.0, total, np.nan)
+    # g1 part by part: numpy's complex division overflows on a subnormal <N>
+    with np.errstate(over="ignore"):
+        g1 = (z.real / total).astype(complex)
+        g1.imag = z.imag / total
+        return x / total, y / total, g1
 
 
 @dataclass
 class ObservableTrajectory:
-    """Time series of ObservableRecords produced by one engine."""
+    """Observable columns of one engine run, one entry per sample time."""
 
     engine: str
     omega_b: float
     times: np.ndarray
-    records: list[ObservableRecord]
+    n_a_raw: np.ndarray
+    n_b_raw: np.ndarray
+    coherence: np.ndarray
+    weight: np.ndarray
+    quartic_a: np.ndarray | None = None
+    quartic_b: np.ndarray | None = None
     stats: IntegratorStats | None = None
     warnings: list[str] = field(default_factory=list)
-    snapshots: list | None = None
+    snapshots: np.ndarray | None = None
+    n_a: np.ndarray = field(init=False, repr=False)
+    n_b: np.ndarray = field(init=False, repr=False)
+    g1: np.ndarray = field(init=False, repr=False)
 
-    def _array(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
-    @property
-    def n_a_raw(self) -> np.ndarray:
-        return self._array("n_a_raw")
-
-    @property
-    def n_b_raw(self) -> np.ndarray:
-        return self._array("n_b_raw")
-
-    @property
-    def coherence(self) -> np.ndarray:
-        return self._array("coherence")
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self._array("weight")
-
-    @property
-    def n_a(self) -> np.ndarray:
-        return self._array("n_a")
-
-    @property
-    def n_b(self) -> np.ndarray:
-        return self._array("n_b")
-
-    @property
-    def g1(self) -> np.ndarray:
-        return self._array("g1")
-
-    @property
-    def quartic_a(self) -> np.ndarray:
-        return self._array("quartic_a")
-
-    @property
-    def quartic_b(self) -> np.ndarray:
-        return self._array("quartic_b")
+    def __post_init__(self) -> None:
+        self.n_a, self.n_b, self.g1 = renormalized_ratios(
+            self.n_a_raw, self.n_b_raw, self.coherence)
+        undefined = np.flatnonzero(np.isnan(self.n_a))
+        if undefined.size:
+            self.warnings.append(
+                f"renormalized observables undefined (<N> <= 0) at "
+                f"{undefined.size} samples, first at "
+                f"t={self.times[undefined[0]]:.6e}")
 
 
-def _require_real(value: complex, tol: float, what: str) -> float:
-    if abs(value.imag) > tol:
-        raise ValueError(f"{what} has imaginary part {value.imag:.3e} "
-                         f"beyond tolerance {tol:.1e}")
-    return float(value.real)
+def _require_real(imag: np.ndarray, tol: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(np.abs(imag) > tol)
+    if bad.size:
+        i = bad[0]
+        raise FloatingPointError(f"{what} has imaginary part {imag[i]:.3e} "
+                                 f"beyond tolerance {tol[i]:.1e}")
 
 
-def renormalized_ratios(x: float, y: float, z: complex,
-                        strict: bool = False) -> tuple[float, float, complex]:
-    """(n_a, n_b, g1) = (x, y, z)/(x + y); NaN (or raise) when <N> vanishes."""
-    total = x + y
-    if total <= 0.0:
-        if strict:
-            raise ValueError("renormalized observables are undefined: "
-                             "total occupation <N> is zero")
-        return math.nan, math.nan, complex(math.nan, math.nan)
-    return x / total, y / total, z / total
+def _populations(states: np.ndarray) -> np.ndarray:
+    """Diagonal populations (S, d) of a vector (S, d) or density (S, d, d) stack."""
+    if states.ndim == 2:
+        return np.abs(states) ** 2
+    return np.diagonal(states, axis1=1, axis2=2).real
 
 
 class ObservableOps:
-    """Precomputed sparse expectation operators on a joint Fock space."""
+    """Expectation data of the joint Fock space, for whole state stacks."""
 
     def __init__(self, space: FockSpace, gamma_a: float = 0.0,
                  gamma_b: float = 0.0) -> None:
-        self.space = space
         c = mode_annihilator("a", space)
         d = mode_annihilator("b", space)
-        self.num_a = (c.dag() @ c).matrix
-        self.num_b = (d.dag() @ d).matrix
-        self.hop = (c.dag() @ d).matrix
+        hop = (c.dag() @ d).matrix.tocoo()
+        # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k]
+        self._hop_row, self._hop_col, self._hop_data = hop.row, hop.col, hop.data
         diag_a, diag_b = space.number_diagonals()
         self._diag_a = diag_a
         self._diag_b = diag_b
         loss = gamma_a * diag_a + gamma_b * diag_b
         self._quartic_a = diag_a * loss
         self._quartic_b = diag_b * loss
-        self._top_mask = (diag_a == space.dim_a - 1) | (diag_b == space.dim_b - 1)
+        self._top = ((diag_a == space.dim_a - 1)
+                     | (diag_b == space.dim_b - 1)).astype(float)
 
-    # -- expectation primitives ------------------------------------------
-
-    @staticmethod
-    def expect_pure(op, psi: np.ndarray) -> complex:
-        return complex(np.vdot(psi, op @ psi))
-
-    @staticmethod
-    def expect_mixed(op, rho: np.ndarray) -> complex:
-        # tr(O rho) as an elementwise sparse contraction with rho^T
-        return complex(op.multiply(rho.T).sum())
-
-    def top_level_population(self, diag_populations: np.ndarray) -> float:
-        return float(diag_populations[self._top_mask].sum())
-
-    def leakage_warnings(self, times, populations) -> list[str]:
+    def leakage_warnings(self, times, states) -> list[str]:
         """Truncation-leakage warning of a run, if any.
 
-        ``populations`` holds the diagonal populations at each of ``times``.
-        Warns once the top Fock level of either mode holds more than 1e-6,
-        naming the largest such population and the first time it occurs.
+        ``states`` is the stack of states sampled at ``times``. Warns once the
+        top Fock level of either mode holds more than 1e-6, naming the largest
+        such population and the first time it occurs.
         """
-        leaks = [self.top_level_population(p) for p in populations]
-        if not leaks or max(leaks) <= 1e-6:
+        leaks = _populations(states) @ self._top
+        if not leaks.size or leaks.max() <= 1e-6:
             return []
         k = int(np.argmax(leaks))
         return [f"truncation leakage: top-level population "
                 f"{leaks[k]:.3e} at t={times[k]:.6e}"]
 
-    # -- record builders ---------------------------------------------------
+    # -- stack recorders ---------------------------------------------------
 
-    def record_from_density(self, t: float, rho: np.ndarray) -> ObservableRecord:
-        pops = np.abs(np.diagonal(rho).real)
-        scale = max(1.0, float(pops.sum()))
-        x = _require_real(self.expect_mixed(self.num_a, rho), 1e-10 * scale,
-                          "<c^dag c>")
-        y = _require_real(self.expect_mixed(self.num_b, rho), 1e-10 * scale,
-                          "<d^dag d>")
-        z = self.expect_mixed(self.hop, rho)
-        tr = _require_real(complex(np.trace(rho)), 1e-10 * scale, "trace")
-        self._check_nonnegative(x, y, scale)
-        n_a, n_b, g1 = renormalized_ratios(x, y, z)
-        return ObservableRecord(t, x, y, z, tr, n_a, n_b, g1)
+    def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
+        """Columns of a Lindblad density stack (S, d, d); no quartics."""
+        diag = np.diagonal(rhos, axis1=1, axis2=2)
+        scale = np.maximum(1.0, np.abs(diag.real).sum(axis=1))
+        tol = 1e-10 * scale
+        _require_real(diag.imag @ self._diag_a, tol, "<c^dag c>")
+        _require_real(diag.imag @ self._diag_b, tol, "<d^dag d>")
+        _require_real(diag.imag.sum(axis=1), tol, "trace")
+        return self._columns(diag.real, scale, self._hop_mixed(rhos),
+                             diag.real.sum(axis=1), quartics=False)
 
-    def record_from_pure(self, t: float, psi: np.ndarray,
-                         quartics: bool = False) -> ObservableRecord:
-        weight = float(np.vdot(psi, psi).real)
-        scale = max(1.0, weight)
-        pops = np.abs(psi) ** 2
-        x = float(np.dot(self._diag_a, pops))
-        y = float(np.dot(self._diag_b, pops))
-        z = self.expect_pure(self.hop, psi)
-        self._check_nonnegative(x, y, scale)
-        n_a, n_b, g1 = renormalized_ratios(x, y, z)
-        qa = qb = None
+    def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
+        """Columns of a state-vector stack (S, d), with quartics."""
+        pops = _populations(psis)
+        weight = pops.sum(axis=1)
+        hop = (psis[:, self._hop_row].conj() * psis[:, self._hop_col]) \
+            @ self._hop_data
+        return self._columns(pops, np.maximum(1.0, weight), hop, weight)
+
+    def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
+        """Columns of a non-Hermitian density stack (S, d, d), with quartics."""
+        pops = _populations(rhos)
+        weight = pops.sum(axis=1)
+        return self._columns(pops, np.maximum(1.0, np.abs(weight)),
+                             self._hop_mixed(rhos), weight)
+
+    def _hop_mixed(self, rhos: np.ndarray) -> np.ndarray:
+        return rhos[:, self._hop_col, self._hop_row] @ self._hop_data
+
+    def _columns(self, pops, scale, coherence, weight,
+                 quartics: bool = True) -> dict[str, np.ndarray]:
+        """Raw occupations from populations (S, d), checked against a
+        per-sample floor of -1e-10 * scale, plus the quartics if asked."""
+        x = pops @ self._diag_a
+        y = pops @ self._diag_b
+        bad = np.flatnonzero((x < -1e-10 * scale) | (y < -1e-10 * scale))
+        if bad.size:
+            i = bad[0]
+            raise FloatingPointError(f"raw occupation negative beyond "
+                                     f"tolerance: ({x[i]:.3e}, {y[i]:.3e})")
+        cols = {"n_a_raw": x, "n_b_raw": y, "coherence": coherence,
+                "weight": weight}
         if quartics:
-            qa = float(np.dot(self._quartic_a, pops))
-            qb = float(np.dot(self._quartic_b, pops))
-        return ObservableRecord(t, x, y, z, weight, n_a, n_b, g1, qa, qb)
-
-    def record_from_nh_density(self, t: float, rho: np.ndarray,
-                               quartics: bool = True) -> ObservableRecord:
-        pops = np.diagonal(rho).real
-        weight = float(pops.sum())
-        scale = max(1.0, abs(weight))
-        x = float(np.dot(self._diag_a, pops))
-        y = float(np.dot(self._diag_b, pops))
-        z = self.expect_mixed(self.hop, rho)
-        self._check_nonnegative(x, y, scale)
-        n_a, n_b, g1 = renormalized_ratios(x, y, z)
-        qa = qb = None
-        if quartics:
-            qa = float(np.dot(self._quartic_a, pops))
-            qb = float(np.dot(self._quartic_b, pops))
-        return ObservableRecord(t, x, y, z, weight, n_a, n_b, g1, qa, qb)
-
-    @staticmethod
-    def _check_nonnegative(x: float, y: float, scale: float) -> None:
-        floor = -1e-10 * scale
-        if x < floor or y < floor:
-            raise ValueError(f"raw occupation negative beyond tolerance: "
-                             f"({x:.3e}, {y:.3e})")
+            cols["quartic_a"] = pops @ self._quartic_a
+            cols["quartic_b"] = pops @ self._quartic_b
+        return cols
 
 
-def record_from_moments(t: float, n_mat: np.ndarray) -> ObservableRecord:
-    """ObservableRecord from a 2x2 second-moment matrix N_jk = <v_j^dag v_k>."""
-    x = float(n_mat[0, 0].real)
-    y = float(n_mat[1, 1].real)
-    z = complex(n_mat[0, 1])
-    scale = max(1.0, x + y)
-    if min(x, y) < -1e-10 * scale:
-        raise ValueError("moment diagonal negative beyond tolerance")
-    n_a, n_b, g1 = renormalized_ratios(x, y, z)
-    return ObservableRecord(t, x, y, z, 1.0, n_a, n_b, g1)
+def record_from_moments(n_mats: np.ndarray) -> dict[str, np.ndarray]:
+    """Columns of a stack (S, 2, 2) of second moments N_jk = <v_j^dag v_k>."""
+    x = n_mats[:, 0, 0].real
+    y = n_mats[:, 1, 1].real
+    if np.any(np.minimum(x, y) < -1e-10 * np.maximum(1.0, x + y)):
+        raise FloatingPointError("moment diagonal negative beyond tolerance")
+    return {"n_a_raw": x, "n_b_raw": y, "coherence": n_mats[:, 0, 1],
+            "weight": np.ones(len(x))}

@@ -387,31 +387,37 @@ class ComparisonReport:
 
 def compare_trajectories(trajs: list[ObservableTrajectory], params: SystemParams,
                          scenario: str) -> ComparisonReport:
-    """Reference is the Lindblad run when present, else the first engine."""
+    """Reference is the Lindblad run when present, else the first engine.
+
+    A trajectory cut short (norm underflow) samples a prefix of the others'
+    time grid; the comparison covers the prefix common to all of them.
+    """
     if len(trajs) < 2:
         raise ValueError("comparison needs at least two trajectories")
     by_engine = {t.engine: t for t in trajs}
     reference = "lindblad" if "lindblad" in by_engine else trajs[0].engine
     ref = by_engine[reference]
+    n = min(len(t.times) for t in trajs)
+    times = ref.times[:n]
     deviations: dict[str, dict[str, np.ndarray]] = {}
     max_dev: dict[str, float] = {}
     l2_dev: dict[str, float] = {}
     for traj in trajs:
         if traj.engine == reference:
             continue
-        if not np.array_equal(traj.times, ref.times):
+        if not np.array_equal(traj.times[:n], times):
             raise ValueError("trajectories sample different time grids")
         d = {
-            "n_a": np.abs(traj.n_a - ref.n_a),
-            "n_b": np.abs(traj.n_b - ref.n_b),
-            "g1": np.abs(traj.g1 - ref.g1),
+            "n_a": np.abs(traj.n_a[:n] - ref.n_a[:n]),
+            "n_b": np.abs(traj.n_b[:n] - ref.n_b[:n]),
+            "g1": np.abs(traj.g1[:n] - ref.g1[:n]),
         }
         deviations[traj.engine] = d
         stacked = np.concatenate([d["n_a"], d["n_b"], d["g1"]])
         max_dev[traj.engine] = float(stacked.max())
         l2_dev[traj.engine] = float(np.sqrt(np.mean(stacked**2)))
     leaks = [f"{t.engine}: {w}" for t in trajs for w in t.warnings]
-    return ComparisonReport(scenario, reference, ref.times.copy(), ref.omega_b,
+    return ComparisonReport(scenario, reference, times.copy(), ref.omega_b,
                             params.regime(), deviations, max_dev, l2_dev, leaks)
 
 
@@ -424,10 +430,10 @@ def _fmt(value: float) -> str:
 def write_csv(traj: ObservableTrajectory, path) -> None:
     """One row per sample; 17 significant digits, so floats round-trip exactly."""
     lines = [_CSV_HEADER]
-    for r in traj.records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.t, traj.omega_b * r.t, r.n_a_raw, r.n_b_raw, r.n_a, r.n_b,
-            r.g1.real, r.g1.imag, r.weight)))
+    for row in zip(traj.times, traj.omega_b * traj.times, traj.n_a_raw,
+                   traj.n_b_raw, traj.n_a, traj.n_b, traj.g1.real,
+                   traj.g1.imag, traj.weight):
+        lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -481,7 +487,7 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
     """Standalone SVG overlay: blue n_a / red n_b, dashed for non-Hermitian."""
     if not trajs:
         raise ValueError("nothing to plot")
-    xs = [t.times[:len(t.records)] * t.omega_b for t in trajs]
+    xs = [t.times * t.omega_b for t in trajs]
     series = [_plot_series(t) for t in trajs]
     x_lo = min(float(x.min()) for x in xs)
     x_hi = max(float(x.max()) for x in xs)

@@ -199,9 +199,10 @@ def test_criterion_08_conservation_sweep_over_catalog(criterion):
                 run_cfg = cfg if engine == "gaussian" else replace(cfg)
                 if engine == "gaussian":
                     traj = run_engine(engine, run_cfg, params)
-                    for r in traj.records:
-                        n = np.array([[r.n_a_raw, r.coherence],
-                                      [np.conj(r.coherence), r.n_b_raw]])
+                    for i in range(len(traj.times)):
+                        n = np.array([[traj.n_a_raw[i], traj.coherence[i]],
+                                      [np.conj(traj.coherence[i]),
+                                       traj.n_b_raw[i]]])
                         floor = 1e-8 * max(1.0, float(np.abs(n).max()))
                         assert np.linalg.eigvalsh(n).min() > -floor, sid
                 else:

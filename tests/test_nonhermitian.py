@@ -137,7 +137,7 @@ class TestNormUnderflow:
         times = np.linspace(0.0, 1000.0 / GAMMA_A, 30)
         traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
                                    times, atol=1e-160)
-        kept = len(traj.records)
+        kept = len(traj.n_a_raw)
         assert 0 < kept < 30
         assert len(traj.times) == kept
         assert any("underflow" in w for w in traj.warnings)

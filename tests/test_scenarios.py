@@ -207,17 +207,17 @@ class TestCsvOutput:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
         prev_t = -1.0
-        for line, rec in zip(lines[1:], traj.records):
+        for i, line in enumerate(lines[1:]):
             cells = [float(c) for c in line.split(",")]
             assert len(cells) == 9
             assert cells[0] > prev_t
             prev_t = cells[0]
-            assert cells[0] == rec.t  # 17 digits round-trip bit-exactly
-            assert cells[1] == traj.omega_b * rec.t
-            assert cells[2] == rec.n_a_raw
-            assert cells[3] == rec.n_b_raw
-            assert cells[6] == rec.g1.real
-            assert cells[8] == rec.weight
+            assert cells[0] == traj.times[i]  # 17 digits round-trip bit-exactly
+            assert cells[1] == traj.omega_b * traj.times[i]
+            assert cells[2] == traj.n_a_raw[i]
+            assert cells[3] == traj.n_b_raw[i]
+            assert cells[6] == traj.g1[i].real
+            assert cells[8] == traj.weight[i]
 
     def test_moment_engine_reports_unit_weight(self, tmp_path):
         traj = _tiny_gaussian_traj()
@@ -325,6 +325,20 @@ class TestRunScenario:
                          "fig1a_comparison.csv", "fig1a.svg"]
         for p in written:
             assert p.exists() and p.stat().st_size > 0
+
+    def test_truncated_trajectory_compared_over_common_prefix(self, tmp_path):
+        # the post-selected norm underflows near sample 1840 of 2000
+        cfg = parse_config("state = fock 1 0\nt_end = 1500",
+                           cli_overrides={"directory": str(tmp_path)})
+        run_scenario(cfg)
+        kept = len((tmp_path / "custom_nonhermitian.csv").read_text()
+                   .splitlines()) - 1
+        assert 0 < kept < cfg.samples
+        lines = (tmp_path / "custom_comparison.csv").read_text().splitlines()
+        header = [l for l in lines if l.startswith("#")]
+        assert any("nonhermitian: norm underflow" in l for l in header)
+        assert len(lines) - len(header) - 1 == kept
+        assert not (tmp_path / "custom.partial").exists()
 
     def test_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
         def explode(engine, cfg, params):
