@@ -2,7 +2,9 @@
 
 Joint basis ordering is mode-a major: |n_a, n_b> sits at index n_a*dim_b + n_b.
 Operators are stored sparse (CSR); the evolution fast paths densify copies as
-needed but never build a superoperator.
+needed but never build a superoperator. The engines evolve only the basis
+indices a state can reach (``reachable_indices``): the beam splitter conserves
+the excitation number and zero-temperature losses lower it.
 """
 
 from __future__ import annotations
@@ -125,8 +127,10 @@ class FockOperator:
     def dag(self) -> "FockOperator":
         return FockOperator(self.space, self.matrix.conj().T)
 
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
+    def toarray(self, keep=None) -> np.ndarray:
+        """Dense matrix, restricted to the basis indices ``keep`` if given."""
+        mat = self.matrix if keep is None else self.matrix[keep][:, keep]
+        return mat.toarray()
 
     @property
     def nnz(self) -> int:
@@ -177,6 +181,25 @@ class QuantumState:
         if self.is_pure:
             return np.outer(self.data, self.data.conj())
         return self.data.copy()
+
+
+def reachable_indices(state: QuantumState,
+                      operators: list[FockOperator]) -> np.ndarray:
+    """Sorted basis indices reachable from the support of ``state``.
+
+    Index i is reached from j when some operator has a nonzero entry [i, j];
+    the closure starts from every index on which the state (a vector, or a
+    density matrix by row or column) is nonzero.
+    """
+    reached = state.data != 0
+    if not state.is_pure:
+        reached = reached.any(axis=0) | reached.any(axis=1)
+    pattern = sum(abs(op.matrix) for op in operators)
+    frontier = reached
+    while frontier.any():
+        frontier = (pattern @ frontier.astype(float) > 0) & ~reached
+        reached = reached | frontier
+    return np.flatnonzero(reached)
 
 
 def annihilation(dim: int) -> sparse.csr_matrix:

@@ -6,7 +6,11 @@ on both modes, evaluated in its no-jump + jump form
     d rho/dt = -i(H_eff rho - rho H_eff^dag) + sum_k rate_k A_k rho A_k^dag,
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k,
 
-on dense arrays; no superoperator matrix is ever formed. At zero temperature
+on dense arrays; no superoperator matrix is ever formed. Only the basis
+indices the initial state can reach under H_eff and the jumps are evolved
+(``fock.reachable_indices``): at zero temperature the jumps only lower the
+excitation number, so a state with at most N0 quanta stays in n_a + n_b <= N0;
+at T > 0 the up-jumps reach the whole product truncation. At zero temperature
 H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine evolves mixed
 states with the same generator and no jumps. ``dissipator_apply`` keeps the
 textbook D[A] form as an independent reference. Also hosts the closed
@@ -22,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from .fock import FockOperator, FockSpace, QuantumState, beam_splitter_hamiltonian, \
-    mode_annihilator
+    mode_annihilator, reachable_indices
 from .observables import ObservableOps, ObservableTrajectory
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams, thermal_occupation
@@ -75,24 +79,33 @@ def dissipator_apply(channel_op: FockOperator, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def effective_hamiltonian(hamiltonian: FockOperator,
+                          channels: list[LindbladChannel] = ()) -> FockOperator:
+    """H_eff = H - (i/2) sum_k rate_k A_k^dag A_k."""
+    h_eff = hamiltonian
+    for ch in channels:
+        h_eff = h_eff - 0.5j * ch.rate * (ch.operator.dag() @ ch.operator)
+    return h_eff
+
+
 def density_generator(hamiltonian: FockOperator,
-                      channels: list[LindbladChannel] = ()):
+                      channels: list[LindbladChannel] = (), keep=None):
     """Flat-vector RHS of d rho/dt = -i(H_eff rho - rho H_eff^dag) + jumps.
 
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k and the jump term is
     sum_k rate_k A_k rho A_k^dag. With no channels this is the no-jump
     evolution under ``hamiltonian`` itself, which may be non-Hermitian.
+    ``keep`` restricts rho to the rows and columns of those basis indices
+    (default: all); it must be closed under H_eff and the jumps, as
+    ``fock.reachable_indices`` gives.
     """
-    dim = hamiltonian.space.dim
-    h_eff = hamiltonian.toarray()
+    dim = hamiltonian.space.dim if keep is None else len(keep)
+    k = -1j * effective_hamiltonian(hamiltonian, channels).toarray(keep)
+    kd = k.conj().T  # -i(H_eff rho - rho H_eff^dag) = K rho + rho K^dag
     jumps = []
     for ch in channels:
-        a = ch.operator.toarray()
-        ad = a.conj().T
-        h_eff = h_eff - 0.5j * ch.rate * (ad @ a)
-        jumps.append((ch.rate * a, ad))
-    k = -1j * h_eff  # -i(H_eff rho - rho H_eff^dag) = K rho + rho K^dag
-    kd = k.conj().T
+        a = ch.operator.toarray(keep)
+        jumps.append((ch.rate * a, a.conj().T))
 
     def rhs(t, yflat):
         rho = yflat.reshape(dim, dim)
@@ -118,30 +131,36 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
     """Evolve a density matrix and record observables at the sample times.
 
     ``state0`` may be a QuantumState (pure states are promoted to projectors)
-    or a raw density matrix. With ``interaction_picture`` the omega_b*(n_a+n_b)
-    rotation is removed from the Hamiltonian; all recorded observables are
-    invariant under that choice. A warning is attached when the top Fock level
-    of either mode accumulates more than 1e-6 population. With ``keep_states``
-    the ``snapshots`` are a (S, d, d) view of the integrator's state stack.
+    or a raw density matrix; only the basis indices it can reach are evolved
+    (see the module docstring). With ``interaction_picture`` the
+    omega_b*(n_a+n_b) rotation is removed from the Hamiltonian; all recorded
+    observables are invariant under that choice. A warning is attached when
+    the top Fock level of either mode accumulates more than 1e-6 population.
+    With ``keep_states`` the ``snapshots`` are the full (S, d, d) sampled
+    states, exactly zero outside the evolved indices.
     """
     if not isinstance(state0, QuantumState):
         state0 = QuantumState(space, state0)
-    rho0 = state0.density()
     omega = 0.0 if interaction_picture else params.omega_b
     h = beam_splitter_hamiltonian(omega, params.g, space)
-    rhs = density_generator(h, thermal_channels(params, space))
+    channels = thermal_channels(params, space)
+    keep = reachable_indices(
+        state0, [effective_hamiltonian(h, channels)]
+        + [ch.operator for ch in channels])
+    rho0 = state0.density()[np.ix_(keep, keep)]
+    rhs = density_generator(h, channels, keep)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, rho0.ravel(), (0.0, float(samples[-1])), samples,
                          rtol=rtol, atol=atol)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b)
-    rhos = sol.states.reshape(-1, space.dim, space.dim)
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)
+    rhos = sol.states.reshape(-1, len(keep), len(keep))
     return ObservableTrajectory(
         "lindblad", params.omega_b, sol.times, **ops.record_from_density(rhos),
         stats=sol.stats, warnings=ops.leakage_warnings(sol.times, rhos),
-        snapshots=rhos if keep_states else None)
+        snapshots=ops.embed(rhos) if keep_states else None, atol=atol)
 
 
 def moment_rhs(m, params: SystemParams, temperature: float = 0.0):

@@ -3,19 +3,20 @@
 This is the no-jump half of the Lindblad generator: H_L is the H_eff of the
 zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
 on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
-evaluated by ``lindblad.density_generator`` with no jump channels. The
-squared norm / trace decays monotonically and observables are reported both
-raw (unnormalized) and renormalized by the total occupation. Trajectories
-carry the quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and
-<n_b (...)> that drive the occupation ODEs, enabling a finite-difference
-consistency check.
+evaluated by ``lindblad.density_generator`` with no jump channels. Both are
+restricted to the basis indices H_L connects to the initial state, i.e. its
+own excitation-number blocks. The squared norm / trace decays monotonically
+and observables are reported both raw (unnormalized) and renormalized by the
+total occupation. Trajectories carry the quartic loss moments
+<n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that drive the occupation
+ODEs, enabling a finite-difference consistency check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockSpace, QuantumState, lossy_hamiltonian
+from .fock import FockSpace, QuantumState, lossy_hamiltonian, reachable_indices
 from .lindblad import density_generator
 from .observables import ObservableOps, ObservableTrajectory, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
@@ -31,31 +32,34 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
     """Evolve a state under H_L and record observables at the sample times.
 
     Accepts a pure QuantumState (evolved as a vector) or a density matrix
-    (evolved two-sided). If the squared norm underflows below 1e-300 the
-    trajectory is truncated there with a warning.
+    (evolved two-sided), on the excitation-number blocks it starts in. If the
+    squared norm underflows below 1e-300 the trajectory is truncated there
+    with a warning. With ``keep_states`` the ``snapshots`` are the full
+    sampled states, exactly zero outside the evolved blocks.
     """
     if not isinstance(state0, QuantumState):
         state0 = QuantumState(space, state0)
     omega = 0.0 if interaction_picture else None
     h_lossy = lossy_hamiltonian(params, space, omega_b=omega)
+    keep = reachable_indices(state0, [h_lossy])
     pure = state0.is_pure
     if pure:
-        k = -1j * h_lossy.toarray()
-        y0 = state0.data.copy()
+        k = -1j * h_lossy.toarray(keep)
+        y0 = state0.data[keep]
 
         def rhs(t, psi):
             return k @ psi
     else:
-        y0 = state0.density().ravel()
-        rhs = density_generator(h_lossy)
+        y0 = state0.data[np.ix_(keep, keep)].ravel()
+        rhs = density_generator(h_lossy, keep=keep)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,
                          rtol=rtol, atol=atol)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b)
-    states = sol.states if pure else sol.states.reshape(-1, space.dim, space.dim)
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)
+    states = sol.states if pure else sol.states.reshape(-1, len(keep), len(keep))
     record = ops.record_from_pure if pure else ops.record_from_nh_density
     cols = record(states)
     under = np.flatnonzero(cols["weight"] < _NORM_FLOOR)
@@ -67,7 +71,8 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
     return ObservableTrajectory(
         "nonhermitian", params.omega_b, sol.times[:kept],
         **{name: col[:kept] for name, col in cols.items()}, stats=sol.stats,
-        warnings=warnings, snapshots=states if keep_states else None)
+        warnings=warnings, snapshots=ops.embed(states) if keep_states else None,
+        atol=atol)
 
 
 def renormalized_observables(state: QuantumState) -> tuple[float, float, complex]:

@@ -6,7 +6,9 @@ trajectory holds one array per observable with one entry per sample: the raw
 moments, the state weight (trace or squared norm) and, for the non-Hermitian
 engine, the quartic loss moments entering the occupation ODEs. The recorders
 turn an engine's whole stack of sampled states into these columns in one
-call; their sanity checks raise FloatingPointError.
+call; their sanity checks raise FloatingPointError. A trajectory warns where
+the renormalized ratios are undefined (<N> <= 0) or made of integration error
+(0 < <N> < atol).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class ObservableTrajectory:
     stats: IntegratorStats | None = None
     warnings: list[str] = field(default_factory=list)
     snapshots: np.ndarray | None = None
+    atol: float = 0.0  # integrator atol: positive <N> below it is flagged
     n_a: np.ndarray = field(init=False, repr=False)
     n_b: np.ndarray = field(init=False, repr=False)
     g1: np.ndarray = field(init=False, repr=False)
@@ -53,12 +56,16 @@ class ObservableTrajectory:
     def __post_init__(self) -> None:
         self.n_a, self.n_b, self.g1 = renormalized_ratios(
             self.n_a_raw, self.n_b_raw, self.coherence)
-        undefined = np.flatnonzero(np.isnan(self.n_a))
-        if undefined.size:
-            self.warnings.append(
-                f"renormalized observables undefined (<N> <= 0) at "
-                f"{undefined.size} samples, first at "
-                f"t={self.times[undefined[0]]:.6e}")
+        total = self.n_a_raw + self.n_b_raw
+        for what, bad in (
+                (f"loss of significance: 0 < <N> < atol={self.atol:.1e}",
+                 (total > 0.0) & (total < self.atol)),
+                ("renormalized observables undefined (<N> <= 0)",
+                 np.isnan(self.n_a))):
+            hits = np.flatnonzero(bad)
+            if hits.size:
+                self.warnings.append(f"{what} at {hits.size} samples, first at "
+                                     f"t={self.times[hits[0]]:.6e}")
 
 
 def _require_real(imag: np.ndarray, tol: np.ndarray, what: str) -> None:
@@ -77,16 +84,22 @@ def _populations(states: np.ndarray) -> np.ndarray:
 
 
 class ObservableOps:
-    """Expectation data of the joint Fock space, for whole state stacks."""
+    """Expectation data of the joint Fock space, for whole state stacks.
+
+    With ``keep`` (sorted basis indices) the recorders take states restricted
+    to those indices, as the engines evolve them.
+    """
 
     def __init__(self, space: FockSpace, gamma_a: float = 0.0,
-                 gamma_b: float = 0.0) -> None:
+                 gamma_b: float = 0.0, keep=None) -> None:
+        self._dim = space.dim
+        self._keep = np.arange(space.dim) if keep is None else keep
         c = mode_annihilator("a", space)
         d = mode_annihilator("b", space)
-        hop = (c.dag() @ d).matrix.tocoo()
+        hop = (c.dag() @ d).matrix[self._keep][:, self._keep].tocoo()
         # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k]
         self._hop_row, self._hop_col, self._hop_data = hop.row, hop.col, hop.data
-        diag_a, diag_b = space.number_diagonals()
+        diag_a, diag_b = (n[self._keep] for n in space.number_diagonals())
         self._diag_a = diag_a
         self._diag_b = diag_b
         loss = gamma_a * diag_a + gamma_b * diag_b
@@ -94,6 +107,14 @@ class ObservableOps:
         self._quartic_b = diag_b * loss
         self._top = ((diag_a == space.dim_a - 1)
                      | (diag_b == space.dim_b - 1)).astype(float)
+
+    def embed(self, states: np.ndarray) -> np.ndarray:
+        """Full-space copy of a restricted stack (S, k) or (S, k, k), exactly
+        zero outside ``keep``."""
+        axes = states.ndim - 1
+        full = np.zeros((len(states),) + (self._dim,) * axes, dtype=states.dtype)
+        full[(slice(None),) + np.ix_(*[self._keep] * axes)] = states
+        return full
 
     def leakage_warnings(self, times, states) -> list[str]:
         """Truncation-leakage warning of a run, if any.

@@ -78,15 +78,26 @@ def step_embedded(rhs, t: float, y: np.ndarray, h: float):
 
     Returns (y5, err) where y5 is the fifth-order solution at t+h and err is
     the embedded fourth-order error estimate vector y5 - y4. Uses 7 rhs
-    evaluations (no FSAL reuse).
+    evaluations; ``integrate_adaptive`` reuses the first and last of them
+    across steps instead.
     """
-    k = [rhs(t, y)]
+    y5, err, _ = _step(rhs, t, y, h, rhs(t, y))
+    return y5, err
+
+
+def _step(rhs, t: float, y: np.ndarray, h: float, k1: np.ndarray):
+    """Dormand-Prince step from the first stage ``k1`` = rhs(t, y).
+
+    Returns (y5, err, k7); the last stage k7 = rhs(t + h, y5) is the first
+    stage of the next step (first same as last).
+    """
+    k = [k1]
     for i in range(1, 7):
         yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
         k.append(rhs(t + _C[i] * h, yi))
     y5 = y + h * sum(b * ki for b, ki in zip(_B5, k) if b != 0.0)
     err = h * sum(e * ki for e, ki in zip(_E, k) if e != 0.0)
-    return y5, err
+    return y5, err, k[6]
 
 
 def _scaled_error(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray,
@@ -132,7 +143,9 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
     """Integrate with PI-controlled adaptive steps, landing on each sample time.
 
     Steps are clamped so that every entry of sample_times is an actual step
-    endpoint (no dense-output interpolation). Raises IntegrationFailure on
+    endpoint (no dense-output interpolation). Each step attempt costs 6 rhs
+    evaluations: the first stage is the last stage of the previous accepted
+    step (FSAL), and a rejected step keeps it. Raises IntegrationFailure on
     step underflow or when the step budget runs out.
     """
     t0, t1 = map(float, problem.t_span)
@@ -153,9 +166,9 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
     stats = IntegratorStats()
     states = np.empty((samples.size, y.size), dtype=complex)
 
-    f0 = rhs(t0, y)
+    f = rhs(t0, y)
     stats.rhs_evaluations += 1
-    h = _initial_step(rhs, t0, y, f0, t1, problem.rtol, problem.atol, stats)
+    h = _initial_step(rhs, t0, y, f, t1, problem.rtol, problem.atol, stats)
 
     t = t0
     idx = 0
@@ -172,12 +185,13 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
                 raise IntegrationFailure("step budget exhausted", t)
             clamped = min(h, target - t)
             trial = max(clamped, h_min)
-            y_new, err = step_embedded(rhs, t, y, trial)
-            stats.rhs_evaluations += 7
+            y_new, err, f_new = _step(rhs, t, y, trial, f)
+            stats.rhs_evaluations += 6
             err_norm = _scaled_error(err, y, y_new, problem.rtol, problem.atol)
             if err_norm <= 1.0:
                 t = target if trial >= target - t else t + trial
                 y = y_new
+                f = f_new
                 stats.steps += 1
                 if trial == h:  # natural step: let the PI controller act
                     fac = _SAFETY * max(err_norm, 1e-12) ** (-_PI_ALPHA) \

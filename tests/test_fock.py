@@ -16,11 +16,14 @@ from ptdimer import (
     mode_annihilator,
     mode_number,
     noon_state,
+    reachable_indices,
+    thermal_channels,
     thermal_density_matrix,
     thermal_truncation_dim,
     truncation_dim,
 )
-from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
+from ptdimer.lindblad import effective_hamiltonian
+from conftest import GAMMA_A, GAMMA_B, OMEGA_B, ROOM_T, make_params
 
 
 class TestAnnihilation:
@@ -307,3 +310,44 @@ class TestFockOperator:
         n = mode_number("a", space)
         combo = n * 2.0 - n + (-n)
         assert np.abs(combo.toarray()).max() == 0.0
+
+
+class TestReachableIndices:
+    space = FockSpace(7, 7)
+
+    def _lindblad_reach(self, params):
+        h = beam_splitter_hamiltonian(0.0, params.g, self.space)
+        chans = thermal_channels(params, self.space)
+        ops = [effective_hamiltonian(h, chans)] + [ch.operator for ch in chans]
+        return reachable_indices(fock_product_state(5, 0, self.space), ops)
+
+    def _total(self):
+        n_a, n_b = self.space.number_diagonals()
+        return n_a + n_b
+
+    def test_zero_temperature_channels_keep_n_at_most_initial(self):
+        expected = np.flatnonzero(self._total() <= 5)
+        assert expected.size == 21
+        assert np.array_equal(self._lindblad_reach(make_params()), expected)
+
+    def test_lossy_hamiltonian_keeps_the_initial_block(self):
+        h_l = lossy_hamiltonian(make_params(), self.space, omega_b=0.0)
+        reach = reachable_indices(fock_product_state(5, 0, self.space), [h_l])
+        expected = np.flatnonzero(self._total() == 5)
+        assert expected.size == 6
+        assert np.array_equal(reach, expected)
+
+    def test_thermal_channels_reach_every_index(self):
+        reach = self._lindblad_reach(make_params(temperature=ROOM_T))
+        assert np.array_equal(reach, np.arange(self.space.dim))
+
+    def test_density_support_includes_coherences(self):
+        # only an off-diagonal entry links |2,0> and |0,0>: both blocks count
+        space = FockSpace(3, 3)
+        rho = np.zeros((space.dim, space.dim), dtype=complex)
+        rho[space.index(2, 0), space.index(0, 0)] = 1.0
+        rho[space.index(0, 0), space.index(2, 0)] = 1.0
+        h_l = lossy_hamiltonian(make_params(), space, omega_b=0.0)
+        reach = reachable_indices(QuantumState(space, rho), [h_l])
+        n_a, n_b = space.number_diagonals()
+        assert np.array_equal(reach, np.flatnonzero(np.isin(n_a + n_b, [0, 2])))

@@ -6,11 +6,13 @@ from scipy.linalg import expm
 from ptdimer import (
     FockOperator,
     FockSpace,
+    OdeProblem,
     beam_splitter_hamiltonian,
     dissipator_apply,
     evolve_density,
     evolve_moments,
     fock_product_state,
+    integrate_adaptive,
     lindblad_rhs,
     lossy_hamiltonian,
     mode_annihilator,
@@ -23,6 +25,7 @@ from ptdimer import (
     evolve_nonhermitian,
     truncation_dim,
 )
+from ptdimer.observables import ObservableOps
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
     random_density
 
@@ -241,6 +244,51 @@ class TestEvolveDensity:
         lab = evolve_density(state, p, space, times, rtol=1e-11, atol=1e-14)
         assert np.abs(rot.n_a - lab.n_a).max() < 1e-8
         assert np.abs(rot.g1 - lab.g1).max() < 1e-8
+
+
+class TestReachableSubspace:
+    """|3,2> on the dimension-49 space evolves only its 21 indices N <= 5."""
+
+    space = FockSpace(7, 7)
+    times = np.linspace(0.0, 3.0 / GAMMA_A, 200)
+
+    def test_matches_full_space_reference(self):
+        p = make_params()
+        state = fock_product_state(3, 2, self.space)
+        traj = evolve_density(state, p, self.space, self.times)
+        h = beam_splitter_hamiltonian(0.0, p.g, self.space)
+        chans = thermal_channels(p, self.space)
+        dim = self.space.dim
+
+        def rhs(t, y):
+            return lindblad_rhs(y.reshape(dim, dim), h, chans).ravel()
+        sol = integrate_adaptive(OdeProblem(
+            rhs, state.density().ravel(), (0.0, self.times[-1]), self.times))
+        ref = ObservableOps(self.space, GAMMA_A, GAMMA_B).record_from_density(
+            sol.states.reshape(-1, dim, dim))
+        assert set(ref) == {"n_a_raw", "n_b_raw", "coherence", "weight"}
+        for name, col in ref.items():
+            assert np.abs(getattr(traj, name) - col).max() < 1e-12, name
+
+    def test_snapshots_are_full_and_zero_outside(self):
+        n_a, n_b = self.space.number_diagonals()
+        keep = np.flatnonzero(n_a + n_b <= 5)
+        outside = np.ones((self.space.dim, self.space.dim), dtype=bool)
+        outside[np.ix_(keep, keep)] = False
+        traj = evolve_density(fock_product_state(3, 2, self.space),
+                              make_params(), self.space, self.times[:20],
+                              keep_states=True)
+        assert traj.snapshots.shape == (20, 49, 49)
+        assert np.all(traj.snapshots[:, outside] == 0.0)
+        assert np.abs(traj.snapshots[-1][np.ix_(keep, keep)]).max() > 0.0
+
+    def test_nonhermitian_snapshots_stay_in_the_initial_block(self):
+        p = make_params()
+        traj = evolve_nonhermitian(fock_product_state(3, 2, self.space), p,
+                                   self.space, self.times[:20], keep_states=True)
+        n_a, n_b = self.space.number_diagonals()
+        assert traj.snapshots.shape == (20, 49)
+        assert np.all(traj.snapshots[:, n_a + n_b != 5] == 0.0)
 
 
 class TestMomentSystem:

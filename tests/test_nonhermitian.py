@@ -157,6 +157,33 @@ class TestTruncationLeakage:
         assert any("truncation leakage" in w for w in traj.warnings)
 
 
+class TestLossOfSignificance:
+    @pytest.mark.parametrize("evolve", [evolve_density, evolve_nonhermitian],
+                             ids=["lindblad", "nonhermitian"])
+    def test_occupation_below_atol_warns(self, evolve):
+        # <N> decays like exp(-(gamma_a + gamma_b) t / 2): below 1e-12 past
+        # t ~ 1.7e-4 s, where the renormalized ratios are integration noise
+        space = FockSpace(3, 3)
+        times = np.linspace(0.0, 4e-4, 41)
+        traj = evolve(fock_product_state(1, 0, space), make_params(), space,
+                      times)
+        total = traj.n_a_raw + traj.n_b_raw
+        low = np.flatnonzero((total > 0) & (total < 1e-12))
+        assert low.size
+        expected = (f"loss of significance: 0 < <N> < atol=1.0e-12 at "
+                    f"{low.size} samples, first at t={times[low[0]]:.6e}")
+        assert expected in traj.warnings
+
+    @pytest.mark.parametrize("evolve", [evolve_density, evolve_nonhermitian],
+                             ids=["lindblad", "nonhermitian"])
+    def test_resolved_decay_does_not_warn(self, evolve):
+        space = FockSpace(3, 3)
+        times = np.linspace(0.0, 5.0 / GAMMA_A, 41)
+        traj = evolve(fock_product_state(1, 0, space), make_params(), space,
+                      times)
+        assert traj.warnings == []
+
+
 class TestOccupationOdeResidual:
     def test_single_photon(self):
         space = FockSpace(3, 2)

@@ -111,6 +111,23 @@ class TestAdaptive:
         assert stats.rhs_evaluations >= 6 * stats.steps
         assert stats.rejected >= 0
 
+    def test_first_stage_reused(self):
+        # the rate jumps at t = 0.5, so the step across it is rejected
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -(10.0 if t > 0.5 else 1.0) * y
+        prob = OdeProblem(rhs, np.array([1.0 + 0j]), (0.0, 1.0),
+                          np.array([1.0]), rtol=1e-9, atol=1e-12)
+        traj = integrate_adaptive(prob)
+        stats = traj.stats
+        assert stats.rejected > 0
+        assert len(calls) == stats.rhs_evaluations \
+            == 6 * (stats.steps + stats.rejected) + 2
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-0.5 - 5.0),
+                                                   rel=1e-6)
+
     def test_validation(self):
         y0 = np.array([1.0 + 0j])
         with pytest.raises(ValueError):
