@@ -11,8 +11,8 @@ contrast.
 from .fock import FockOperator, FockSpace, QuantumState, TruncationError, \
     annihilation, beam_splitter_hamiltonian, embed, fock_product_state, \
     lossy_hamiltonian, mode_annihilator, mode_number, noon_state, \
-    reachable_indices, thermal_density_matrix, thermal_state_for, \
-    thermal_truncation_dim, truncation_dim
+    reachable_indices, thermal_density_matrix, thermal_truncation_dim, \
+    truncation_dim
 from .gaussian import count_prominent_extrema, diffusion_matrix, drift_matrix, \
     evolve_moments, fit_decay_rate, moment_flow_rhs, steady_state_moments, \
     thermal_moment_state
@@ -37,8 +37,8 @@ __all__ = [
     "FockOperator", "FockSpace", "QuantumState", "TruncationError",
     "annihilation", "beam_splitter_hamiltonian", "embed", "fock_product_state",
     "lossy_hamiltonian", "mode_annihilator", "mode_number", "noon_state",
-    "reachable_indices", "thermal_density_matrix", "thermal_state_for",
-    "thermal_truncation_dim", "truncation_dim",
+    "reachable_indices", "thermal_density_matrix", "thermal_truncation_dim",
+    "truncation_dim",
     "count_prominent_extrema", "diffusion_matrix", "drift_matrix",
     "evolve_moments", "fit_decay_rate", "moment_flow_rhs",
     "steady_state_moments", "thermal_moment_state",

@@ -121,10 +121,7 @@ def main(argv=None) -> int:
         if args.command == "list-scenarios":
             return _cmd_list()
         return _cmd_classify(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationFailure, FloatingPointError,

@@ -1,10 +1,10 @@
 """Truncated two-mode Fock space: operators, states, and Hamiltonians.
 
 Joint basis ordering is mode-a major: |n_a, n_b> sits at index n_a*dim_b + n_b.
-Operators are stored sparse (CSR); the evolution fast paths densify copies as
-needed but never build a superoperator. The engines evolve only the basis
-indices a state can reach (``reachable_indices``): the beam splitter conserves
-the excitation number and zero-temperature losses lower it.
+Operators are dense complex numpy arrays, the form every engine evolves; no
+superoperator is ever built. The engines evolve only the basis indices a state
+can reach (``reachable_indices``): the beam splitter conserves the excitation
+number and zero-temperature losses lower it.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .params import SystemParams, thermal_occupation
+from .params import SystemParams
 
 
 class TruncationError(ValueError):
@@ -82,7 +81,7 @@ class FockSpace:
 
 
 class FockOperator:
-    """Sparse operator tagged with its FockSpace.
+    """Dense complex matrix tagged with its FockSpace.
 
     Supports +, -, scalar *, @ and dag(); binary operations require matching
     spaces.
@@ -91,7 +90,7 @@ class FockOperator:
     __slots__ = ("space", "matrix")
 
     def __init__(self, space: FockSpace, matrix) -> None:
-        mat = sparse.csr_matrix(matrix, dtype=complex)
+        mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match "
                              f"space dimension {space.dim}")
@@ -128,17 +127,17 @@ class FockOperator:
         return FockOperator(self.space, self.matrix.conj().T)
 
     def toarray(self, keep=None) -> np.ndarray:
-        """Dense matrix, restricted to the basis indices ``keep`` if given."""
-        mat = self.matrix if keep is None else self.matrix[keep][:, keep]
-        return mat.toarray()
+        """Copy of the matrix, restricted to the basis indices ``keep`` if given."""
+        if keep is None:
+            return self.matrix.copy()
+        return self.matrix[np.ix_(keep, keep)]
 
     @property
     def nnz(self) -> int:
-        return self.matrix.nnz
+        return int(np.count_nonzero(self.matrix))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = (self.matrix - self.matrix.conj().T)
-        return abs(diff).max() <= tol if diff.nnz else True
+        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol
 
 
 class QuantumState:
@@ -202,27 +201,24 @@ def reachable_indices(state: QuantumState,
     return np.flatnonzero(reached)
 
 
-def annihilation(dim: int) -> sparse.csr_matrix:
+def annihilation(dim: int) -> np.ndarray:
     """Single-mode annihilation operator: A[n-1, n] = sqrt(n)."""
     if dim < 2:
         raise ValueError("annihilation operator needs dimension >= 2")
-    return sparse.diags(np.sqrt(np.arange(1, dim, dtype=float)), offsets=1,
-                        format="csr", dtype=complex)
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
 def embed(op, mode: str, space: FockSpace) -> FockOperator:
     """Lift a single-mode operator into the joint space via Kronecker product."""
-    mat = sparse.csr_matrix(op, dtype=complex)
+    mat = np.asarray(op, dtype=complex)
     if mode == "a":
         if mat.shape != (space.dim_a, space.dim_a):
             raise ValueError("operator dimension does not match mode a")
-        joint = sparse.kron(mat, sparse.identity(space.dim_b, dtype=complex),
-                            format="csr")
+        joint = np.kron(mat, np.eye(space.dim_b))
     elif mode == "b":
         if mat.shape != (space.dim_b, space.dim_b):
             raise ValueError("operator dimension does not match mode b")
-        joint = sparse.kron(sparse.identity(space.dim_a, dtype=complex), mat,
-                            format="csr")
+        joint = np.kron(np.eye(space.dim_a), mat)
     else:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     return FockOperator(space, joint)
@@ -234,8 +230,9 @@ def mode_annihilator(mode: str, space: FockSpace) -> FockOperator:
 
 
 def mode_number(mode: str, space: FockSpace) -> FockOperator:
-    a = mode_annihilator(mode, space)
-    return a.dag() @ a
+    a = annihilation(space.dim_a if mode == "a" else space.dim_b)
+    return embed(a.conj().T @ a, mode, space)
+
 
 def beam_splitter_hamiltonian(omega_b: float, g: float,
                               space: FockSpace) -> FockOperator:
@@ -321,11 +318,3 @@ def thermal_density_matrix(nbar_a: float, nbar_b: float, space: FockSpace,
     rho = np.diag(np.kron(wa, wb).astype(complex))
     return QuantumState(space, rho)
 
-
-def thermal_state_for(params: SystemParams, space: FockSpace,
-                      tail_tol: float = 1e-6) -> QuantumState:
-    """Thermal product state at the params' bath temperature."""
-    return thermal_density_matrix(
-        thermal_occupation(params.omega_a, params.temperature),
-        thermal_occupation(params.omega_b, params.temperature),
-        space, tail_tol)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fock import FockOperator, FockSpace, QuantumState, beam_splitter_hamiltonian, \
     mode_annihilator, reachable_indices
@@ -63,20 +62,13 @@ def thermal_channels(params: SystemParams, space: FockSpace) -> list[LindbladCha
     return [LindbladChannel(op, rate) for op, rate in raw if rate > 0.0]
 
 
-def _right_mul(dense: np.ndarray, sp: sparse.spmatrix) -> np.ndarray:
-    # dense @ sparse without relying on ndarray.__matmul__ dispatch
-    return (sp.T @ dense.T).T
-
-
 def dissipator_apply(channel_op: FockOperator, rho: np.ndarray) -> np.ndarray:
     """D[A] rho = A rho A^dag - (A^dag A rho + rho A^dag A)/2 at unit rate."""
     a = channel_op.matrix
-    ad = a.conj().T.tocsr()
-    ada = (ad @ a).tocsr()
+    ad = a.conj().T
+    ada = ad @ a
     rho = np.asarray(rho, dtype=complex)
-    out = _right_mul(a @ rho, ad)
-    out -= 0.5 * (ada @ rho + _right_mul(rho, ada))
-    return out
+    return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
 def effective_hamiltonian(hamiltonian: FockOperator,

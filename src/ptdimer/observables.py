@@ -96,9 +96,10 @@ class ObservableOps:
         self._keep = np.arange(space.dim) if keep is None else keep
         c = mode_annihilator("a", space)
         d = mode_annihilator("b", space)
-        hop = (c.dag() @ d).matrix[self._keep][:, self._keep].tocoo()
-        # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k]
-        self._hop_row, self._hop_col, self._hop_data = hop.row, hop.col, hop.data
+        hop = (c.dag() @ d).toarray(self._keep)
+        # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k], nonzeros row-major
+        self._hop_row, self._hop_col = np.nonzero(hop)
+        self._hop_data = hop[self._hop_row, self._hop_col]
         diag_a, diag_b = (n[self._keep] for n in space.number_diagonals())
         self._diag_a = diag_a
         self._diag_b = diag_b

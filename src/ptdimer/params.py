@@ -11,7 +11,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.constants import hbar as HBAR, k as K_B
+HBAR = 6.62607015e-34 / (2 * math.pi)  # exact SI Planck constant over 2 pi
+K_B = 1.380649e-23  # exact SI Boltzmann constant
 
 
 class Phase(enum.Enum):

@@ -9,6 +9,7 @@ values override the catalog and command-line flags override the file.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -427,6 +428,18 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_lines(lines: list[str], path) -> None:
+    """Write the lines to a temporary file beside ``path``, then rename it over
+    ``path``: a reader sees the old file or the new one, never part of one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(traj: ObservableTrajectory, path) -> None:
     """One row per sample; 17 significant digits, so floats round-trip exactly."""
     lines = [_CSV_HEADER]
@@ -434,7 +447,7 @@ def write_csv(traj: ObservableTrajectory, path) -> None:
                    traj.n_b_raw, traj.n_a, traj.n_b, traj.g1.real,
                    traj.g1.imag, traj.weight):
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def write_comparison(report: ComparisonReport, path) -> None:
@@ -461,7 +474,7 @@ def write_comparison(report: ComparisonReport, path) -> None:
             d = report.deviations[eng]
             row += [d["n_a"][i], d["n_b"][i], d["g1"][i]]
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 _COLOR_A = "#1f77b4"  # blue: mode a
@@ -553,7 +566,7 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
     parts.append(f'<text x="{_MARGIN_L + 40}" y="{_MARGIN_T + 16}" '
                  f'font-size="12" fill="{_COLOR_B}">n_b</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_lines(parts, path)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[Path]:

@@ -28,16 +28,16 @@ from conftest import GAMMA_A, GAMMA_B, OMEGA_B, ROOM_T, make_params
 
 class TestAnnihilation:
     def test_two_level_matrix(self):
-        assert np.array_equal(annihilation(2).toarray(), [[0, 1], [0, 0]])
+        assert np.array_equal(annihilation(2), [[0, 1], [0, 0]])
 
     def test_sqrt_ladder_entry(self):
-        a = annihilation(3).toarray()
+        a = annihilation(3)
         assert a[1, 2] == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_number_operator_identity(self):
         for dim in (2, 5, 9):
             a = annihilation(dim)
-            n = (a.conj().T @ a).toarray()
+            n = a.conj().T @ a
             assert np.allclose(n, np.diag(np.arange(dim)), atol=1e-14)
 
 

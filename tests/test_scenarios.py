@@ -1,10 +1,15 @@
 """Catalog presets, config parsing, batch runner, CSV/SVG output, CLI."""
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptdimer
 from ptdimer import (
     ConfigError,
     IntegrationFailure,
@@ -315,6 +320,36 @@ class TestSvgOutput:
             write_svg([], tmp_path / "plot.svg")
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", ["csv", "comparison", "svg"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                              writer):
+        cfg = replace(catalog_config("fig1a"), samples=10)
+        params = cfg.system_params()
+        trajs = [run_engine(e, cfg, params) for e in cfg.engines]
+        write = {"csv": lambda p: write_csv(trajs[0], p),
+                 "comparison": lambda p: write_comparison(
+                     compare_trajectories(trajs, params, "fig1a"), p),
+                 "svg": lambda p: write_svg(trajs, p)}[writer]
+        path = tmp_path / "out"
+        path.write_text("previous\n")
+
+        def fail_halfway(self, data, *args, **kwargs):
+            with open(self, "w") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", fail_halfway)
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        monkeypatch.undo()
+        write(path)
+        assert path.read_text() != "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 class TestRunScenario:
     def test_writes_per_engine_and_comparison(self, tmp_path):
         cfg = replace(catalog_config("fig1a"), samples=120,
@@ -416,6 +451,32 @@ class TestCli:
         blocker.write_text("")
         rc = main(["run", "--scenario", "fig1a", "--out", str(blocker)])
         assert rc == 4
+
+    def test_run_needs_numpy_only(self, tmp_path):
+        # a subprocess in which every scipy import fails
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from ptdimer.cli import main\n"
+            "fock, thermal, out = sys.argv[1:]\n"
+            "sys.exit(main(['run', '--config', fock, '--out', out]) or "
+            "main(['run', '--scenario', 'fig6b', '--config', thermal, "
+            "'--out', out]))\n")
+        fock = tmp_path / "fock.conf"
+        fock.write_text("state = fock 1 0\nengines = lindblad, nonhermitian\n"
+                        "samples = 60\nt_end = 2\n")
+        thermal = tmp_path / "thermal.conf"
+        thermal.write_text("samples = 60\n")
+        src = str(Path(ptdimer.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(fock), str(thermal),
+             str(tmp_path / "out")], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["custom_comparison.csv", "custom_lindblad.csv",
+             "custom_nonhermitian.csv", "fig6b_gaussian.csv"]
 
     def test_classify_output(self, capsys):
         rc = main(["classify", "--g", "2.1147e5", "--gamma-a", "3.26e5",
