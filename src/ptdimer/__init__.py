@@ -8,8 +8,8 @@ exceptional point / broken) are classified from the coupling and the damping
 contrast.
 """
 
-from .fock import FockOperator, FockSpace, QuantumState, TruncationError, \
-    annihilation, beam_splitter_hamiltonian, embed, fock_product_state, \
+from .fock import FockSpace, QuantumState, TruncationError, \
+    beam_splitter_hamiltonian, fock_product_state, hamiltonian_moves, ladder, \
     lossy_hamiltonian, mode_annihilator, mode_number, noon_state, \
     reachable_indices, thermal_density_matrix, thermal_truncation_dim, \
     truncation_dim
@@ -34,9 +34,9 @@ from .scenarios import ComparisonReport, ConfigError, ScenarioConfig, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "FockOperator", "FockSpace", "QuantumState", "TruncationError",
-    "annihilation", "beam_splitter_hamiltonian", "embed", "fock_product_state",
-    "lossy_hamiltonian", "mode_annihilator", "mode_number", "noon_state",
+    "FockSpace", "QuantumState", "TruncationError",
+    "beam_splitter_hamiltonian", "fock_product_state", "hamiltonian_moves",
+    "ladder", "lossy_hamiltonian", "mode_annihilator", "mode_number", "noon_state",
     "reachable_indices", "thermal_density_matrix", "thermal_truncation_dim",
     "truncation_dim",
     "count_prominent_extrema", "diffusion_matrix", "drift_matrix",

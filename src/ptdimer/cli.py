@@ -116,6 +116,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors already exit with 2
         return int(exc.code or 0)
     try:
+        for flag, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"--{flag.replace('_', '-')} must be finite")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "list-scenarios":

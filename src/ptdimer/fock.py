@@ -1,10 +1,14 @@
-"""Truncated two-mode Fock space: operators, states, and Hamiltonians.
+"""Truncated two-mode Fock space: ladder operators, states, and Hamiltonians.
 
 Joint basis ordering is mode-a major: |n_a, n_b> sits at index n_a*dim_b + n_b.
-Operators are dense complex numpy arrays, the form every engine evolves; no
-superoperator is ever built. The engines evolve only the basis indices a state
-can reach (``reachable_indices``): the beam splitter conserves the excitation
-number and zero-temperature losses lower it.
+Every operator of the model is one ladder move with its sqrt(n) factors (c,
+c^dag, d, d^dag, the hop c^dag d) or the diagonal A^dag A of one. ``ladder``
+writes either as a dense complex array directly on a sorted set of basis
+indices, the form every engine evolves: no operator is formed on the product
+space and then sliced, and no superoperator is ever built. The engines evolve
+only the indices a state can reach under the model's moves
+(``reachable_indices``): the beam splitter conserves the excitation number and
+zero-temperature losses lower it.
 """
 
 from __future__ import annotations
@@ -75,69 +79,8 @@ class FockSpace:
 
     def number_diagonals(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays n_a[j], n_b[j] of occupations along the joint basis."""
-        grid_a, grid_b = np.meshgrid(np.arange(self.dim_a), np.arange(self.dim_b),
-                                     indexing="ij")
-        return grid_a.ravel().astype(float), grid_b.ravel().astype(float)
-
-
-class FockOperator:
-    """Dense complex matrix tagged with its FockSpace.
-
-    Supports +, -, scalar *, @ and dag(); binary operations require matching
-    spaces.
-    """
-
-    __slots__ = ("space", "matrix")
-
-    def __init__(self, space: FockSpace, matrix) -> None:
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match "
-                             f"space dimension {space.dim}")
-        self.space = space
-        self.matrix = mat
-
-    def _check(self, other: "FockOperator") -> None:
-        if not isinstance(other, FockOperator):
-            raise TypeError("expected a FockOperator")
-        if other.space != self.space:
-            raise ValueError("operators live on different Fock spaces")
-
-    def __add__(self, other):
-        self._check(other)
-        return FockOperator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FockOperator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar):
-        return FockOperator(self.space, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FockOperator(self.space, -self.matrix)
-
-    def __matmul__(self, other):
-        self._check(other)
-        return FockOperator(self.space, self.matrix @ other.matrix)
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(self.space, self.matrix.conj().T)
-
-    def toarray(self, keep=None) -> np.ndarray:
-        """Copy of the matrix, restricted to the basis indices ``keep`` if given."""
-        if keep is None:
-            return self.matrix.copy()
-        return self.matrix[np.ix_(keep, keep)]
-
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.matrix))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol
+        n_a, n_b = np.divmod(np.arange(self.dim), self.dim_b)
+        return n_a.astype(float), n_b.astype(float)
 
 
 class QuantumState:
@@ -175,92 +118,129 @@ class QuantumState:
             return float(np.vdot(self.data, self.data).real)
         return float(np.trace(self.data).real)
 
-    def density(self) -> np.ndarray:
-        """Dense density matrix (outer product for pure states)."""
+    def density(self, keep=None) -> np.ndarray:
+        """Dense density matrix (outer product for pure states) on the basis
+        indices ``keep`` (default: all)."""
+        keep = np.arange(self.space.dim) if keep is None else keep
         if self.is_pure:
-            return np.outer(self.data, self.data.conj())
-        return self.data.copy()
+            vec = self.data[keep]
+            return np.outer(vec, vec.conj())
+        return self.data[np.ix_(keep, keep)]
 
 
-def reachable_indices(state: QuantumState,
-                      operators: list[FockOperator]) -> np.ndarray:
+# ladder moves (change of n_a, change of n_b)
+_LOWER = {"a": (-1, 0), "b": (0, -1)}
+HOP = (1, -1)  # c^dag d
+
+
+def _move(space: FockSpace, idx: np.ndarray, move: tuple[int, int]):
+    """Targets, sqrt(n) factors and in-truncation mask of ``move`` applied to
+    the basis indices ``idx``."""
+    n_a, n_b = np.divmod(idx, space.dim_b)
+    factor = np.ones(len(idx))
+    inside = np.ones(len(idx), dtype=bool)
+    for n, step, dim in ((n_a, move[0], space.dim_a), (n_b, move[1], space.dim_b)):
+        if step:
+            factor = factor * np.sqrt(np.maximum(n, n + step))
+            inside &= (0 <= n + step) & (n + step < dim)
+    return idx + move[0] * space.dim_b + move[1], factor, inside
+
+
+def ladder(space: FockSpace, move: tuple[int, int], keep=None, *,
+           squared: bool = False) -> np.ndarray:
+    """Dense matrix of one ladder move on the sorted basis indices ``keep``.
+
+    ``move = (da, db)``, each step -1, 0 or +1, maps |n_a, n_b> to
+    |n_a + da, n_b + db> with a factor sqrt(n) for each lowered mode and
+    sqrt(n + 1) for each raised one: (-1, 0) is c, (0, 1) is d^dag and
+    (1, -1) is c^dag d. Moves out of the truncation give zero. With
+    ``squared`` the diagonal A^dag A of the move is returned instead. Entries
+    are written by index arithmetic, so the build on ``keep`` (default: every
+    index) equals the full build sliced with ``np.ix_(keep, keep)``.
+    """
+    idx = np.arange(space.dim) if keep is None else np.asarray(keep)
+    target, factor, inside = _move(space, idx, move)
+    out = np.zeros((len(idx), len(idx)), dtype=complex)
+    if squared:
+        np.fill_diagonal(out, np.where(inside, factor * factor, 0.0))
+        return out
+    row = np.minimum(np.searchsorted(idx, target), len(idx) - 1)
+    col = np.flatnonzero(inside & (idx[row] == target))
+    out[row[col], col] = factor[col]
+    return out
+
+
+def hamiltonian_moves(g: float) -> list[tuple[int, int]]:
+    """Ladder moves of the beam splitter: the hop pair c^dag d, c d^dag when
+    g != 0 (its number terms are diagonal)."""
+    return [HOP, (-1, 1)] if g != 0 else []
+
+
+def reachable_indices(state: QuantumState, moves: list[tuple[int, int]]) -> np.ndarray:
     """Sorted basis indices reachable from the support of ``state``.
 
-    Index i is reached from j when some operator has a nonzero entry [i, j];
-    the closure starts from every index on which the state (a vector, or a
-    density matrix by row or column) is nonzero.
+    The closure starts from every index on which the state (a vector, or a
+    density matrix by row or column) is nonzero and applies the ladder
+    ``moves`` (see ``ladder``) until no new index inside the truncation
+    appears.
     """
+    space = state.space
     reached = state.data != 0
     if not state.is_pure:
         reached = reached.any(axis=0) | reached.any(axis=1)
-    pattern = sum(abs(op.matrix) for op in operators)
-    frontier = reached
-    while frontier.any():
-        frontier = (pattern @ frontier.astype(float) > 0) & ~reached
-        reached = reached | frontier
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        new = np.zeros_like(reached)
+        for move in moves:
+            target, _, inside = _move(space, frontier, move)
+            new[target[inside]] = True
+        frontier = np.flatnonzero(new & ~reached)
+        reached[frontier] = True
     return np.flatnonzero(reached)
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator: A[n-1, n] = sqrt(n)."""
-    if dim < 2:
-        raise ValueError("annihilation operator needs dimension >= 2")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-
-
-def embed(op, mode: str, space: FockSpace) -> FockOperator:
-    """Lift a single-mode operator into the joint space via Kronecker product."""
-    mat = np.asarray(op, dtype=complex)
-    if mode == "a":
-        if mat.shape != (space.dim_a, space.dim_a):
-            raise ValueError("operator dimension does not match mode a")
-        joint = np.kron(mat, np.eye(space.dim_b))
-    elif mode == "b":
-        if mat.shape != (space.dim_b, space.dim_b):
-            raise ValueError("operator dimension does not match mode b")
-        joint = np.kron(np.eye(space.dim_a), mat)
-    else:
+def _lowering(mode: str) -> tuple[int, int]:
+    if mode not in _LOWER:
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return FockOperator(space, joint)
+    return _LOWER[mode]
 
 
-def mode_annihilator(mode: str, space: FockSpace) -> FockOperator:
-    dim = space.dim_a if mode == "a" else space.dim_b
-    return embed(annihilation(dim), mode, space)
+def mode_annihilator(mode: str, space: FockSpace, keep=None) -> np.ndarray:
+    """c (mode "a") or d (mode "b") on the basis indices ``keep``."""
+    return ladder(space, _lowering(mode), keep)
 
 
-def mode_number(mode: str, space: FockSpace) -> FockOperator:
-    a = annihilation(space.dim_a if mode == "a" else space.dim_b)
-    return embed(a.conj().T @ a, mode, space)
+def mode_number(mode: str, space: FockSpace, keep=None) -> np.ndarray:
+    """n_a or n_b on the basis indices ``keep``; entries sqrt(n)*sqrt(n)."""
+    return ladder(space, _lowering(mode), keep, squared=True)
 
 
-def beam_splitter_hamiltonian(omega_b: float, g: float,
-                              space: FockSpace) -> FockOperator:
+def beam_splitter_hamiltonian(omega_b: float, g: float, space: FockSpace,
+                              keep=None) -> np.ndarray:
     """H = omega_b*(n_a + n_b) + g*(c^dag d + c d^dag), energy in rad/s units.
 
     Passing omega_b = 0 gives the interaction-picture Hamiltonian. The hopping
     term conserves total excitation number exactly, also on the truncated
-    space.
+    space. Built on the basis indices ``keep`` (default: all).
     """
-    c = mode_annihilator("a", space)
-    d = mode_annihilator("b", space)
-    hop = c.dag() @ d
-    h = omega_b * (mode_number("a", space) + mode_number("b", space)) \
-        + g * (hop + hop.dag())
-    return h
+    hop = ladder(space, HOP, keep)
+    return omega_b * (mode_number("a", space, keep)
+                      + mode_number("b", space, keep)) \
+        + g * (hop + hop.conj().T)
 
 
 def lossy_hamiltonian(params: SystemParams, space: FockSpace,
-                      omega_b: float | None = None) -> FockOperator:
+                      omega_b: float | None = None, keep=None) -> np.ndarray:
     """Non-Hermitian H_L = H - i(gamma_a n_a + gamma_b n_b)/2.
 
     ``omega_b`` overrides the mode frequency (0 for the interaction picture);
-    by default it is taken from ``params``.
+    by default it is taken from ``params``. Built on the basis indices
+    ``keep`` (default: all).
     """
     omega = params.omega_b if omega_b is None else omega_b
-    h = beam_splitter_hamiltonian(omega, params.g, space)
-    loss = params.gamma_a * mode_number("a", space) \
-        + params.gamma_b * mode_number("b", space)
+    h = beam_splitter_hamiltonian(omega, params.g, space, keep)
+    loss = params.gamma_a * mode_number("a", space, keep) \
+        + params.gamma_b * mode_number("b", space, keep)
     return h - 0.5j * loss
 
 

@@ -7,10 +7,11 @@ on both modes, evaluated in its no-jump + jump form
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k,
 
 on dense arrays; no superoperator matrix is ever formed. Only the basis
-indices the initial state can reach under H_eff and the jumps are evolved
-(``fock.reachable_indices``): at zero temperature the jumps only lower the
-excitation number, so a state with at most N0 quanta stays in n_a + n_b <= N0;
-at T > 0 the up-jumps reach the whole product truncation. At zero temperature
+indices the initial state can reach under the ladder moves of H and the jumps
+are evolved (``fock.reachable_indices``), and H and the channels are built on
+those indices alone: at zero temperature the jumps only lower the excitation
+number, so a state with at most N0 quanta stays in n_a + n_b <= N0; at T > 0
+the up-jumps reach the whole product truncation. At zero temperature
 H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine evolves mixed
 states with the same generator and no jumps. ``dissipator_apply`` keeps the
 textbook D[A] form as an independent reference. Also hosts the closed
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockOperator, FockSpace, QuantumState, beam_splitter_hamiltonian, \
-    mode_annihilator, reachable_indices
+from .fock import FockSpace, QuantumState, beam_splitter_hamiltonian, \
+    hamiltonian_moves, mode_annihilator, reachable_indices
 from .observables import ObservableOps, ObservableTrajectory
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams, thermal_occupation
@@ -33,9 +34,9 @@ from .params import SystemParams, thermal_occupation
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """Jump operator with its nonnegative rate."""
+    """Jump operator (a dense array on the evolved basis) with its rate >= 0."""
 
-    operator: FockOperator
+    operator: np.ndarray
     rate: float
 
     def __post_init__(self) -> None:
@@ -43,61 +44,74 @@ class LindbladChannel:
             raise ValueError(f"channel rate must be finite and >= 0, got {self.rate}")
 
 
-def thermal_channels(params: SystemParams, space: FockSpace) -> list[LindbladChannel]:
-    """Thermal dissipation channels for both modes.
-
-    Mode a: rate gamma_a*(nbar_a+1) on c and gamma_a*nbar_a on c^dag; likewise
-    for mode b. Zero-rate channels are dropped.
-    """
+def _thermal_rates(params: SystemParams) -> list[tuple[tuple[int, int], float]]:
+    """Ladder move and rate of the channels c, c^dag, d, d^dag."""
     nbar_a = thermal_occupation(params.omega_a, params.temperature)
     nbar_b = thermal_occupation(params.omega_b, params.temperature)
-    c = mode_annihilator("a", space)
-    d = mode_annihilator("b", space)
-    raw = [
-        (c, params.gamma_a * (nbar_a + 1.0)),
-        (c.dag(), params.gamma_a * nbar_a),
-        (d, params.gamma_b * (nbar_b + 1.0)),
-        (d.dag(), params.gamma_b * nbar_b),
-    ]
-    return [LindbladChannel(op, rate) for op, rate in raw if rate > 0.0]
+    return [((-1, 0), params.gamma_a * (nbar_a + 1.0)),
+            ((1, 0), params.gamma_a * nbar_a),
+            ((0, -1), params.gamma_b * (nbar_b + 1.0)),
+            ((0, 1), params.gamma_b * nbar_b)]
 
 
-def dissipator_apply(channel_op: FockOperator, rho: np.ndarray) -> np.ndarray:
+def lindblad_moves(params: SystemParams) -> list[tuple[int, int]]:
+    """Ladder moves of the generator: the beam splitter's and those of every
+    channel with a positive rate."""
+    return hamiltonian_moves(params.g) \
+        + [move for move, rate in _thermal_rates(params) if rate > 0.0]
+
+
+def thermal_channels(params: SystemParams, space: FockSpace,
+                     keep=None) -> list[LindbladChannel]:
+    """Thermal dissipation channels for both modes on the basis indices ``keep``.
+
+    Mode a: rate gamma_a*(nbar_a+1) on c and gamma_a*nbar_a on c^dag; likewise
+    for mode b. Zero-rate channels are dropped. c^dag is the adjoint of the
+    restricted c, which is exact for any ``keep`` (default: all).
+    """
+    c = mode_annihilator("a", space, keep)
+    d = mode_annihilator("b", space, keep)
+    ops = (c, c.conj().T, d, d.conj().T)
+    return [LindbladChannel(op, rate)
+            for op, (_, rate) in zip(ops, _thermal_rates(params)) if rate > 0.0]
+
+
+def dissipator_apply(channel_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """D[A] rho = A rho A^dag - (A^dag A rho + rho A^dag A)/2 at unit rate."""
-    a = channel_op.matrix
+    a = np.asarray(channel_op, dtype=complex)
     ad = a.conj().T
     ada = ad @ a
     rho = np.asarray(rho, dtype=complex)
     return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
-def effective_hamiltonian(hamiltonian: FockOperator,
-                          channels: list[LindbladChannel] = ()) -> FockOperator:
-    """H_eff = H - (i/2) sum_k rate_k A_k^dag A_k."""
+def effective_hamiltonian(hamiltonian: np.ndarray,
+                          channels: list[LindbladChannel] = ()) -> np.ndarray:
+    """H_eff = H - (i/2) sum_k rate_k A_k^dag A_k.
+
+    On a restricted basis this equals the restricted full-space H_eff when
+    the basis is closed under every channel, as ``reachable_indices`` gives.
+    """
     h_eff = hamiltonian
     for ch in channels:
-        h_eff = h_eff - 0.5j * ch.rate * (ch.operator.dag() @ ch.operator)
+        h_eff = h_eff - 0.5j * ch.rate * (ch.operator.conj().T @ ch.operator)
     return h_eff
 
 
-def density_generator(hamiltonian: FockOperator,
-                      channels: list[LindbladChannel] = (), keep=None):
+def density_generator(hamiltonian: np.ndarray,
+                      channels: list[LindbladChannel] = ()):
     """Flat-vector RHS of d rho/dt = -i(H_eff rho - rho H_eff^dag) + jumps.
 
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k and the jump term is
     sum_k rate_k A_k rho A_k^dag. With no channels this is the no-jump
-    evolution under ``hamiltonian`` itself, which may be non-Hermitian.
-    ``keep`` restricts rho to the rows and columns of those basis indices
-    (default: all); it must be closed under H_eff and the jumps, as
-    ``fock.reachable_indices`` gives.
+    evolution under ``hamiltonian`` itself, which may be non-Hermitian. The
+    operators may be built on a restricted basis closed under H_eff and the
+    jumps; rho then lives on that basis too.
     """
-    dim = hamiltonian.space.dim if keep is None else len(keep)
-    k = -1j * effective_hamiltonian(hamiltonian, channels).toarray(keep)
+    dim = len(hamiltonian)
+    k = -1j * effective_hamiltonian(hamiltonian, channels)
     kd = k.conj().T  # -i(H_eff rho - rho H_eff^dag) = K rho + rho K^dag
-    jumps = []
-    for ch in channels:
-        a = ch.operator.toarray(keep)
-        jumps.append((ch.rate * a, a.conj().T))
+    jumps = [(ch.rate * ch.operator, ch.operator.conj().T) for ch in channels]
 
     def rhs(t, yflat):
         rho = yflat.reshape(dim, dim)
@@ -108,7 +122,7 @@ def density_generator(hamiltonian: FockOperator,
     return rhs
 
 
-def lindblad_rhs(rho: np.ndarray, hamiltonian: FockOperator,
+def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray,
                  channels: list[LindbladChannel]) -> np.ndarray:
     """Full generator i[rho, H] + sum rate*D[A]rho, via density_generator."""
     rho = np.asarray(rho, dtype=complex)
@@ -123,28 +137,25 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
     """Evolve a density matrix and record observables at the sample times.
 
     ``state0`` may be a QuantumState (pure states are promoted to projectors)
-    or a raw density matrix; only the basis indices it can reach are evolved
-    (see the module docstring). With ``interaction_picture`` the
-    omega_b*(n_a+n_b) rotation is removed from the Hamiltonian; all recorded
-    observables are invariant under that choice. A warning is attached when
-    the top Fock level of either mode accumulates more than 1e-6 population.
-    With ``keep_states`` the ``snapshots`` are the full (S, d, d) sampled
-    states, exactly zero outside the evolved indices.
+    or a raw density matrix; only the basis indices it can reach are evolved,
+    and every operator is built on them alone (see the module docstring).
+    With ``interaction_picture`` the omega_b*(n_a+n_b) rotation is removed
+    from the Hamiltonian; all recorded observables are invariant under that
+    choice. A warning is attached when the top Fock level of either mode
+    accumulates more than 1e-6 population. With ``keep_states`` the
+    ``snapshots`` are the full (S, d, d) sampled states, exactly zero outside
+    the evolved indices.
     """
     if not isinstance(state0, QuantumState):
         state0 = QuantumState(space, state0)
     omega = 0.0 if interaction_picture else params.omega_b
-    h = beam_splitter_hamiltonian(omega, params.g, space)
-    channels = thermal_channels(params, space)
-    keep = reachable_indices(
-        state0, [effective_hamiltonian(h, channels)]
-        + [ch.operator for ch in channels])
-    rho0 = state0.density()[np.ix_(keep, keep)]
-    rhs = density_generator(h, channels, keep)
+    keep = reachable_indices(state0, lindblad_moves(params))
+    h = beam_splitter_hamiltonian(omega, params.g, space, keep)
+    rhs = density_generator(h, thermal_channels(params, space, keep))
 
     samples = np.asarray(sample_times, dtype=float)
-    problem = OdeProblem(rhs, rho0.ravel(), (0.0, float(samples[-1])), samples,
-                         rtol=rtol, atol=atol)
+    problem = OdeProblem(rhs, state0.density(keep).ravel(),
+                         (0.0, float(samples[-1])), samples, rtol=rtol, atol=atol)
     sol = integrate_adaptive(problem)
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)

@@ -5,9 +5,9 @@ zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
 on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
 evaluated by ``lindblad.density_generator`` with no jump channels. Both are
 restricted to the basis indices H_L connects to the initial state, i.e. its
-own excitation-number blocks. The squared norm / trace decays monotonically
-and observables are reported both raw (unnormalized) and renormalized by the
-total occupation. Trajectories carry the quartic loss moments
+own excitation-number blocks, and H_L is built on those indices alone. The
+squared norm / trace decays monotonically and observables are reported both
+raw (unnormalized) and renormalized by the total occupation. Trajectories carry the quartic loss moments
 <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that drive the occupation
 ODEs, enabling a finite-difference consistency check.
 """
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import FockSpace, QuantumState, lossy_hamiltonian, reachable_indices
+from .fock import FockSpace, QuantumState, hamiltonian_moves, lossy_hamiltonian, \
+    reachable_indices
 from .lindblad import density_generator
 from .observables import ObservableOps, ObservableTrajectory, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
@@ -40,18 +41,18 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
     if not isinstance(state0, QuantumState):
         state0 = QuantumState(space, state0)
     omega = 0.0 if interaction_picture else None
-    h_lossy = lossy_hamiltonian(params, space, omega_b=omega)
-    keep = reachable_indices(state0, [h_lossy])
+    keep = reachable_indices(state0, hamiltonian_moves(params.g))
+    h_lossy = lossy_hamiltonian(params, space, omega_b=omega, keep=keep)
     pure = state0.is_pure
     if pure:
-        k = -1j * h_lossy.toarray(keep)
+        k = -1j * h_lossy
         y0 = state0.data[keep]
 
         def rhs(t, psi):
             return k @ psi
     else:
-        y0 = state0.data[np.ix_(keep, keep)].ravel()
-        rhs = density_generator(h_lossy, keep=keep)
+        y0 = state0.density(keep).ravel()
+        rhs = density_generator(h_lossy)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockSpace, mode_annihilator
+# mode_annihilator is unused here but stays importable: perfbench/tracing.py
+# times it as a site of this module
+from .fock import HOP, FockSpace, ladder, mode_annihilator  # noqa: F401
 from .ode import IntegratorStats
 
 
@@ -94,9 +96,7 @@ class ObservableOps:
                  gamma_b: float = 0.0, keep=None) -> None:
         self._dim = space.dim
         self._keep = np.arange(space.dim) if keep is None else keep
-        c = mode_annihilator("a", space)
-        d = mode_annihilator("b", space)
-        hop = (c.dag() @ d).toarray(self._keep)
+        hop = ladder(space, HOP, self._keep)
         # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k], nonzeros row-major
         self._hop_row, self._hop_col = np.nonzero(hop)
         self._hop_data = hop[self._hop_row, self._hop_col]

@@ -157,10 +157,14 @@ def catalog_config(scenario: str) -> ScenarioConfig:
 
 def _parse_float(text: str, lineno: int, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"line {lineno}: malformed number {text!r} "
                           f"for key {key!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"line {lineno}: non-finite number {text!r} "
+                          f"for key {key!r}")
+    return value
 
 
 def _parse_int(text: str, lineno: int, key: str) -> int:

@@ -3,15 +3,14 @@ import numpy as np
 import pytest
 
 from ptdimer import (
-    FockOperator,
     FockSpace,
     QuantumState,
     TruncationError,
-    annihilation,
     beam_splitter_hamiltonian,
     dimer_mode_eigenvalues,
-    embed,
     fock_product_state,
+    hamiltonian_moves,
+    ladder,
     lossy_hamiltonian,
     mode_annihilator,
     mode_number,
@@ -22,8 +21,14 @@ from ptdimer import (
     thermal_truncation_dim,
     truncation_dim,
 )
-from ptdimer.lindblad import effective_hamiltonian
+from ptdimer.lindblad import effective_hamiltonian, lindblad_moves
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, ROOM_T, make_params
+
+
+def annihilation(dim):
+    """Single-mode annihilator: c on the n_b = 0 slice of a (dim, 2) space."""
+    space = FockSpace(dim, 2)
+    return mode_annihilator("a", space, [space.index(n, 0) for n in range(dim)])
 
 
 class TestAnnihilation:
@@ -72,25 +77,20 @@ class TestTruncation:
 
 
 class TestEmbed:
-    def test_identity_embeds_to_identity(self):
-        space = FockSpace(4, 3)
-        eye = embed(np.eye(4), "a", space)
-        assert np.allclose(eye.toarray(), np.eye(12), atol=0)
-
     def test_different_mode_operators_commute(self):
         space = FockSpace(4, 4)
         c = mode_annihilator("a", space)
         d = mode_annihilator("b", space)
         comm = c @ d - d @ c
-        assert comm.nnz == 0
+        assert np.count_nonzero(comm) == 0
 
     def test_exchange_action(self):
         space = FockSpace(3, 3)
         c = mode_annihilator("a", space)
         d = mode_annihilator("b", space)
-        hop = c @ d.dag()
+        hop = c @ d.conj().T
         psi = fock_product_state(1, 0, space).data
-        out = hop.matrix @ psi
+        out = hop @ psi
         expected = fock_product_state(0, 1, space).data
         assert np.allclose(out, expected, atol=1e-15)
 
@@ -104,23 +104,24 @@ class TestBeamSplitterHamiltonian:
         space = FockSpace(4, 4)
         h = beam_splitter_hamiltonian(1.0, 0.0, space)
         diag_a, diag_b = space.number_diagonals()
-        assert np.allclose(h.toarray(), np.diag(diag_a + diag_b), atol=0)
+        assert np.allclose(h, np.diag(diag_a + diag_b), atol=0)
 
     def test_single_excitation_hop_element(self):
         space = FockSpace(3, 3)
         g = 0.37
-        h = beam_splitter_hamiltonian(OMEGA_B, g, space).toarray()
+        h = beam_splitter_hamiltonian(OMEGA_B, g, space)
         i, j = space.index(1, 0), space.index(0, 1)
         assert h[i, j] == pytest.approx(g, rel=1e-15)
         assert h[j, i] == pytest.approx(g, rel=1e-15)
 
     def test_hermitian(self):
         space = FockSpace(4, 4)
-        assert beam_splitter_hamiltonian(OMEGA_B, 0.4 * OMEGA_B, space).is_hermitian()
+        h = beam_splitter_hamiltonian(OMEGA_B, 0.4 * OMEGA_B, space)
+        assert np.abs(h - h.conj().T).max() <= 1e-12
 
     def test_commutes_with_total_number_away_from_boundary(self):
         space = FockSpace(5, 5)
-        h = beam_splitter_hamiltonian(OMEGA_B, 0.2 * OMEGA_B, space).toarray()
+        h = beam_splitter_hamiltonian(OMEGA_B, 0.2 * OMEGA_B, space)
         diag_a, diag_b = space.number_diagonals()
         total = diag_a + diag_b
         n_op = np.diag(total.astype(float))
@@ -136,12 +137,12 @@ class TestLossyHamiltonian:
         p = make_params(gamma_a=0.0, gamma_b=0.0)
         h = lossy_hamiltonian(p, space)
         hs = beam_splitter_hamiltonian(OMEGA_B, p.g, space)
-        assert np.allclose(h.toarray(), hs.toarray(), atol=0)
+        assert np.allclose(h, hs, atol=0)
 
     def test_single_excitation_block(self):
         space = FockSpace(3, 3)
         p = make_params()
-        h = lossy_hamiltonian(p, space, omega_b=OMEGA_B).toarray()
+        h = lossy_hamiltonian(p, space, omega_b=OMEGA_B)
         i, j = space.index(1, 0), space.index(0, 1)
         block = np.array([[h[i, i], h[i, j]], [h[j, i], h[j, j]]])
         contrast = (GAMMA_A - GAMMA_B) / 4.0
@@ -152,7 +153,7 @@ class TestLossyHamiltonian:
     def test_block_eigenvalues_match_mode_eigenvalues(self):
         space = FockSpace(3, 3)
         p = make_params()
-        h = lossy_hamiltonian(p, space, omega_b=OMEGA_B).toarray()
+        h = lossy_hamiltonian(p, space, omega_b=OMEGA_B)
         i, j = space.index(1, 0), space.index(0, 1)
         block = np.array([[h[i, i], h[i, j]], [h[j, i], h[j, j]]])
         ev = np.linalg.eigvals(block)
@@ -162,7 +163,7 @@ class TestLossyHamiltonian:
     def test_anti_hermitian_part_is_loss_diagonal(self):
         space = FockSpace(4, 4)
         p = make_params()
-        h = lossy_hamiltonian(p, space).toarray()
+        h = lossy_hamiltonian(p, space)
         anti = 1j * (h - h.conj().T)
         diag_a, diag_b = space.number_diagonals()
         expected = np.diag(GAMMA_A * diag_a + GAMMA_B * diag_b).astype(complex)
@@ -208,17 +209,17 @@ class TestStates:
         for n in (2, 3, 5):
             space = FockSpace(truncation_dim(n), truncation_dim(n))
             psi = noon_state(n, space).data
-            num_a = mode_number("a", space).matrix
+            num_a = mode_number("a", space)
             x = np.vdot(psi, num_a @ psi)
-            hop = (mode_annihilator("a", space).dag()
-                   @ mode_annihilator("b", space)).matrix
+            hop = (mode_annihilator("a", space).conj().T
+                   @ mode_annihilator("b", space))
             z = np.vdot(psi, hop @ psi)
             assert x == pytest.approx(n / 2.0, rel=1e-14)
             assert abs(z) < 1e-15
         space = FockSpace(3, 3)
         psi = noon_state(1, space).data
-        hop = (mode_annihilator("a", space).dag()
-               @ mode_annihilator("b", space)).matrix
+        hop = (mode_annihilator("a", space).conj().T
+               @ mode_annihilator("b", space))
         assert np.vdot(psi, hop @ psi) == pytest.approx(0.5, rel=1e-14)
 
     def test_noon_headroom(self):
@@ -289,37 +290,26 @@ class TestQuantumState:
 
 
 class TestFockOperator:
-    def test_space_mismatch_rejected(self):
-        a = mode_number("a", FockSpace(2, 2))
-        b = mode_number("a", FockSpace(3, 3))
-        with pytest.raises(ValueError):
-            _ = a + b
-
     def test_dagger(self):
+        # c^dag is the raising move
         space = FockSpace(3, 3)
         c = mode_annihilator("a", space)
-        assert np.allclose(c.dag().toarray(), c.toarray().conj().T, atol=0)
+        assert np.allclose(ladder(space, (1, 0)), c.conj().T, atol=0)
 
     def test_is_hermitian(self):
         space = FockSpace(3, 3)
-        assert mode_number("a", space).is_hermitian()
-        assert not mode_annihilator("a", space).is_hermitian()
-
-    def test_scalar_and_linear_algebra(self):
-        space = FockSpace(3, 3)
         n = mode_number("a", space)
-        combo = n * 2.0 - n + (-n)
-        assert np.abs(combo.toarray()).max() == 0.0
+        c = mode_annihilator("a", space)
+        assert np.abs(n - n.conj().T).max() <= 1e-12
+        assert not np.abs(c - c.conj().T).max() <= 1e-12
 
 
 class TestReachableIndices:
     space = FockSpace(7, 7)
 
     def _lindblad_reach(self, params):
-        h = beam_splitter_hamiltonian(0.0, params.g, self.space)
-        chans = thermal_channels(params, self.space)
-        ops = [effective_hamiltonian(h, chans)] + [ch.operator for ch in chans]
-        return reachable_indices(fock_product_state(5, 0, self.space), ops)
+        return reachable_indices(fock_product_state(5, 0, self.space),
+                                 lindblad_moves(params))
 
     def _total(self):
         n_a, n_b = self.space.number_diagonals()
@@ -331,8 +321,8 @@ class TestReachableIndices:
         assert np.array_equal(self._lindblad_reach(make_params()), expected)
 
     def test_lossy_hamiltonian_keeps_the_initial_block(self):
-        h_l = lossy_hamiltonian(make_params(), self.space, omega_b=0.0)
-        reach = reachable_indices(fock_product_state(5, 0, self.space), [h_l])
+        moves = hamiltonian_moves(make_params().g)
+        reach = reachable_indices(fock_product_state(5, 0, self.space), moves)
         expected = np.flatnonzero(self._total() == 5)
         assert expected.size == 6
         assert np.array_equal(reach, expected)
@@ -347,7 +337,81 @@ class TestReachableIndices:
         rho = np.zeros((space.dim, space.dim), dtype=complex)
         rho[space.index(2, 0), space.index(0, 0)] = 1.0
         rho[space.index(0, 0), space.index(2, 0)] = 1.0
-        h_l = lossy_hamiltonian(make_params(), space, omega_b=0.0)
-        reach = reachable_indices(QuantumState(space, rho), [h_l])
+        moves = hamiltonian_moves(make_params().g)
+        reach = reachable_indices(QuantumState(space, rho), moves)
         n_a, n_b = space.number_diagonals()
         assert np.array_equal(reach, np.flatnonzero(np.isin(n_a + n_b, [0, 2])))
+
+
+_RESTRICTION_SPACE = FockSpace(5, 4)  # unequal dims catch n_a/n_b mix-ups
+_N = np.add(*_RESTRICTION_SPACE.number_diagonals())
+_KEEPS = {"n_at_most_3": np.flatnonzero(_N <= 3),  # downward closed
+          "n_is_3": np.flatnonzero(_N == 3)}      # one excitation-number block
+_MOVES = [(-1, 0), (1, 0), (0, -1), (0, 1), (1, -1), (-1, 1)]
+
+
+def _builders():
+    space = _RESTRICTION_SPACE
+    p = make_params()
+    room = make_params(temperature=ROOM_T)
+    builders = {
+        "c": lambda keep: mode_annihilator("a", space, keep),
+        "d": lambda keep: mode_annihilator("b", space, keep),
+        "n_a": lambda keep: mode_number("a", space, keep),
+        "n_b": lambda keep: mode_number("b", space, keep),
+        "h": lambda keep: beam_splitter_hamiltonian(OMEGA_B, p.g, space, keep),
+        "h_lossy": lambda keep: lossy_hamiltonian(p, space, keep=keep),
+        "channels": lambda keep: np.array(
+            [ch.operator for ch in thermal_channels(room, space, keep)]),
+    }
+    for move in _MOVES:
+        builders[f"move{move}"] = lambda keep, m=move: ladder(space, m, keep)
+        builders[f"squared{move}"] = \
+            lambda keep, m=move: ladder(space, m, keep, squared=True)
+    return builders
+
+
+class TestLadder:
+    def test_full_build_equals_the_joint_space_products(self):
+        # the Kronecker / matrix-product construction the builder replaces
+        space = _RESTRICTION_SPACE
+        a = np.diag(np.sqrt(np.arange(1.0, space.dim_a)), 1).astype(complex)
+        b = np.diag(np.sqrt(np.arange(1.0, space.dim_b)), 1).astype(complex)
+        c = np.kron(a, np.eye(space.dim_b))
+        d = np.kron(np.eye(space.dim_a), b)
+        products = {(-1, 0): c, (1, 0): c.conj().T, (0, -1): d,
+                    (0, 1): d.conj().T, (1, -1): c.conj().T @ d,
+                    (-1, 1): c @ d.conj().T}
+        for move, op in products.items():
+            assert np.array_equal(ladder(space, move), op), move
+            assert np.array_equal(ladder(space, move, squared=True),
+                                  op.conj().T @ op), move
+
+
+class TestRestriction:
+    """A build on sorted basis indices equals the full build sliced there."""
+
+    @pytest.mark.parametrize("keep_name", sorted(_KEEPS))
+    @pytest.mark.parametrize("name", sorted(_builders()))
+    def test_build_on_keep_is_sliced_full_build(self, name, keep_name):
+        build = _builders()[name]
+        keep = _KEEPS[keep_name]
+        full = build(None)
+        sliced = full[..., keep[:, None], keep]
+        assert np.array_equal(build(keep), sliced)
+
+    def test_effective_hamiltonian_on_a_channel_closed_basis(self):
+        # A_K^dag A_K is the restricted A^dag A when the basis K is closed
+        # under A: at zero temperature the channels only lower N
+        space = _RESTRICTION_SPACE
+        p = make_params()
+        keep = _KEEPS["n_at_most_3"]
+        assert np.array_equal(reachable_indices(
+            QuantumState(space, np.diag((_N <= 3).astype(complex))),
+            lindblad_moves(p)), keep)
+        full = effective_hamiltonian(beam_splitter_hamiltonian(0.0, p.g, space),
+                                     thermal_channels(p, space))
+        restricted = effective_hamiltonian(
+            beam_splitter_hamiltonian(0.0, p.g, space, keep),
+            thermal_channels(p, space, keep))
+        assert np.array_equal(restricted, full[np.ix_(keep, keep)])

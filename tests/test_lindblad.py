@@ -1,10 +1,11 @@
 """Master-equation engine: channels, dissipator identities, evolution."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from ptdimer import (
-    FockOperator,
     FockSpace,
     OdeProblem,
     beam_splitter_hamiltonian,
@@ -38,10 +39,8 @@ class TestThermalChannels:
         rates = sorted(ch.rate for ch in chans)
         assert rates == [GAMMA_B, GAMMA_A]
         ops = {ch.rate: ch.operator for ch in chans}
-        assert np.allclose(ops[GAMMA_A].toarray(),
-                           mode_annihilator("a", space).toarray(), atol=0)
-        assert np.allclose(ops[GAMMA_B].toarray(),
-                           mode_annihilator("b", space).toarray(), atol=0)
+        assert np.allclose(ops[GAMMA_A], mode_annihilator("a", space), atol=0)
+        assert np.allclose(ops[GAMMA_B], mode_annihilator("b", space), atol=0)
 
     def test_room_temperature_quadruple(self):
         space = FockSpace(3, 3)
@@ -83,7 +82,7 @@ class TestDissipator:
         rng = np.random.default_rng(21)
         c = mode_annihilator("a", space)
         d = mode_annihilator("b", space)
-        hop = c @ d.dag()
+        hop = c @ d.conj().T
         for _ in range(100):
             rho = random_density(rng, space.dim)
             for op in (c, d, hop):
@@ -102,7 +101,7 @@ class TestLindbladRhs:
         h = beam_splitter_hamiltonian(1.3, 0.4, space)
         rng = np.random.default_rng(5)
         rho0 = random_density(rng, space.dim)
-        hd = h.toarray()
+        hd = h
         t, eps = 0.8, 1e-5
 
         def propagated(tau):
@@ -116,7 +115,7 @@ class TestLindbladRhs:
 
     def test_dark_state(self):
         space = FockSpace(3, 3)
-        zero_h = FockOperator(space, np.zeros((9, 9)))
+        zero_h = np.zeros((9, 9), dtype=complex)
         chans = thermal_channels(make_params(gamma_b=0.0), space)
         vac = fock_product_state(0, 0, space).density()
         assert np.abs(lindblad_rhs(vac, zero_h, chans)).max() == 0.0
@@ -131,10 +130,9 @@ class TestLindbladRhs:
         p = make_params()
         h = beam_splitter_hamiltonian(OMEGA_B, p.g, space)
         chans = thermal_channels(p, space)
-        num_a = mode_number("a", space).toarray()
-        num_b = mode_number("b", space).toarray()
-        hop = (mode_annihilator("a", space).dag()
-               @ mode_annihilator("b", space)).toarray()
+        num_a = mode_number("a", space)
+        num_b = mode_number("b", space)
+        hop = mode_annihilator("a", space).conj().T @ mode_annihilator("b", space)
         lower = [space.index(na, nb) for na in range(3) for nb in range(3)]
         rng = np.random.default_rng(8)
         for k in range(100):
@@ -167,9 +165,9 @@ class TestGeneratorIdentity:
         space = FockSpace(4, 4)
         p = make_params(temperature=temperature)
         h = beam_splitter_hamiltonian(0.0, p.g, space)
-        hd = h.toarray()
+        hd = h
         chans = thermal_channels(p, space)
-        h_l = lossy_hamiltonian(p, space, omega_b=0.0).toarray()
+        h_l = lossy_hamiltonian(p, space, omega_b=0.0)
         rng = np.random.default_rng(34)
         for _ in range(20):
             rho = random_density(rng, space.dim)
@@ -180,8 +178,7 @@ class TestGeneratorIdentity:
             scale = np.abs(textbook).max()
             assert np.abs(rhs - textbook).max() < 1e-12 * scale
             if temperature == 0.0:
-                jumps = sum(ch.rate * (ch.operator.toarray() @ rho
-                                       @ ch.operator.dag().toarray())
+                jumps = sum(ch.rate * (ch.operator @ rho @ ch.operator.conj().T)
                             for ch in chans)
                 no_jump = -1j * (h_l @ rho - rho @ h_l.conj().T)
                 assert np.abs(rhs - jumps - no_jump).max() < 1e-12 * scale
@@ -289,6 +286,26 @@ class TestReachableSubspace:
         n_a, n_b = self.space.number_diagonals()
         assert traj.snapshots.shape == (20, 49)
         assert np.all(traj.snapshots[:, n_a + n_b != 5] == 0.0)
+
+
+class TestEvolvedBasisMemory:
+    """Operators are built on the evolved basis, never on the product space."""
+
+    @pytest.mark.parametrize("evolve", [evolve_density, evolve_nonhermitian],
+                             ids=["lindblad", "nonhermitian"])
+    def test_large_truncation_allocates_little(self, evolve):
+        # one complex matrix on this 1,600-dimensional product space is 41 MB;
+        # |1,0> evolves 3 (Lindblad) or 2 (non-Hermitian) basis indices
+        space = FockSpace(40, 40)
+        state = fock_product_state(1, 0, space)
+        times = np.linspace(0.0, 5.0 / GAMMA_A, 50)
+        tracemalloc.start()
+        try:
+            evolve(state, make_params(), space, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMomentSystem:

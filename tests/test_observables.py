@@ -8,8 +8,8 @@ from conftest import GAMMA_A, make_params, random_density
 
 
 def _dense_ops(space):
-    c = mode_annihilator("a", space).toarray()
-    d = mode_annihilator("b", space).toarray()
+    c = mode_annihilator("a", space)
+    d = mode_annihilator("b", space)
     return {"n_a_raw": c.conj().T @ c, "n_b_raw": d.conj().T @ d,
             "coherence": c.conj().T @ d}
 

@@ -26,7 +26,7 @@ from ptdimer import (
     FockSpace,
 )
 from ptdimer.cli import main
-from ptdimer.scenarios import run_engine, write_comparison
+from ptdimer.scenarios import _FLOAT_KEYS, run_engine, write_comparison
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
 
 CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
@@ -122,6 +122,47 @@ class TestParseErrors:
         text = "# leading comment\n\n[params]\nbogus = 1\n"
         with pytest.raises(ConfigError, match="line 4"):
             parse_config(text)
+
+
+class TestNonFinite:
+    """nan and +-inf are config errors, in files and on the command line."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS) + ["state"])
+    def test_file_key_rejected_with_line_number(self, key, value):
+        if key == "state":
+            value = f"thermal {value}"
+        with pytest.raises(ConfigError, match="line 2: non-finite number"):
+            parse_config(f"# header\n{key} = {value}\n")
+
+    def test_file_key_exits_two(self, tmp_path, capsys):
+        conf = tmp_path / "nan.cfg"
+        conf.write_text("g = nan\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        assert "config error: line 1: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "fig1a", "--rtol", "nan"],
+        ["run", "--scenario", "fig1a", "--atol", "inf"],
+        ["run", "--scenario", "fig1a", "--rtol=-inf"],
+        ["classify", "--g", "nan", "--gamma-a", "1", "--gamma-b", "0"],
+        ["classify", "--g", "1", "--gamma-a", "inf", "--gamma-b", "0"],
+        ["classify", "--g", "1", "--gamma-a", "1", "--gamma-b=-inf"],
+        ["classify", "--g", "1", "--gamma-a", "1", "--gamma-b", "0",
+         "--omega-b", "nan"],
+        ["classify", "--g", "1", "--gamma-a", "1", "--gamma-b", "0",
+         "--tol", "inf"],
+    ])
+    def test_flag_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        if argv[0] == "run":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and "finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestConfigSemantics:
