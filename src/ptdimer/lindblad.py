@@ -6,17 +6,23 @@ on both modes, evaluated in its no-jump + jump form
     d rho/dt = -i(H_eff rho - rho H_eff^dag) + sum_k rate_k A_k rho A_k^dag,
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k,
 
-on dense arrays; no superoperator matrix is ever formed. Only the basis
+on dense arrays, each jump applied as an index gather. Only the basis
 indices the initial state can reach under the ladder moves of H and the jumps
 are evolved (``fock.reachable_indices``), and H and the channels are built on
 those indices alone: at zero temperature the jumps only lower the excitation
 number, so a state with at most N0 quanta stays in n_a + n_b <= N0; at T > 0
-the up-jumps reach the whole product truncation. At zero temperature
-H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine evolves mixed
-states with the same generator and no jumps. ``dissipator_apply`` keeps the
-textbook D[A] form as an independent reference. Also hosts the closed
-first-moment system (occupations + coherence) and its finite-difference
-consistency check.
+the up-jumps reach the whole product truncation. The generator is linear and
+time-invariant, so ``ode.integrate_adaptive`` propagates it exactly: it
+probes this RHS for the matrix of the generator on the density-matrix
+entries the initial state reaches (for |5,0> at zero temperature the 91
+entries of the Delta N = 0 blocks) and steps with its exponential; the full
+superoperator is never formed. States above ``ode.EXACT_MAX_ENTRIES``
+entries, such as most thermal runs, keep the adaptive integrator. At zero
+temperature H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine
+evolves mixed states with the same generator and no jumps.
+``dissipator_apply`` keeps the textbook D[A] form as an independent
+reference. Also hosts the closed first-moment system (occupations +
+coherence) and its finite-difference consistency check.
 """
 
 from __future__ import annotations
@@ -34,7 +40,11 @@ from .params import SystemParams, thermal_occupation
 
 @dataclass(frozen=True)
 class LindbladChannel:
-    """Jump operator (a dense array on the evolved basis) with its rate >= 0."""
+    """Jump operator (a dense array on the evolved basis) with its rate >= 0.
+
+    The operator is one ladder move (``fock.ladder``): at most one nonzero
+    per row, which lets ``density_generator`` apply the jump as a gather.
+    """
 
     operator: np.ndarray
     rate: float
@@ -42,6 +52,9 @@ class LindbladChannel:
     def __post_init__(self) -> None:
         if not np.isfinite(self.rate) or self.rate < 0.0:
             raise ValueError(f"channel rate must be finite and >= 0, got {self.rate}")
+        if np.any(np.count_nonzero(self.operator, axis=1) > 1):
+            raise ValueError("jump operator must be a ladder move: at most "
+                             "one nonzero per row")
 
 
 def _thermal_rates(params: SystemParams) -> list[tuple[tuple[int, int], float]]:
@@ -98,27 +111,43 @@ def effective_hamiltonian(hamiltonian: np.ndarray,
     return h_eff
 
 
+def _jump_gather(channel: LindbladChannel):
+    """Flat target indices, source indices and weights of rate A rho A^dag.
+
+    A ladder move has at most one nonzero per row, A[i, s_i] = f_i, so the
+    jump term is rate f_i conj(f_j) rho[s_i, s_j] on the rows A reaches: an
+    O(d^2) gather in place of two O(d^3) products.
+    """
+    dim = len(channel.operator)
+    rows, src = np.nonzero(channel.operator)
+    f = channel.operator[rows, src]
+    return ((rows[:, None] * dim + rows).ravel(),
+            (src[:, None] * dim + src).ravel(),
+            channel.rate * np.outer(f, f.conj()).ravel())
+
+
 def density_generator(hamiltonian: np.ndarray,
                       channels: list[LindbladChannel] = ()):
     """Flat-vector RHS of d rho/dt = -i(H_eff rho - rho H_eff^dag) + jumps.
 
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k and the jump term is
-    sum_k rate_k A_k rho A_k^dag. With no channels this is the no-jump
-    evolution under ``hamiltonian`` itself, which may be non-Hermitian. The
-    operators may be built on a restricted basis closed under H_eff and the
-    jumps; rho then lives on that basis too.
+    sum_k rate_k A_k rho A_k^dag, applied as an index gather
+    (``_jump_gather``). With no channels this is the no-jump evolution under
+    ``hamiltonian`` itself, which may be non-Hermitian. The operators may be
+    built on a restricted basis closed under H_eff and the jumps; rho then
+    lives on that basis too. The RHS is linear and time-invariant.
     """
     dim = len(hamiltonian)
     k = -1j * effective_hamiltonian(hamiltonian, channels)
     kd = k.conj().T  # -i(H_eff rho - rho H_eff^dag) = K rho + rho K^dag
-    jumps = [(ch.rate * ch.operator, ch.operator.conj().T) for ch in channels]
+    jumps = [_jump_gather(ch) for ch in channels]
 
     def rhs(t, yflat):
         rho = yflat.reshape(dim, dim)
-        out = k @ rho + rho @ kd
-        for ra, ad in jumps:
-            out += (ra @ rho) @ ad
-        return out.ravel()
+        out = (k @ rho + rho @ kd).ravel()
+        for target, source, weight in jumps:
+            out[target] += weight * yflat[source]
+        return out
     return rhs
 
 
@@ -155,7 +184,8 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, state0.density(keep).ravel(),
-                         (0.0, float(samples[-1])), samples, rtol=rtol, atol=atol)
+                         (0.0, float(samples[-1])), samples, rtol=rtol,
+                         atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)

@@ -5,9 +5,12 @@ zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
 on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
 evaluated by ``lindblad.density_generator`` with no jump channels. Both are
 restricted to the basis indices H_L connects to the initial state, i.e. its
-own excitation-number blocks, and H_L is built on those indices alone. The
-squared norm / trace decays monotonically and observables are reported both
-raw (unnormalized) and renormalized by the total occupation. Trajectories carry the quartic loss moments
+own excitation-number blocks, and H_L is built on those indices alone. Both
+are linear, so ``ode.integrate_adaptive`` steps them exactly with the
+exponential of H_L on those blocks (the 6 entries of |5,0>'s N = 5 block for
+a pure state). The squared norm / trace decays monotonically and observables
+are reported both raw (unnormalized) and renormalized by the total
+occupation. Trajectories carry the quartic loss moments
 <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that drive the occupation
 ODEs, enabling a finite-difference consistency check.
 """
@@ -56,7 +59,7 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,
-                         rtol=rtol, atol=atol)
+                         rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
     ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)

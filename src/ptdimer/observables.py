@@ -7,8 +7,8 @@ moments, the state weight (trace or squared norm) and, for the non-Hermitian
 engine, the quartic loss moments entering the occupation ODEs. The recorders
 turn an engine's whole stack of sampled states into these columns in one
 call; their sanity checks raise FloatingPointError. A trajectory warns where
-the renormalized ratios are undefined (<N> <= 0) or made of integration error
-(0 < <N> < atol).
+the renormalized ratios are undefined (<N> <= 0) or may be made of numerical
+error (0 < <N> < atol).
 """
 
 from __future__ import annotations

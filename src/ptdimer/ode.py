@@ -1,9 +1,19 @@
-"""Adaptive Dormand-Prince 5(4) integrator for flat complex state vectors.
+"""Integrator for flat complex state vectors: exact for linear problems,
+adaptive Dormand-Prince 5(4) otherwise.
 
-Deterministic by construction: no randomness, no threading, and sample times
-are hit exactly by clamping the step, so identical inputs give bitwise
-identical trajectories. The error norm is a scaled RMS over the real and
-imaginary parts of the state.
+A problem declared ``linear`` (y' = L y with a constant L) is propagated
+exactly: the support of y0 is closed under the problem's own RHS by applying
+it to unit vectors, L is assembled on that closure, and each sample is one
+matrix-vector product with exp(L dt), or with exp(L dt) - I for a step near
+I (``_exact_step``), one exponential per distinct step (scaling and squaring
+with a Pade-13 approximant, Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
+2005). A problem whose state has more than ``EXACT_MAX_ENTRIES`` entries, or
+that is not linear, takes the adaptive path, whose error norm is a scaled
+RMS over the real and imaginary parts of the state and whose steps are
+clamped onto every sample time.
+
+Deterministic by construction: no randomness and no threading of our own, so
+identical inputs give bitwise identical trajectories.
 """
 
 from __future__ import annotations
@@ -36,9 +46,25 @@ _PI_ALPHA = 0.7 / 5.0  # PI controller exponents (Gustafsson)
 _PI_BETA = 0.4 / 5.0
 _MAX_STEPS = 2_000_000
 
+# Largest state (in entries) propagated exactly. The exponential costs m^3
+# and each sample m^2 for m evolved entries: a random zero-temperature density
+# matrix takes 0.19 s exactly vs 0.29 s adaptively at 484 entries (50
+# samples, one core) but 0.30 vs 0.24 s at 576.
+EXACT_MAX_ENTRIES = 512
+_SAME_STEP_RTOL = 1e-12  # steps this close share one exponential
+
+# Pade-13 numerator coefficients b_0 .. b_13 and the 1-norm up to which it is
+# accurate to double precision without scaling (Higham 2005, table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
 
 class IntegrationFailure(RuntimeError):
-    """Step-size underflow or step budget exhausted; carries the time reached."""
+    """Step-size underflow, step budget exhausted or a non-finite exact
+    sample; carries the time reached."""
 
     def __init__(self, message: str, t_reached: float) -> None:
         super().__init__(f"{message} (integration reached t={t_reached:.6e})")
@@ -47,14 +73,25 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass
 class IntegratorStats:
+    """How a run was evolved. On the exact path ``steps`` counts propagator
+    applications and ``rhs_evaluations`` the probes that assembled L;
+    ``dimension`` is the number of evolved entries."""
+
     steps: int = 0
     rejected: int = 0
     rhs_evaluations: int = 0
+    dimension: int = 0
+    exponentials: int = 0
 
 
 @dataclass
 class OdeProblem:
-    """Right-hand side, initial state, span, and requested sample times."""
+    """Right-hand side, initial state, span, and requested sample times.
+
+    ``linear`` declares rhs(t, y) = L y with a constant matrix L, which lets
+    ``integrate_adaptive`` propagate exactly; rtol and atol then only matter
+    above ``EXACT_MAX_ENTRIES``.
+    """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     y0: np.ndarray
@@ -62,6 +99,7 @@ class OdeProblem:
     sample_times: np.ndarray
     rtol: float = 1e-9
     atol: float = 1e-12
+    linear: bool = False
 
 
 @dataclass
@@ -139,20 +177,151 @@ def _initial_step(rhs, t0: float, y0: np.ndarray, f0: np.ndarray, t1: float,
     return min(100.0 * h0, h1, span)
 
 
-def integrate_adaptive(problem: OdeProblem) -> Trajectory:
-    """Integrate with PI-controlled adaptive steps, landing on each sample time.
+def _pade13(a: np.ndarray):
+    """Terms u, v of the [13/13] Pade approximant (v - u)^-1 (v + u) of
+    exp(a / 2**s), with the number s of squarings that undo the scaling.
 
-    Steps are clamped so that every entry of sample_times is an actual step
-    endpoint (no dense-output interpolation). Each step attempt costs 6 rhs
+    s is the least that brings the 1-norm to at most theta_13 (Higham 2005).
+    Raises FloatingPointError for a matrix with a non-finite entry.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    if not np.isfinite(norm):
+        raise FloatingPointError("matrix exponential of a non-finite matrix")
+    squarings = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) \
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    return u, v, squarings
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a Pade-13 approximant."""
+    u, v, squarings = _pade13(a)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def expm_minus_identity(a: np.ndarray) -> np.ndarray:
+    """exp(a) - I, kept apart from I: the approximant and the squarings work
+    on r - I = (v - u)^-1 2u, so a small exp(a) - I keeps the relative
+    precision that forming exp(a) first would round away."""
+    u, v, squarings = _pade13(a)
+    q = np.linalg.solve(v - u, 2.0 * u)
+    for _ in range(squarings):
+        q = q @ q + 2.0 * q  # (I + q)^2 - I
+    return q
+
+
+def _exact_step(a: np.ndarray):
+    """The map y -> exp(a) y, in the form that keeps y's relative precision.
+
+    Near I (as for a catalog grid's small steps) it adds (exp(a) - I) y, so
+    the rounding of thousands of steps does not build up in exp(a): with
+    |a| <= 0.4, |exp(a) - I| <= e^0.4 - 1 < 1/2 and the sum is at least
+    |y|/2, so the addition costs at most a bit. A longer step, such as a
+    strong decay, multiplies by exp(a).
+    """
+    if np.abs(a).sum(axis=0).max() <= 0.4:
+        q = expm_minus_identity(a)
+        return lambda y: y + q @ y
+    p = expm(a)
+    return lambda y: p @ y
+
+
+def _closed_generator(rhs, t0: float, y0: np.ndarray, stats: IntegratorStats):
+    """Support of y0 closed under a linear rhs, and rhs's matrix on it.
+
+    Each probe applies rhs to one unit vector, giving one column of L; only
+    the column's nonzero entries are kept. Probing stops when no column
+    reaches a new index, so L maps the closure into itself.
+    """
+    reached = y0 != 0
+    frontier = np.flatnonzero(reached)
+    unit = np.zeros(y0.size, dtype=complex)
+    columns = {}
+    while frontier.size:
+        new = np.zeros_like(reached)
+        for j in frontier:
+            unit[j] = 1.0
+            col = rhs(t0, unit)
+            rows = np.flatnonzero(col)
+            columns[j] = (rows, col[rows])
+            unit[j] = 0.0
+            new[rows] = True
+            stats.rhs_evaluations += 1
+        frontier = np.flatnonzero(new & ~reached)
+        reached |= new
+    support = np.flatnonzero(reached)
+    generator = np.zeros((support.size, support.size), dtype=complex)
+    for col, j in enumerate(support):
+        rows, values = columns[j]
+        generator[np.searchsorted(support, rows), col] = values
+    return support, generator
+
+
+def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
+               y: np.ndarray) -> Trajectory:
+    """Exact samples of y' = L y: one step y -> exp(L dt) y per sample."""
+    stats = IntegratorStats()
+    support, generator = _closed_generator(problem.rhs, t0, y, stats)
+    stats.dimension = support.size
+    steps = []  # (dt, its exact step), one per distinct dt
+    per_sample = []  # the step onto each sample; None for one at t0
+    for h in np.diff(samples, prepend=t0):
+        step = None
+        if h > 0.0:
+            step = next((f for h_f, f in steps
+                         if abs(h - h_f) <= _SAME_STEP_RTOL * h_f), None)
+            if step is None:
+                step = _exact_step(generator * h)
+                steps.append((h, step))
+        per_sample.append(step)
+    stats.exponentials = len(steps)
+
+    states = np.zeros((samples.size, y.size), dtype=complex)
+    x = y[support]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for row, step in enumerate(per_sample):
+            if step is not None:
+                x = step(x)
+                stats.steps += 1
+            states[row].put(support, x)
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        reached = samples[bad[0] - 1] if bad[0] else t0
+        raise IntegrationFailure("non-finite state", reached)
+    return Trajectory(times=samples.copy(), states=states, stats=stats)
+
+
+def integrate_adaptive(problem: OdeProblem) -> Trajectory:
+    """Integrate to each sample time: exactly for a small linear problem,
+    otherwise with PI-controlled adaptive steps.
+
+    A ``linear`` problem whose state has at most ``EXACT_MAX_ENTRIES`` entries
+    is propagated exactly (see the module docstring). Otherwise steps are
+    clamped so that every entry of sample_times is an actual step endpoint
+    (no dense-output interpolation). Each step attempt costs 6 rhs
     evaluations: the first stage is the last stage of the previous accepted
     step (FSAL), and a rejected step keeps it. Raises IntegrationFailure on
-    step underflow or when the step budget runs out.
+    step underflow, when the step budget runs out, or when an exact sample is
+    not finite.
     """
     t0, t1 = map(float, problem.t_span)
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
-    if problem.rtol <= 0 or problem.atol <= 0:
-        raise ValueError("rtol and atol must be positive")
+    if not all(np.isfinite(tol) and tol > 0
+               for tol in (problem.rtol, problem.atol)):
+        raise ValueError("rtol and atol must be finite and positive")
     samples = np.asarray(problem.sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a nonempty 1-D array")
@@ -162,8 +331,10 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
         raise ValueError("sample_times must lie within t_span")
 
     y = np.ascontiguousarray(problem.y0, dtype=complex).copy()
+    if problem.linear and y.size <= EXACT_MAX_ENTRIES:
+        return _propagate(problem, t0, samples, y)
     rhs = problem.rhs
-    stats = IntegratorStats()
+    stats = IntegratorStats(dimension=y.size)
     states = np.empty((samples.size, y.size), dtype=complex)
 
     f = rhs(t0, y)

@@ -66,6 +66,14 @@ class TestThermalChannels:
         with pytest.raises(ValueError):
             LindbladChannel(mode_annihilator("a", space), -1.0)
 
+    def test_non_ladder_operator_rejected(self):
+        # the generator applies each jump as the gather of one ladder move
+        from ptdimer import LindbladChannel
+        space = FockSpace(2, 2)
+        c = mode_annihilator("a", space)
+        with pytest.raises(ValueError, match="ladder move"):
+            LindbladChannel(c + mode_annihilator("b", space), 1.0)
+
 
 class TestDissipator:
     def test_single_photon_decay_action(self):
@@ -286,6 +294,88 @@ class TestReachableSubspace:
         n_a, n_b = self.space.number_diagonals()
         assert traj.snapshots.shape == (20, 49)
         assert np.all(traj.snapshots[:, n_a + n_b != 5] == 0.0)
+
+
+class TestExactPropagation:
+    """Both Fock engines propagate their reachable Liouville block exactly."""
+
+    space = FockSpace(7, 7)
+    engines = pytest.mark.parametrize(
+        "evolve", [evolve_density, evolve_nonhermitian],
+        ids=["lindblad", "nonhermitian"])
+    # the quartic loss moments carry a rate; they are compared in units of
+    # gamma_a
+    columns = {"n_a_raw": 1.0, "n_b_raw": 1.0, "coherence": 1.0, "weight": 1.0,
+               "n_a": 1.0, "n_b": 1.0, "g1": 1.0, "quartic_a": GAMMA_A,
+               "quartic_b": GAMMA_A}
+
+    def test_five_zero_evolves_its_excitation_blocks(self):
+        # Lindblad: the Delta N = 0 blocks of N <= 5, sum (N+1)^2 = 91 of the
+        # 21^2 entries; pure non-Hermitian: the N = 5 block
+        state = fock_product_state(5, 0, self.space)
+        times = np.linspace(0.0, 5.0 / GAMMA_A, 50)
+        lind = evolve_density(state, make_params(), self.space, times).stats
+        nonh = evolve_nonhermitian(state, make_params(), self.space, times).stats
+        assert (lind.dimension, lind.exponentials, lind.rhs_evaluations) \
+            == (91, 1, 91)
+        assert (nonh.dimension, nonh.exponentials, nonh.rhs_evaluations) \
+            == (6, 1, 6)
+        for stats in (lind, nonh):
+            assert (stats.steps, stats.rejected) == (49, 0)
+
+    @engines
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 3.0 / GAMMA_A, 200),
+        np.geomspace(1e-3 / GAMMA_A, 3.0 / GAMMA_A, 60)],
+        ids=["uniform", "geometric"])
+    def test_matches_tight_adaptive(self, evolve, times, monkeypatch):
+        state = fock_product_state(3, 2, self.space)
+        exact = evolve(state, make_params(), self.space, times)
+        monkeypatch.setattr("ptdimer.ode.EXACT_MAX_ENTRIES", 0)
+        ref = evolve(state, make_params(), self.space, times, rtol=1e-12,
+                     atol=1e-15)
+        assert exact.stats.exponentials == (1 if times[0] == 0.0 else 60)
+        assert ref.stats.exponentials == 0
+        for name, unit in self.columns.items():
+            col = getattr(ref, name)
+            if col is not None:
+                dev = np.abs(getattr(exact, name) - col).max() / unit
+                assert dev < 1e-10, name
+
+    @engines
+    def test_long_grid_matches_the_closed_form(self, evolve):
+        # |1,0> stays in the single-excitation block, where the raw moments
+        # follow from the 2x2 propagator exp(-i H_L t); 2000 exact steps
+        # must not build up the rounding of exp(L dt) - I
+        p = make_params()
+        times = np.linspace(0.0, 5.0 / GAMMA_A, 2000)
+        traj = evolve(fock_product_state(1, 0, self.space), p, self.space,
+                      times)
+        h_l = np.array([[-0.5j * GAMMA_A, p.g], [p.g, -0.5j * GAMMA_B]])
+        amp = np.array([expm(-1j * h_l * t)[:, 0] for t in times])
+        assert np.abs(traj.n_a_raw - np.abs(amp[:, 0]) ** 2).max() < 1e-14
+        assert np.abs(traj.n_b_raw - np.abs(amp[:, 1]) ** 2).max() < 1e-14
+
+    @engines
+    def test_bitwise_deterministic(self, evolve):
+        state = fock_product_state(3, 2, self.space)
+        times = np.linspace(0.0, 3.0 / GAMMA_A, 200)
+        t1, t2 = (evolve(state, make_params(), self.space, times,
+                         keep_states=True) for _ in range(2))
+        for name in (*self.columns, "snapshots"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+
+    def test_thermal_state_above_the_bound_stays_adaptive(self):
+        # at T > 0 the up-jumps reach all 25 indices: 625 entries
+        temp = 6e-5
+        space = FockSpace(5, 5)
+        rho0 = thermal_density_matrix(0.0, thermal_occupation(OMEGA_B, temp),
+                                      space, tail_tol=1e-3)
+        traj = evolve_density(rho0, make_params(temperature=temp), space,
+                              np.linspace(0.0, 0.1 / GAMMA_A, 5))
+        assert traj.stats.exponentials == 0
+        assert traj.stats.dimension == 625
+        assert traj.stats.steps > 0
 
 
 class TestEvolvedBasisMemory:

@@ -1,6 +1,8 @@
-"""Embedded Runge-Kutta pair: accuracy, adaptivity, failure modes."""
+"""Integrator: embedded Runge-Kutta pair and exact propagation of linear
+problems; accuracy, adaptivity, failure modes."""
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from ptdimer import (
     IntegrationFailure,
@@ -9,6 +11,7 @@ from ptdimer import (
     integrate_fixed,
     step_embedded,
 )
+from ptdimer.ode import EXACT_MAX_ENTRIES, expm, expm_minus_identity
 
 
 def _decay(t, y):
@@ -146,6 +149,20 @@ class TestAdaptive:
             integrate_adaptive(OdeProblem(_decay, y0, (0.0, 1.0),
                                           np.array([0.5]), rtol=-1.0))
 
+    @pytest.mark.parametrize("linear", [False, True], ids=["adaptive", "exact"])
+    @pytest.mark.parametrize("rtol, atol", [
+        (1e-9, np.inf), (1e-9, np.nan), (np.nan, 1e-12), (np.inf, 1e-12),
+        (1e-9, -np.inf), (0.0, 1e-12)])
+    def test_tolerances_must_be_finite_and_positive(self, linear, rtol, atol):
+        # with atol = inf the error control is off: this stiff system left
+        # |y| at 5.9e11 instead of 1 in 10 steps
+        a = np.diag([-50j, -1.0])
+        prob = OdeProblem(lambda t, y: a @ y, np.array([1.0 + 0j, 0j]),
+                          (0.0, 1.0), np.array([1.0]), rtol=rtol, atol=atol,
+                          linear=linear)
+        with pytest.raises(ValueError, match="rtol and atol"):
+            integrate_adaptive(prob)
+
     def test_blowup_raises_with_position(self):
         # y' = y^2 from y(0)=1 diverges at t=1
         prob = OdeProblem(lambda t, y: y * y, np.array([1.0 + 0j]),
@@ -180,3 +197,144 @@ class TestFixedStep:
         fixed = integrate_fixed(lambda t, y: a @ y, y0, 0.0, 1.0, 2000)
         exact = _expm_2x2(a, 1.0) @ y0
         assert np.abs(fixed - exact).max() < 1e-10
+
+
+def _rotation_decay(n, seed):
+    """Random complex generator with a decaying spectrum."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (a - a.conj().T) - np.diag(rng.uniform(0.1, 1.0, n))
+
+
+class TestExpm:
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("norm, squarings", [
+        (0.3, 0), (4.0, 0), (9.0, 1), (40.0, 3), (150.0, 5), (400.0, 7)])
+    def test_matches_scipy(self, n, norm, squarings):
+        rng = np.random.default_rng(n * 1000 + int(norm))
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        # the 1-norm fixes how often the Pade-13 approximant is squared
+        assert max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) \
+            == squarings
+        ref = scipy_expm(a)
+        assert np.abs(expm(a) - ref).max() < 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0, 40.0])
+    def test_jordan_block_at_the_exceptional_point(self, t):
+        # at the exceptional point the two eigenvectors coalesce and the
+        # propagator grows a secular term linear in t
+        lam = -0.3 + 2.0j
+        exact = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        got = expm(np.array([[lam, 1.0], [0.0, lam]]) * t)
+        assert np.abs(got - exact).max() < 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("norm", [1e-8, 1e-3])
+    def test_small_exponent_keeps_relative_precision(self, norm):
+        # exp(a) - I formed as expm(a) - I would lose ~log10(1/norm) digits
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        series = a.copy()
+        term = a.copy()
+        for k in range(2, 8):
+            term = term @ a / k
+            series += term
+        got = expm_minus_identity(a)
+        assert np.abs(got - series).max() < 1e-15 * np.abs(series).max()
+
+    def test_zero_and_empty(self):
+        assert np.abs(expm(np.zeros((3, 3))) - np.eye(3)).max() < 1e-15
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_non_finite_entry_raises(self):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = np.nan
+        with pytest.raises(FloatingPointError):
+            expm(a)
+
+
+class TestExactPath:
+    def _problem(self, a, y0, samples, **kw):
+        return OdeProblem(lambda t, y: a @ y, y0, (0.0, float(samples[-1])),
+                          samples, linear=True, **kw)
+
+    @pytest.mark.parametrize("samples", [
+        np.linspace(0.0, 4.0, 41), np.geomspace(1e-3, 4.0, 25)],
+        ids=["uniform", "geometric"])
+    def test_matches_tight_adaptive(self, samples):
+        a = _rotation_decay(6, 3)
+        y0 = np.array([1.0, 0.5j, 0, 0, -0.2, 0])
+        exact = integrate_adaptive(self._problem(a, y0, samples))
+        ref = integrate_adaptive(OdeProblem(
+            lambda t, y: a @ y, y0, (0.0, 4.0), samples, rtol=1e-12,
+            atol=1e-15))
+        assert np.abs(exact.states - ref.states).max() < 1e-10
+        steps = np.diff(samples, prepend=0.0)
+        assert exact.stats.exponentials == (1 if samples[0] == 0.0
+                                            else steps.size)
+        assert exact.stats.steps == np.count_nonzero(steps)
+        assert exact.stats.rejected == 0
+
+    def test_closure_follows_the_rhs(self):
+        # index 3 is decoupled from the support of y0 and never evolved
+        a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
+        a[1, 0] = 0.5
+        y0 = np.array([1.0, 0, 0, 0], dtype=complex)
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return a @ y
+        samples = np.linspace(0.0, 1.0, 11)
+        traj = integrate_adaptive(OdeProblem(rhs, y0, (0.0, 1.0), samples,
+                                             linear=True))
+        assert traj.stats.dimension == 2
+        assert traj.stats.rhs_evaluations == len(calls) == 2
+        assert np.all(traj.states[:, 2:] == 0.0)
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+
+    def test_state_above_bound_takes_adaptive_path(self):
+        y0 = np.zeros(EXACT_MAX_ENTRIES + 1, dtype=complex)
+        y0[0] = 1.0
+        traj = integrate_adaptive(OdeProblem(
+            _decay, y0, (0.0, 1.0), np.array([0.5, 1.0]), linear=True))
+        assert traj.stats.exponentials == 0
+        assert traj.stats.dimension == y0.size
+        assert traj.stats.rhs_evaluations >= 6 * traj.stats.steps > 0
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
+
+    def test_bitwise_deterministic(self):
+        a = _rotation_decay(8, 5)
+        y0 = np.ones(8, dtype=complex)
+        samples = np.linspace(0.0, 3.0, 200)
+        t1 = integrate_adaptive(self._problem(a, y0, samples))
+        t2 = integrate_adaptive(self._problem(a, y0, samples))
+        assert np.array_equal(t1.states, t2.states)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_raises(self, bad):
+        a = _rotation_decay(4, 7)
+        a[2, 1] = bad
+        with pytest.raises((FloatingPointError, IntegrationFailure)):
+            integrate_adaptive(self._problem(a, np.ones(4, dtype=complex),
+                                             np.linspace(0.0, 1.0, 5)))
+
+    def test_strong_decay_per_step_keeps_relative_precision(self):
+        # each step shrinks y by e^-30 or more: y + (exp(a) - I) y would
+        # cancel to ~1e-3 relative noise per step; exp(a) y, good to ~3e-14
+        # (the exponential's own error at this norm), holds to 1e-261
+        a = np.diag([-30.0 + 2.0j, -31.0]).astype(complex)
+        samples = np.linspace(0.0, 20.0, 21)
+        traj = integrate_adaptive(self._problem(a, np.ones(2, dtype=complex),
+                                                samples))
+        exact = np.exp(np.outer(samples, np.diag(a)))
+        assert np.abs(traj.states / exact - 1.0).max() < 1e-11
+
+    def test_overflow_raises_with_position(self):
+        a = np.array([[400.0 + 0j]])
+        with pytest.raises(IntegrationFailure) as exc:
+            integrate_adaptive(self._problem(a, np.array([1.0 + 0j]),
+                                             np.linspace(0.0, 4.0, 5)))
+        assert exc.value.t_reached == 1.0

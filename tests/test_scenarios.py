@@ -430,6 +430,25 @@ class TestRunScenario:
         assert "diverged" in marker.read_text()
 
 
+    def test_non_finite_generator_exits_3_without_nan_rows(self, tmp_path,
+                                                           monkeypatch):
+        from ptdimer import lindblad
+
+        def broken(*args, **kwargs):
+            h = beam_splitter_hamiltonian(*args, **kwargs)
+            h[0, 0] = np.nan
+            return h
+        beam_splitter_hamiltonian = lindblad.beam_splitter_hamiltonian
+        monkeypatch.setattr(lindblad, "beam_splitter_hamiltonian", broken)
+        conf = tmp_path / "short.conf"
+        conf.write_text("samples = 60\n")
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "fig1a", "--config", str(conf),
+                     "--out", str(out)]) == 3
+        assert "lindblad" in (out / "fig1a.partial").read_text()
+        assert not list(out.glob("*.csv"))
+
+
 class TestCli:
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
