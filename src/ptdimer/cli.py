@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .ode import IntegrationFailure
 from .params import classify_regime, gamma_contrast, pt_spectrum
-from .scenarios import OMEGA_B, ConfigError, _parse_engines, catalog_config, \
-    parse_config, run_scenario, scenario_ids
+from .scenarios import NUMERICAL_FAILURES, OMEGA_B, ConfigError, \
+    _parse_engines, catalog_config, parse_config, run_scenario, scenario_ids
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,21 +62,16 @@ def _cmd_run(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    overrides: dict[str, object] = {}
-    if args.out is not None:
-        overrides["directory"] = args.out
+    # parse_config skips None values: flags that were not given
+    overrides = {"directory": args.out, "rtol": args.rtol, "atol": args.atol,
+                 "svg": args.svg}
     if args.engines is not None:
         overrides["engines"] = _parse_engines(args.engines, 0)
-    if args.rtol is not None:
-        overrides["rtol"] = args.rtol
-    if args.atol is not None:
-        overrides["atol"] = args.atol
-    if args.truncation is not None:
-        overrides["truncation"] = None if args.truncation == "auto" \
-            else int(args.truncation)
-    if args.svg:
-        overrides["svg"] = True
+    if args.truncation not in (None, "auto"):
+        overrides["truncation"] = int(args.truncation)
     cfg = parse_config(text, scenario=args.scenario, cli_overrides=overrides)
+    if args.truncation == "auto":
+        cfg = replace(cfg, truncation=None)
     for path in run_scenario(cfg):
         print(path)
     return 0
@@ -127,8 +122,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationFailure, FloatingPointError,
-            np.linalg.LinAlgError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -4,7 +4,8 @@ The 2x2 matrix N_jk = <v_j^dag v_k> with v = (c, d) obeys
 dN/dt = i(conj(M) N - N M^T) + D, where M is the non-Hermitian drift and
 D = diag(gamma_a nbar_a, gamma_b nbar_b) the thermal diffusion. This is exact
 for any state at harmonic order (no truncation), covering lab-scale thermal
-occupations out of reach of the Fock-space engines.
+occupations out of reach of the Fock-space engines. It is propagated exactly,
+with the matrix exponential of the Fock engines.
 """
 
 from __future__ import annotations
@@ -65,31 +66,39 @@ def thermal_moment_state(params: SystemParams, temperature: float) -> np.ndarray
     ]).astype(complex)
 
 
+def _moment_generator(params: SystemParams, temperature: float):
+    """(L, vec D) of d vec(N)/dt = L vec(N) + vec(D), N row-major, in the
+    frame rotating at omega_b (exactly neutral, see moment_flow_rhs)."""
+    m_int = drift_matrix(params) - params.omega_b * np.eye(2)
+    eye = np.eye(2, dtype=complex)
+    # vec(A N) = (A (x) I) vec(N), vec(N B) = (I (x) B^T) vec(N)
+    lin = 1j * (np.kron(m_int.conj(), eye) - np.kron(eye, m_int))
+    return lin, diffusion_matrix(params, temperature).ravel().astype(complex)
+
+
 def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
                    sample_times, *, rtol: float = 1e-9,
                    atol: float = 1e-12) -> ObservableTrajectory:
-    """Integrate the moment flow and record observables at the sample times.
+    """Propagate the moment flow exactly; record observables at the samples.
 
-    The drift is shifted by -omega_b*I internally (exactly neutral for N, see
-    moment_flow_rhs) to keep the integrand free of the fast optical rotation.
+    With a constant s = max(1, max|N0|) appended to vec(N) the flow is linear,
+    y' = [[L, D/s], [0, 0]] y, and takes the exact path of
+    ``integrate_adaptive``: ``rtol`` and ``atol`` go unused. Unlike a shift
+    by the steady state, this also covers undamped flows.
     """
     n0 = check_moment_state(n0, "initial moment matrix")
-    m_int = drift_matrix(params) - params.omega_b * np.eye(2)
-    d_mat = diffusion_matrix(params, temperature).astype(complex)
-    mc = m_int.conj()
-    mt = m_int.T
-
-    def rhs(t, yflat):
-        n = yflat.reshape(2, 2)
-        return (1j * (mc @ n - n @ mt) + d_mat).ravel()
-
+    scale = max(1.0, float(np.abs(n0).max()))
+    lin, diffusion = _moment_generator(params, temperature)
+    generator = np.vstack([np.column_stack([lin, diffusion / scale]),
+                           np.zeros(5)])
     samples = np.asarray(sample_times, dtype=float)
-    problem = OdeProblem(rhs, n0.ravel(), (0.0, float(samples[-1])), samples,
-                         rtol=rtol, atol=atol)
-    sol = integrate_adaptive(problem)
+    sol = integrate_adaptive(OdeProblem(
+        lambda t, y: generator @ y, np.append(n0.ravel(), scale),
+        (0.0, float(samples[-1])), samples, rtol=rtol, atol=atol, linear=True))
     return ObservableTrajectory(
         "gaussian", params.omega_b, sol.times,
-        **record_from_moments(sol.states.reshape(-1, 2, 2)), stats=sol.stats)
+        **record_from_moments(sol.states[:, :4].reshape(-1, 2, 2)),
+        stats=sol.stats)
 
 
 def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray:
@@ -100,13 +109,9 @@ def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray
     """
     if params.gamma_a == 0.0 and params.gamma_b == 0.0:
         raise ValueError("undamped system has no steady state")
-    m_int = drift_matrix(params) - params.omega_b * np.eye(2)
-    d_mat = diffusion_matrix(params, temperature).astype(complex)
-    eye = np.eye(2, dtype=complex)
-    # row-major vec: vec(A N) = (A (x) I) vec(N), vec(N B) = (I (x) B^T) vec(N)
-    lin = 1j * (np.kron(m_int.conj(), eye) - np.kron(eye, m_int))
+    lin, diffusion = _moment_generator(params, temperature)
     try:
-        n_flat = np.linalg.solve(lin, -d_mat.ravel())
+        n_flat = np.linalg.solve(lin, -diffusion)
     except np.linalg.LinAlgError as exc:
         raise ValueError("moment flow is singular: no steady state") from exc
     n_ss = n_flat.reshape(2, 2)
@@ -118,9 +123,9 @@ def count_prominent_extrema(values, rel_prominence: float = 1e-4) -> int:
 
     Turning points of the sequence are kept only when they differ from both
     neighboring turning points by at least rel_prominence*(max-min). The
-    default floor sits orders of magnitude above integrator noise (~1e-9
-    relative) but below any physically meaningful oscillation swing, so it
-    filters wiggles without hiding real extrema.
+    default floor sits orders of magnitude above the rounding of the exact
+    propagator (~1e-15 relative) but below any physically meaningful
+    oscillation swing, so it filters wiggles without hiding real extrema.
     """
     v = np.asarray(values, dtype=float)
     if v.size < 3:

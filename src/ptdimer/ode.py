@@ -304,17 +304,15 @@ def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
 
 
 def integrate_adaptive(problem: OdeProblem) -> Trajectory:
-    """Integrate to each sample time: exactly for a small linear problem,
-    otherwise with PI-controlled adaptive steps.
+    """Integrate to each sample time: exactly for a ``linear`` problem of at
+    most ``EXACT_MAX_ENTRIES`` entries (see the module docstring), otherwise
+    with PI-controlled adaptive steps clamped so that every entry of
+    sample_times is an actual step endpoint (no dense-output interpolation).
 
-    A ``linear`` problem whose state has at most ``EXACT_MAX_ENTRIES`` entries
-    is propagated exactly (see the module docstring). Otherwise steps are
-    clamped so that every entry of sample_times is an actual step endpoint
-    (no dense-output interpolation). Each step attempt costs 6 rhs
-    evaluations: the first stage is the last stage of the previous accepted
-    step (FSAL), and a rejected step keeps it. Raises IntegrationFailure on
-    step underflow, when the step budget runs out, or when an exact sample is
-    not finite.
+    Each adaptive step attempt costs 6 rhs evaluations: the first stage is
+    the last stage of the previous accepted step (FSAL), and a rejected step
+    keeps it. Raises IntegrationFailure on step underflow, when the step
+    budget runs out, or when an exact sample is not finite.
     """
     t0, t1 = map(float, problem.t_span)
     if not t1 > t0:

@@ -31,6 +31,8 @@ GAMMA_A = 3.26e5
 GAMMA_B = 3.00e2
 
 ENGINES = ("lindblad", "nonhermitian", "gaussian")
+# numerical failures of a run: exit code 3 and a .partial marker
+NUMERICAL_FAILURES = (IntegrationFailure, FloatingPointError, np.linalg.LinAlgError)
 _SECTIONS = {"scenario", "params", "initial", "grid", "numerics", "output"}
 
 _CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
@@ -88,18 +90,20 @@ class ScenarioConfig:
         return np.linspace(0.0, self.t_end / self.gamma_a, self.samples)
 
     def mode_dims(self) -> tuple[int, int]:
-        if self.truncation is not None:
-            return self.truncation, self.truncation
+        """Per-mode Fock dimensions: one for both modes, since the coupling
+        moves quanta between them."""
         kind = self.state[0]
-        if kind == "fock":
+        if self.truncation is not None:
+            dim = self.truncation
+        elif kind == "fock":
             dim = truncation_dim(self.state[1] + self.state[2])
-            return dim, dim
-        if kind == "noon":
+        elif kind == "noon":
             dim = truncation_dim(self.state[1])
-            return dim, dim
-        t_init = self.state[1]
-        return (thermal_truncation_dim(thermal_occupation(self.omega_a, t_init)),
-                thermal_truncation_dim(thermal_occupation(self.omega_b, t_init)))
+        else:  # the largest thermal occupation of either mode, state or bath
+            dim = thermal_truncation_dim(thermal_occupation(
+                min(self.omega_a, self.omega_b),
+                max(self.state[1], self.temperature)))
+        return dim, dim
 
 
 # ----------------------------------------------------------------- catalog --
@@ -588,8 +592,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[Path]:
     for engine in cfg.engines:
         try:
             traj = run_engine(engine, cfg, params)
-        except (IntegrationFailure, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
+        except NUMERICAL_FAILURES as exc:
             marker = outdir / f"{cfg.scenario}.partial"
             marker.write_text(f"engine {engine} failed: {exc}\n")
             raise

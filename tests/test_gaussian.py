@@ -3,14 +3,18 @@ import numpy as np
 import pytest
 
 from ptdimer import (
+    OdeProblem,
+    catalog_config,
     count_prominent_extrema,
     dimer_mode_eigenvalues,
     evolve_moments,
     fit_decay_rate,
+    integrate_adaptive,
     moment_rhs,
     steady_state_moments,
     thermal_moment_state,
 )
+from ptdimer.scenarios import run_engine
 from ptdimer.gaussian import check_moment_state, diffusion_matrix, drift_matrix, \
     moment_flow_rhs
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_B, \
@@ -118,6 +122,37 @@ class TestCheckMomentState:
     def test_rounding_level_asymmetry_tolerated(self):
         n = np.array([[2.0, 0.5 + 1e-13j], [0.5, 3.0]])
         check_moment_state(n)
+
+
+class TestExactPath:
+    def test_catalog_run_takes_one_exponential(self):
+        cfg = catalog_config("fig6b")
+        stats = run_engine("gaussian", cfg, cfg.system_params()).stats
+        assert stats.exponentials == 1
+        assert stats.rejected == 0
+        assert stats.steps == cfg.samples - 1
+        # one probe per entry of the closure of (vec N0, s)
+        assert stats.rhs_evaluations == stats.dimension <= 5
+
+    @pytest.mark.parametrize("case", ["ep", "geometric", "undamped"])
+    def test_matches_tight_adaptive_reference(self, case):
+        pair_rate = 0.5 * (GAMMA_A + GAMMA_B)
+        p = {"ep": make_params(g=G_BALANCED), "geometric": make_params(),
+             "undamped": make_params(gamma_a=0.0, gamma_b=0.0)}[case]
+        times = np.geomspace(1e-3 / pair_rate, 10.0 / pair_rate, 80) \
+            if case == "geometric" else np.linspace(0.0, 5.0 / pair_rate, 300)
+        n0 = _random_moment_state(np.random.default_rng(5), scale=3e5)
+        traj = evolve_moments(n0, p, ROOM_T, times)
+        m = drift_matrix(p)
+        d = diffusion_matrix(p, ROOM_T)
+        ref = integrate_adaptive(OdeProblem(
+            lambda t, y: moment_flow_rhs(y.reshape(2, 2), m, d).ravel(),
+            n0.ravel(), (0.0, times[-1]), times, rtol=1e-12, atol=1e-6))
+        # a geometric grid has a distinct step onto every sample
+        assert traj.stats.exponentials == (80 if case == "geometric" else 1)
+        exact = np.stack([traj.n_a_raw, traj.coherence, traj.n_b_raw], axis=1)
+        ref = ref.states[:, [0, 1, 3]]
+        assert np.abs(exact - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 class TestRegimeSignatures:

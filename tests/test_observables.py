@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from ptdimer import FockSpace, evolve_density, mode_annihilator
-from ptdimer.observables import ObservableOps
+from ptdimer.observables import ObservableOps, record_from_moments
 from conftest import GAMMA_A, make_params, random_density
 
 
@@ -63,3 +63,18 @@ class TestRecorderChecks:
         times = np.linspace(0.0, 1.0 / GAMMA_A, 5)
         with pytest.raises(FloatingPointError, match="negative"):
             evolve_density(rho, make_params(), space, times)
+
+    def test_complex_trace_is_numerical_failure(self):
+        # on the vacuum entry only the trace sees the imaginary part
+        space = FockSpace(2, 2)
+        rho = np.zeros((1, space.dim, space.dim), dtype=complex)
+        rho[0, 0, 0] = 1.0 + 1e-9j
+        with pytest.raises(FloatingPointError, match="trace has imaginary"):
+            ObservableOps(space).record_from_density(rho)
+
+    def test_negative_moment_diagonal_is_numerical_failure(self):
+        n = np.array([[[-1e-11, 0.0], [0.0, 1.0]],
+                      [[-1e-9, 0.0], [0.0, 1.0]]], dtype=complex)
+        assert record_from_moments(n[:1])["n_a_raw"][0] == -1e-11
+        with pytest.raises(FloatingPointError, match="moment diagonal"):
+            record_from_moments(n)

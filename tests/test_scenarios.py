@@ -94,6 +94,15 @@ class TestCatalog:
         assert catalog_config("fig2a").mode_dims() == (7, 7)
         assert catalog_config("fig4d").mode_dims() == (7, 7)
         assert replace(catalog_config("fig1a"), truncation=4).mode_dims() == (4, 4)
+        # thermal: mode b's ~0.15 quanta set both modes, and a warmer bath
+        # sets a vacuum start
+        cold = parse_config("state = thermal 6e-5\ntemperature = 6e-5\n"
+                            "engines = gaussian")
+        assert cold.mode_dims() == (7, 7)
+        assert replace(cold, state=("thermal", 0.0)).mode_dims() == (7, 7)
+        assert replace(cold, temperature=0.0).mode_dims() == (7, 7)
+        assert replace(cold, state=("thermal", 0.0),
+                       temperature=0.0).mode_dims() == (2, 2)
 
 
 class TestParseErrors:
@@ -416,6 +425,17 @@ class TestRunScenario:
         assert len(lines) - len(header) - 1 == kept
         assert not (tmp_path / "custom.partial").exists()
 
+    def test_cold_thermal_lindblad_matches_gaussian(self, tmp_path):
+        cfg = parse_config(
+            "state = thermal 6e-5\ntemperature = 6e-5\n"
+            "engines = lindblad, gaussian\nallow_lindblad_thermal = true\n"
+            "samples = 200", cli_overrides={"directory": str(tmp_path)})
+        run_scenario(cfg)
+        header = (tmp_path / "custom_comparison.csv").read_text().splitlines()
+        dev = next(float(l.split(": ")[1]) for l in header
+                   if l.startswith("# max_deviation[gaussian]"))
+        assert dev < 1e-5
+
     def test_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
         def explode(engine, cfg, params):
             raise IntegrationFailure("diverged", 1e-6)
@@ -480,6 +500,39 @@ class TestCli:
         printed = capsys.readouterr().out.splitlines()
         assert [p.rsplit("/", 1)[-1] for p in printed] == \
             ["fig1a_nonhermitian.csv"]
+
+    def test_explicit_truncation_matches_auto(self, tmp_path):
+        conf = tmp_path / "light.conf"
+        conf.write_text("samples = 60\n")
+        for value in ("6", "auto"):
+            assert main(["run", "--scenario", "fig1a", "--config", str(conf),
+                         "--out", str(tmp_path / value),
+                         "--truncation", value]) == 0
+        for name in ("fig1a_lindblad.csv", "fig1a_nonhermitian.csv",
+                     "fig1a_comparison.csv"):
+            assert (tmp_path / "6" / name).read_bytes() == \
+                (tmp_path / "auto" / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["1", "2.5", "many"])
+    def test_bad_truncation_is_config_error(self, tmp_path, capsys, value):
+        assert main(["run", "--scenario", "fig1a", "--out", str(tmp_path),
+                     "--truncation", value]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_flags_override_config_file(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("ptdimer.cli.run_scenario",
+                            lambda cfg: seen.append(cfg) or [])
+        conf = tmp_path / "tuned.conf"
+        conf.write_text("rtol = 1e-8\ntruncation = 6\n")
+        assert main(["run", "--scenario", "fig1a", "--config", str(conf),
+                     "--rtol", "1e-10", "--atol", "1e-13"]) == 0
+        assert (seen[0].rtol, seen[0].atol, seen[0].truncation) == \
+            (1e-10, 1e-13, 6)
+        assert main(["run", "--scenario", "fig1a", "--config", str(conf),
+                     "--truncation", "auto"]) == 0
+        assert (seen[1].rtol, seen[1].truncation) == (1e-8, None)
 
     def test_run_without_inputs_is_config_error(self, capsys):
         assert main(["run"]) == 2
