@@ -36,10 +36,13 @@ def truncation_dim(max_total: int) -> int:
 
 
 def thermal_truncation_dim(nbar: float, tail_tol: float = 1e-6) -> int:
-    """Smallest per-mode dimension whose thermal tail weight is below tail_tol.
+    """Smallest per-mode dimension whose thermal tail weight is below tail_tol
+    and whose top level starts with at most tail_tol.
 
-    The discarded weight of a Bose-Einstein distribution truncated at dim
-    levels is (nbar/(1+nbar))**dim.
+    With r = nbar/(1+nbar), the discarded weight of a Bose-Einstein
+    distribution truncated at dim levels is r**dim and its top level holds
+    (1-r) r**(dim-1), which is the larger for r < 1/2. The second bound keeps
+    a run's truncation-leakage check (top level above 1e-6) quiet at t = 0.
     """
     if nbar < 0:
         raise ValueError("thermal occupation must be nonnegative")
@@ -48,9 +51,10 @@ def thermal_truncation_dim(nbar: float, tail_tol: float = 1e-6) -> int:
     if nbar == 0:
         return 2
     ratio = nbar / (1.0 + nbar)
-    # smallest dim with ratio**dim < tail_tol
+    # start from the smallest dim with ratio**dim < tail_tol (the float log
+    # may land one short); the top-level bound adds at most one level
     dim = int(np.ceil(np.log(tail_tol) / np.log(ratio)))
-    while ratio**dim >= tail_tol:  # guard the edge of the float log
+    while ratio**dim >= tail_tol or (1.0 - ratio) * ratio**(dim - 1) > tail_tol:
         dim += 1
     return max(dim, 2)
 

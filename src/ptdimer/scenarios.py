@@ -448,14 +448,21 @@ def _write_lines(lines: list[str], path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _format_rows(columns) -> list[str]:
+    """The table of these equal-length columns as CSV rows, formatted in one
+    ``%`` call; 17 significant digits, so floats round-trip exactly."""
+    table = np.column_stack(columns)
+    if not len(table):
+        return []
+    row = ",".join(["%.17g"] * table.shape[1])
+    return ["\n".join([row] * len(table)) % tuple(table.ravel().tolist())]
+
+
 def write_csv(traj: ObservableTrajectory, path) -> None:
-    """One row per sample; 17 significant digits, so floats round-trip exactly."""
-    lines = [_CSV_HEADER]
-    for row in zip(traj.times, traj.omega_b * traj.times, traj.n_a_raw,
-                   traj.n_b_raw, traj.n_a, traj.n_b, traj.g1.real,
-                   traj.g1.imag, traj.weight):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(lines, path)
+    """One row per sample."""
+    _write_lines([_CSV_HEADER] + _format_rows((
+        traj.times, traj.omega_b * traj.times, traj.n_a_raw, traj.n_b_raw,
+        traj.n_a, traj.n_b, traj.g1.real, traj.g1.imag, traj.weight)), path)
 
 
 def write_comparison(report: ComparisonReport, path) -> None:
@@ -476,13 +483,11 @@ def write_comparison(report: ComparisonReport, path) -> None:
     for eng in engines:
         header += [f"d_n_a_{eng}", f"d_n_b_{eng}", f"d_g1_{eng}"]
     lines.append(",".join(header))
-    for i, t in enumerate(report.times):
-        row = [t, report.omega_b * t]
-        for eng in engines:
-            d = report.deviations[eng]
-            row += [d["n_a"][i], d["n_b"][i], d["g1"][i]]
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(lines, path)
+    columns = [report.times, report.omega_b * report.times]
+    for eng in engines:
+        d = report.deviations[eng]
+        columns += [d["n_a"], d["n_b"], d["g1"]]
+    _write_lines(lines + _format_rows(columns), path)
 
 
 _COLOR_A = "#1f77b4"  # blue: mode a
@@ -558,8 +563,9 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
     for traj, x, (ya, yb) in zip(trajs, xs, series):
         dash = ' stroke-dasharray="7 4"' if traj.engine == "nonhermitian" else ""
         for color, y in ((_COLOR_A, ya), (_COLOR_B, yb)):
-            pts = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}"
-                           for xi, yi in zip(x, y) if np.isfinite(yi))
+            keep = np.isfinite(y)
+            xy = np.column_stack((sx(x[keep]), sy(y[keep])))
+            pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
             parts.append(f'<polyline fill="none" stroke="{color}" '
                          f'stroke-width="1.5"{dash} points="{pts}"/>')
     ly = _MARGIN_T + 16

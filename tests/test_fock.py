@@ -59,12 +59,23 @@ class TestTruncation:
 
     def test_thermal_dim_matches_tail_rule(self):
         # smallest dim whose geometric tail mass drops below the tolerance
+        # and whose initial top level holds at most the tolerance
         for nbar in (0.05, 0.4, 1.0, 6.0, 3760.25):
             for tol in (1e-6, 1e-4):
                 dim = thermal_truncation_dim(nbar, tol)
                 ratio = nbar / (1.0 + nbar)
-                assert ratio**dim < tol
-                assert dim == 2 or ratio ** (dim - 1) >= tol
+
+                def fits(d):
+                    return ratio**d < tol \
+                        and (1.0 - ratio) * ratio ** (d - 1) <= tol
+                assert fits(dim)
+                assert dim == 2 or not fits(dim - 1)
+
+    def test_thermal_dim_top_level_bound(self):
+        # below r = 1/2 the top level outweighs the tail: at nbar 0.05 and
+        # 5 levels the tail is 2.4e-7, but level 4 starts with 4.9e-6
+        assert thermal_truncation_dim(0.05) == 6
+        assert thermal_truncation_dim(0.4) == 12
 
     def test_thermal_dim_vacuum(self):
         assert thermal_truncation_dim(0.0) == 2

@@ -220,6 +220,21 @@ class TestExpm:
         ref = scipy_expm(a)
         assert np.abs(expm(a) - ref).max() < 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("norm, squarings", [
+        (9.0, 1), (40.0, 3), (150.0, 5)])
+    def test_minus_identity_squarings_match_scipy(self, n, norm, squarings):
+        # each squaring runs the (I + q)^2 - I recurrence once; the exact
+        # path's own steps (norm <= 0.4) never take one
+        rng = np.random.default_rng(n * 1000 + int(norm) + 1)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        assert max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) \
+            == squarings
+        ref = scipy_expm(a) - np.eye(n)
+        got = expm_minus_identity(a)
+        assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.0, 40.0])
     def test_jordan_block_at_the_exceptional_point(self, t):
         # at the exceptional point the two eigenvectors coalesce and the

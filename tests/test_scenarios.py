@@ -26,7 +26,9 @@ from ptdimer import (
     FockSpace,
 )
 from ptdimer.cli import main
-from ptdimer.scenarios import _FLOAT_KEYS, run_engine, write_comparison
+from ptdimer.observables import ObservableTrajectory
+from ptdimer.scenarios import _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, _MARGIN_R, \
+    _MARGIN_T, _SVG_H, _SVG_W, ComparisonReport, run_engine, write_comparison
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
 
 CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
@@ -98,9 +100,9 @@ class TestCatalog:
         # sets a vacuum start
         cold = parse_config("state = thermal 6e-5\ntemperature = 6e-5\n"
                             "engines = gaussian")
-        assert cold.mode_dims() == (7, 7)
-        assert replace(cold, state=("thermal", 0.0)).mode_dims() == (7, 7)
-        assert replace(cold, temperature=0.0).mode_dims() == (7, 7)
+        assert cold.mode_dims() == (8, 8)
+        assert replace(cold, state=("thermal", 0.0)).mode_dims() == (8, 8)
+        assert replace(cold, temperature=0.0).mode_dims() == (8, 8)
         assert replace(cold, state=("thermal", 0.0),
                        temperature=0.0).mode_dims() == (2, 2)
 
@@ -370,6 +372,104 @@ class TestSvgOutput:
             write_svg([], tmp_path / "plot.svg")
 
 
+# every value class the writers must reproduce: non-finite, signed zero,
+# subnormal, large, and values that need all 17 digits
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-310, 1e16,
+                      1e300, 0.1, 1.0 / 3.0])
+
+
+def _special_traj(times, columns):
+    """A Fock-engine trajectory whose six plotted and written columns are
+    given verbatim (the renormalized ones overwritten after construction)."""
+    n_a_raw, n_b_raw, n_a, n_b, g1_re, g1_im = columns
+    g1 = np.zeros(len(times), dtype=complex)
+    g1.real, g1.imag = g1_re, g1_im
+    with np.errstate(all="ignore"):
+        traj = ObservableTrajectory("lindblad", OMEGA_B, times, n_a_raw,
+                                    n_b_raw, g1, _SPECIALS[::-1].copy())
+    traj.n_a, traj.n_b, traj.g1 = n_a, n_b, g1
+    return traj
+
+
+class TestWriterFormat:
+    """Each written value is exactly the parent's per-value formatting."""
+
+    def _rolled(self, count):
+        return [np.roll(_SPECIALS, k + 1) for k in range(count)]
+
+    def test_csv_cells_are_17_significant_digits(self, tmp_path):
+        traj = _special_traj(_SPECIALS.copy(), self._rolled(6))
+        path = tmp_path / "out.csv"
+        write_csv(traj, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + len(_SPECIALS)
+        with np.errstate(all="ignore"):
+            for i, line in enumerate(lines[1:]):
+                row = [traj.times[i], traj.omega_b * traj.times[i],
+                       traj.n_a_raw[i], traj.n_b_raw[i], traj.n_a[i],
+                       traj.n_b[i], traj.g1[i].real, traj.g1[i].imag,
+                       traj.weight[i]]
+                assert line.split(",") == [f"{v:.17g}" for v in row]
+
+    def test_comparison_cells_are_17_significant_digits(self, tmp_path):
+        cols = self._rolled(6)
+        deviations = {eng: dict(zip(("n_a", "n_b", "g1"), cols[k:k + 3]))
+                      for eng, k in (("nonhermitian", 0), ("gaussian", 3))}
+        report = ComparisonReport(
+            "special", "lindblad", _SPECIALS.copy(), OMEGA_B,
+            make_params().regime(), deviations,
+            {"gaussian": 5e-324, "nonhermitian": np.nan},
+            {"gaussian": 1e300, "nonhermitian": -0.0})
+        path = tmp_path / "cmp.csv"
+        write_comparison(report, path)
+        lines = path.read_text().splitlines()
+        assert "# max_deviation[gaussian]: 4.9406564584124654e-324" in lines
+        assert "# max_deviation[nonhermitian]: nan" in lines
+        assert "# l2_deviation[nonhermitian]: -0" in lines
+        at = lines.index("t_seconds,omega_b_t,d_n_a_gaussian,d_n_b_gaussian,"
+                         "d_g1_gaussian,d_n_a_nonhermitian,d_n_b_nonhermitian,"
+                         "d_g1_nonhermitian")
+        assert len(lines) == at + 1 + len(_SPECIALS)
+        with np.errstate(all="ignore"):
+            for i, line in enumerate(lines[at + 1:]):
+                row = [report.times[i], OMEGA_B * report.times[i]]
+                for eng in ("gaussian", "nonhermitian"):
+                    row += [deviations[eng][k][i] for k in ("n_a", "n_b", "g1")]
+                assert line.split(",") == [f"{v:.17g}" for v in row]
+
+    @pytest.mark.parametrize("with_inf", [False, True])
+    def test_svg_drops_exactly_the_non_finite_points(self, tmp_path, with_inf):
+        # with +-inf in the data the vertical scale itself is not finite
+        cols = self._rolled(6)
+        if not with_inf:
+            cols = [np.where(np.isinf(c), np.nan, c) for c in cols]
+        times = np.linspace(0.0, 1e-5, len(_SPECIALS))
+        traj = _special_traj(times, cols)
+        path = tmp_path / "plot.svg"
+        with np.errstate(all="ignore"):
+            write_svg([traj], path)
+            x = times * OMEGA_B
+            x_lo, x_hi = float(x.min()), float(x.max())
+            y_lo = min(float(np.nanmin(y)) for y in (traj.n_a, traj.n_b))
+            y_hi = max(float(np.nanmax(y)) for y in (traj.n_a, traj.n_b))
+            pad = 0.05 * (y_hi - y_lo)
+            y_lo, y_hi = y_lo - pad, y_hi + pad
+            plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
+            plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
+            expected = [" ".join(
+                f"{_MARGIN_L + (xi - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+                f"{_MARGIN_T + (y_hi - yi) / (y_hi - y_lo) * plot_h:.2f}"
+                for xi, yi in zip(x, y) if np.isfinite(yi))
+                for y in (traj.n_a, traj.n_b)]
+        root = ET.parse(path).getroot()
+        got = [el.attrib["points"] for el in root.iter()
+               if el.tag.endswith("polyline")]
+        assert got == expected
+        for points, y in zip(got, (traj.n_a, traj.n_b)):
+            assert len(points.split()) == np.isfinite(y).sum() < len(y)
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("writer", ["csv", "comparison", "svg"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
@@ -425,16 +525,28 @@ class TestRunScenario:
         assert len(lines) - len(header) - 1 == kept
         assert not (tmp_path / "custom.partial").exists()
 
-    def test_cold_thermal_lindblad_matches_gaussian(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def cold_header(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cold")
         cfg = parse_config(
             "state = thermal 6e-5\ntemperature = 6e-5\n"
             "engines = lindblad, gaussian\nallow_lindblad_thermal = true\n"
-            "samples = 200", cli_overrides={"directory": str(tmp_path)})
+            "samples = 200", cli_overrides={"directory": str(out)})
         run_scenario(cfg)
-        header = (tmp_path / "custom_comparison.csv").read_text().splitlines()
-        dev = next(float(l.split(": ")[1]) for l in header
+        lines = (out / "custom_comparison.csv").read_text().splitlines()
+        return [l for l in lines if l.startswith("#")]
+
+    def test_cold_thermal_lindblad_matches_gaussian(self, cold_header):
+        dev = next(float(l.split(": ")[1]) for l in cold_header
                    if l.startswith("# max_deviation[gaussian]"))
         assert dev < 1e-5
+
+    def test_cold_thermal_lindblad_auto_truncation_does_not_leak(
+            self, cold_header):
+        # the automatic truncation leaves the initial top level below the
+        # leakage check's 1e-6
+        assert "# warnings: none" in cold_header
+        assert not any("leakage" in l for l in cold_header)
 
     def test_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
         def explode(engine, cfg, params):
