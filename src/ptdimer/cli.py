@@ -14,7 +14,8 @@ import numpy as np
 
 from .params import classify_regime, gamma_contrast, pt_spectrum
 from .scenarios import NUMERICAL_FAILURES, OMEGA_B, ConfigError, \
-    _parse_engines, catalog_config, parse_config, run_scenario, scenario_ids
+    _parse_engines, _parse_int, catalog_config, parse_config, run_scenario, \
+    scenario_ids
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,9 +67,10 @@ def _cmd_run(args) -> int:
     overrides = {"directory": args.out, "rtol": args.rtol, "atol": args.atol,
                  "svg": args.svg}
     if args.engines is not None:
-        overrides["engines"] = _parse_engines(args.engines, 0)
+        overrides["engines"] = _parse_engines(args.engines, "--engines")
     if args.truncation not in (None, "auto"):
-        overrides["truncation"] = int(args.truncation)
+        overrides["truncation"] = _parse_int(args.truncation, "--truncation",
+                                             "truncation")
     cfg = parse_config(text, scenario=args.scenario, cli_overrides=overrides)
     if args.truncation == "auto":
         cfg = replace(cfg, truncation=None)

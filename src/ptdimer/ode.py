@@ -5,12 +5,12 @@ A problem declared ``linear`` (y' = L y with a constant L) is propagated
 exactly: the support of y0 is closed under the problem's own RHS by applying
 it to unit vectors, L is assembled on that closure, and each sample is one
 matrix-vector product with exp(L dt), or with exp(L dt) - I for a step near
-I (``_exact_step``), one exponential per distinct step (scaling and squaring
-with a Pade-13 approximant, Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
-2005). A problem whose state has more than ``EXACT_MAX_ENTRIES`` entries, or
-that is not linear, takes the adaptive path, whose error norm is a scaled
-RMS over the real and imaginary parts of the state and whose steps are
-clamped onto every sample time.
+I (``_exact_step``); the exponential is built again only when the sample
+step changes (scaling and squaring with a Pade-13 approximant, Higham, SIAM
+J. Matrix Anal. Appl. 26, 1179, 2005). A problem whose state has more than
+``EXACT_MAX_ENTRIES`` entries, or that is not linear, takes the adaptive
+path, whose error norm is a scaled RMS over the real and imaginary parts of
+the state and whose steps are clamped onto every sample time.
 
 Deterministic by construction: no randomness and no threading of our own, so
 identical inputs give bitwise identical trajectories.
@@ -271,28 +271,26 @@ def _closed_generator(rhs, t0: float, y0: np.ndarray, stats: IntegratorStats):
 
 def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
                y: np.ndarray) -> Trajectory:
-    """Exact samples of y' = L y: one step y -> exp(L dt) y per sample."""
+    """Exact samples of y' = L y: one step y -> exp(L dt) y per sample, with
+    a new exponential only where the step changes by more than
+    ``_SAME_STEP_RTOL`` (a grid that returns to an earlier step rebuilds it)."""
     stats = IntegratorStats()
     support, generator = _closed_generator(problem.rhs, t0, y, stats)
     stats.dimension = support.size
-    steps = []  # (dt, its exact step), one per distinct dt
-    per_sample = []  # the step onto each sample; None for one at t0
-    for h in np.diff(samples, prepend=t0):
-        step = None
-        if h > 0.0:
-            step = next((f for h_f, f in steps
-                         if abs(h - h_f) <= _SAME_STEP_RTOL * h_f), None)
-            if step is None:
-                step = _exact_step(generator * h)
-                steps.append((h, step))
-        per_sample.append(step)
-    stats.exponentials = len(steps)
-
+    steps = np.diff(samples, prepend=t0)
+    # the first exponential is built before the state stack, whose memory
+    # its work arrays would otherwise add to (0.31 MB at 91 entries)
+    h_step = next((h for h in steps if h > 0.0), 0.0)
+    if h_step:
+        step, stats.exponentials = _exact_step(generator * h_step), 1
     states = np.zeros((samples.size, y.size), dtype=complex)
     x = y[support]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for row, step in enumerate(per_sample):
-            if step is not None:
+        for row, h in enumerate(steps):
+            if h > 0.0:
+                if abs(h - h_step) > _SAME_STEP_RTOL * h_step:
+                    h_step, step = h, _exact_step(generator * h)
+                    stats.exponentials += 1
                 x = step(x)
                 stats.steps += 1
             states[row].put(support, x)

@@ -207,12 +207,7 @@ def steady_state_amplitudes(params: SystemParams) -> tuple[complex, complex]:
     """
     if params.g0 is None or params.pump_amplitude is None:
         raise ValueError("steady_state_amplitudes requires g0 and pump_amplitude")
-    omega_p = params.omega_p
-    if omega_p is None:
-        omega_p = red_sideband_pump_frequency(
-            params.omega_a, params.omega_b, params.gamma_a, params.gamma_b,
-            params.g0, params.pump_amplitude)
-    alpha = _alpha_amplitude(params.omega_a, omega_p, params.gamma_a,
+    alpha = _alpha_amplitude(params.omega_a, params.omega_p, params.gamma_a,
                              params.pump_amplitude)
     beta = _beta_amplitude(params.omega_b, params.gamma_b, params.g0, alpha)
     return alpha, beta

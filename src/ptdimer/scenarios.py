@@ -159,66 +159,66 @@ def catalog_config(scenario: str) -> ScenarioConfig:
 
 # ------------------------------------------------------------ config files --
 
-def _parse_float(text: str, lineno: int, key: str) -> float:
+def _parse_float(text: str, where: str, key: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"line {lineno}: malformed number {text!r} "
+        raise ConfigError(f"{where}: malformed number {text!r} "
                           f"for key {key!r}") from None
     if not np.isfinite(value):
-        raise ConfigError(f"line {lineno}: non-finite number {text!r} "
+        raise ConfigError(f"{where}: non-finite number {text!r} "
                           f"for key {key!r}")
     return value
 
 
-def _parse_int(text: str, lineno: int, key: str) -> int:
+def _parse_int(text: str, where: str, key: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"line {lineno}: malformed integer {text!r} "
+        raise ConfigError(f"{where}: malformed integer {text!r} "
                           f"for key {key!r}") from None
 
 
-def _parse_bool(text: str, lineno: int, key: str) -> bool:
+def _parse_bool(text: str, where: str, key: str) -> bool:
     low = text.lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"line {lineno}: malformed boolean {text!r} for key {key!r}")
+    raise ConfigError(f"{where}: malformed boolean {text!r} for key {key!r}")
 
 
-def _parse_engines(text: str, lineno: int) -> tuple[str, ...]:
+def _parse_engines(text: str, where: str) -> tuple[str, ...]:
     names = [n.strip() for n in text.split(",") if n.strip()]
     for n in names:
         if n not in ENGINES:
-            raise ConfigError(f"line {lineno}: unknown engine {n!r}")
+            raise ConfigError(f"{where}: unknown engine {n!r}")
     if not names:
-        raise ConfigError(f"line {lineno}: engine list is empty")
+        raise ConfigError(f"{where}: engine list is empty")
     if len(set(names)) != len(names):
-        raise ConfigError(f"line {lineno}: duplicate engine in {text!r}")
+        raise ConfigError(f"{where}: duplicate engine in {text!r}")
     return tuple(n for n in ENGINES if n in names)
 
 
-def _parse_state(text: str, lineno: int) -> tuple:
+def _parse_state(text: str, where: str) -> tuple:
     parts = text.split()
     if not parts:
-        raise ConfigError(f"line {lineno}: empty state descriptor")
+        raise ConfigError(f"{where}: empty state descriptor")
     kind = parts[0]
     if kind == "fock":
         if len(parts) != 3:
-            raise ConfigError(f"line {lineno}: fock state needs two occupations")
-        return ("fock", _parse_int(parts[1], lineno, "state"),
-                _parse_int(parts[2], lineno, "state"))
+            raise ConfigError(f"{where}: fock state needs two occupations")
+        return ("fock", _parse_int(parts[1], where, "state"),
+                _parse_int(parts[2], where, "state"))
     if kind == "noon":
         if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: noon state needs one integer")
-        return ("noon", _parse_int(parts[1], lineno, "state"))
+            raise ConfigError(f"{where}: noon state needs one integer")
+        return ("noon", _parse_int(parts[1], where, "state"))
     if kind == "thermal":
         if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: thermal state needs a temperature")
-        return ("thermal", _parse_float(parts[1], lineno, "state"))
-    raise ConfigError(f"line {lineno}: unknown state kind {kind!r} "
+            raise ConfigError(f"{where}: thermal state needs a temperature")
+        return ("thermal", _parse_float(parts[1], where, "state"))
+    raise ConfigError(f"{where}: unknown state kind {kind!r} "
                       "(expected fock, noon, or thermal)")
 
 
@@ -235,36 +235,37 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS | _SPECIAL_KEYS
 def _parse_lines(text: str) -> dict[str, object]:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}"
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+                raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{where}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _ALL_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{where}: duplicate key {key!r}")
         if key in _FLOAT_KEYS:
-            values[key] = _parse_float(value, lineno, key)
+            values[key] = _parse_float(value, where, key)
         elif key in _INT_KEYS:
-            values[key] = _parse_int(value, lineno, key)
+            values[key] = _parse_int(value, where, key)
         elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(value, lineno, key)
+            values[key] = _parse_bool(value, where, key)
         elif key == "engines":
-            values[key] = _parse_engines(value, lineno)
+            values[key] = _parse_engines(value, where)
         elif key == "state":
-            values[key] = _parse_state(value, lineno)
+            values[key] = _parse_state(value, where)
         elif key == "truncation":
             values[key] = None if value == "auto" \
-                else _parse_int(value, lineno, key)
+                else _parse_int(value, where, key)
         else:
             values[key] = value
     return values
@@ -366,7 +367,7 @@ def run_engine(engine: str, cfg: ScenarioConfig,
             raise ConfigError("gaussian engine needs a thermal initial state")
         n0 = gaussian_mod.thermal_moment_state(params, cfg.state[1])
         return gaussian_mod.evolve_moments(n0, params, params.temperature,
-                                           times, rtol=cfg.rtol, atol=cfg.atol)
+                                           times)
     dims = cfg.mode_dims()
     space = FockSpace(*dims)
     state = _zero_t_initial(cfg, space)
@@ -517,8 +518,8 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
     series = [_plot_series(t) for t in trajs]
     x_lo = min(float(x.min()) for x in xs)
     x_hi = max(float(x.max()) for x in xs)
-    y_lo = min(float(np.nanmin(s[i])) for s in series for i in (0, 1))
-    y_hi = max(float(np.nanmax(s[i])) for s in series for i in (0, 1))
+    finite = np.concatenate([y[np.isfinite(y)] for s in series for y in s])
+    y_lo, y_hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)

@@ -469,7 +469,7 @@ class TestThermalCrossValidation:
         times = np.linspace(0.0, 5.0 / GAMMA_A, 200)
         lind = evolve_density(rho0, p, space, times, rtol=1e-10, atol=1e-13)
         n0 = np.diag([0.0, nb_b]).astype(complex)
-        gaus = evolve_moments(n0, p, temp, times, rtol=1e-10, atol=1e-13)
+        gaus = evolve_moments(n0, p, temp, times)
         scale = max(np.abs(lind.n_b_raw).max(), 1e-30)
         dev = max(np.abs(lind.n_a_raw - gaus.n_a_raw).max(),
                   np.abs(lind.n_b_raw - gaus.n_b_raw).max(),

@@ -274,10 +274,13 @@ class TestExactPath:
         return OdeProblem(lambda t, y: a @ y, y0, (0.0, float(samples[-1])),
                           samples, linear=True, **kw)
 
-    @pytest.mark.parametrize("samples", [
-        np.linspace(0.0, 4.0, 41), np.geomspace(1e-3, 4.0, 25)],
-        ids=["uniform", "geometric"])
-    def test_matches_tight_adaptive(self, samples):
+    @pytest.mark.parametrize("samples,exponentials", [
+        (np.linspace(0.0, 4.0, 41), 1),
+        (np.geomspace(1e-3, 4.0, 25), 25),
+        (np.concatenate([np.linspace(0.0, 1.0, 21),
+                         np.linspace(1.2, 4.0, 15)]), 2)],
+        ids=["uniform", "geometric", "piecewise"])
+    def test_matches_tight_adaptive(self, samples, exponentials):
         a = _rotation_decay(6, 3)
         y0 = np.array([1.0, 0.5j, 0, 0, -0.2, 0])
         exact = integrate_adaptive(self._problem(a, y0, samples))
@@ -286,8 +289,7 @@ class TestExactPath:
             atol=1e-15))
         assert np.abs(exact.states - ref.states).max() < 1e-10
         steps = np.diff(samples, prepend=0.0)
-        assert exact.stats.exponentials == (1 if samples[0] == 0.0
-                                            else steps.size)
+        assert exact.stats.exponentials == exponentials
         assert exact.stats.steps == np.count_nonzero(steps)
         assert exact.stats.rejected == 0
 

@@ -247,6 +247,14 @@ class TestSystemParams:
         alpha, _ = steady_state_amplitudes(p)
         assert p.g == pytest.approx(25.0 * abs(alpha), rel=1e-12)
 
+    def test_drive_without_pump_frequency_takes_the_red_sideband(self):
+        p = make_params(g=None, g0=25.0, pump_amplitude=4.0 * GAMMA_A)
+        assert p.omega_p == red_sideband_pump_frequency(
+            OMEGA_A, OMEGA_B, GAMMA_A, GAMMA_B, g0=25.0,
+            pump_amplitude=4.0 * GAMMA_A)
+        alpha, _ = steady_state_amplitudes(p)
+        assert p.g == 25.0 * abs(alpha)
+
     def test_consistent_double_specification_allowed(self):
         p0 = make_params(g0=25.0, pump_amplitude=4.0 * GAMMA_A,
                          omega_p=OMEGA_A - OMEGA_B, g=None)

@@ -367,6 +367,17 @@ class TestSvgOutput:
         dashed = [p for p in polys if "stroke-dasharray" in p.attrib]
         assert len(dashed) == 2
 
+    def test_no_finite_point_keeps_a_finite_scale(self, tmp_path):
+        # from the vacuum no renormalized occupation is ever defined
+        cfg = parse_config("state = fock 0 0\nsamples = 20\n")
+        params = cfg.system_params()
+        trajs = [run_engine(e, cfg, params) for e in cfg.engines]
+        assert not np.isfinite(trajs[0].n_a).any()
+        path = tmp_path / "plot.svg"
+        write_svg(trajs, path)
+        assert "nan" not in path.read_text()
+        assert [p.attrib["points"] for p in self._polylines(path)] == [""] * 4
+
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg([], tmp_path / "plot.svg")
@@ -451,8 +462,9 @@ class TestWriterFormat:
             write_svg([traj], path)
             x = times * OMEGA_B
             x_lo, x_hi = float(x.min()), float(x.max())
-            y_lo = min(float(np.nanmin(y)) for y in (traj.n_a, traj.n_b))
-            y_hi = max(float(np.nanmax(y)) for y in (traj.n_a, traj.n_b))
+            finite = [y[np.isfinite(y)] for y in (traj.n_a, traj.n_b)]
+            y_lo = min(float(y.min()) for y in finite)
+            y_hi = max(float(y.max()) for y in finite)
             pad = 0.05 * (y_hi - y_lo)
             y_lo, y_hi = y_lo - pad, y_hi + pad
             plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
@@ -468,6 +480,7 @@ class TestWriterFormat:
         assert got == expected
         for points, y in zip(got, (traj.n_a, traj.n_b)):
             assert len(points.split()) == np.isfinite(y).sum() < len(y)
+        assert "nan" not in path.read_text()
 
 
 class TestAtomicWrite:
@@ -630,6 +643,23 @@ class TestCli:
         assert main(["run", "--scenario", "fig1a", "--out", str(tmp_path),
                      "--truncation", value]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag,value,fragment", [
+        ("--engines", "foo", "unknown engine 'foo'"),
+        ("--engines", "lindblad,lindblad", "duplicate engine"),
+        ("--engines", ",", "engine list is empty"),
+        ("--truncation", "2.5", "malformed integer '2.5'"),
+        ("--truncation", "many", "malformed integer 'many'"),
+    ], ids=["unknown-engine", "duplicate-engine", "no-engine",
+            "fractional-truncation", "word-truncation"])
+    def test_flag_error_names_its_flag(self, tmp_path, capsys, flag, value,
+                                       fragment):
+        assert main(["run", "--scenario", "fig1a", "--out", str(tmp_path),
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}: ") and fragment in err
+        assert "line" not in err
         assert not list(tmp_path.iterdir())
 
     def test_flags_override_config_file(self, tmp_path, monkeypatch):
