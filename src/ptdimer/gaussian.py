@@ -94,10 +94,11 @@ def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
     sol = integrate_adaptive(OdeProblem(
         lambda t, y: generator @ y, np.append(n0.ravel(), scale),
         (0.0, float(samples[-1])), samples, linear=True))
+    vec_n = np.zeros((len(sol.times), 5), dtype=complex)
+    vec_n[:, sol.support] = sol.states
     return ObservableTrajectory(
         "gaussian", params.omega_b, sol.times,
-        **record_from_moments(sol.states[:, :4].reshape(-1, 2, 2)),
-        stats=sol.stats)
+        **record_from_moments(vec_n[:, :4].reshape(-1, 2, 2)), stats=sol.stats)
 
 
 def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray:

@@ -12,11 +12,10 @@ are evolved (``fock.reachable_indices``), and H and the channels are built on
 those indices alone: at zero temperature the jumps only lower the excitation
 number, so a state with at most N0 quanta stays in n_a + n_b <= N0; at T > 0
 the up-jumps reach the whole product truncation. The generator is linear and
-time-invariant, so ``ode.integrate_adaptive`` propagates it exactly: it
-probes this RHS for the matrix of the generator on the density-matrix
-entries the initial state reaches (for |5,0> at zero temperature the 91
-entries of the Delta N = 0 blocks) and steps with its exponential; the full
-superoperator is never formed. States above ``ode.EXACT_MAX_ENTRIES``
+time-invariant, so ``ode.integrate_adaptive`` propagates it exactly on the
+density-matrix entries the initial state reaches (for |5,0> at zero
+temperature the 91 entries of the Delta N = 0 blocks), which are all it
+returns and all the recorders read. States above ``ode.EXACT_MAX_ENTRIES``
 entries, such as most thermal runs, keep the adaptive integrator. At zero
 temperature H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine
 evolves mixed states with the same generator and no jumps.
@@ -33,7 +32,8 @@ import numpy as np
 
 from .fock import FockSpace, QuantumState, beam_splitter_hamiltonian, \
     hamiltonian_moves, mode_annihilator, reachable_indices
-from .observables import ObservableOps, ObservableTrajectory
+from .observables import ObservableOps, ObservableTrajectory, \
+    derivative_residual
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams, thermal_occupation
 
@@ -188,12 +188,13 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
                          atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)
-    rhos = sol.states.reshape(-1, len(keep), len(keep))
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep,
+                        np.divmod(sol.support, len(keep)))
     return ObservableTrajectory(
-        "lindblad", params.omega_b, sol.times, **ops.record_from_density(rhos),
-        stats=sol.stats, warnings=ops.leakage_warnings(sol.times, rhos),
-        snapshots=ops.embed(rhos) if keep_states else None, atol=atol)
+        "lindblad", params.omega_b, sol.times,
+        **ops.record_from_density(sol.states), stats=sol.stats,
+        warnings=ops.leakage_warnings(sol.times, sol.states),
+        snapshots=ops.embed(sol.states) if keep_states else None, atol=atol)
 
 
 def moment_rhs(m, params: SystemParams, temperature: float = 0.0):
@@ -218,27 +219,8 @@ def moment_rhs(m, params: SystemParams, temperature: float = 0.0):
 
 def moment_closure_residual(traj: ObservableTrajectory, params: SystemParams,
                             temperature: float = 0.0) -> float:
-    """Deviation of a trajectory's raw moments from the closed moment system.
-
-    Central finite differences of (x, y, z) against moment_rhs, both measured
-    in time units of the fastest rate max(gamma_a, gamma_b, 2g), so the result
-    is dimensionless. Endpoints are excluded. Needs at least five samples.
-    """
-    if len(traj.times) < 5:
-        raise ValueError("insufficient sampling density for finite differences")
-    scale = max(params.gamma_a, params.gamma_b, 2.0 * params.g)
-    if scale <= 0.0:
-        raise ValueError("all rates vanish; residual scale undefined")
-    tau = traj.times * scale
-    x = traj.n_a_raw
-    y = traj.n_b_raw
-    z = traj.coherence
-    dx = np.gradient(x, tau, edge_order=2)
-    dy = np.gradient(y, tau, edge_order=2)
-    dz = np.gradient(z, tau, edge_order=2)
-    rx, ry, rz = moment_rhs((x, y, z), params, temperature)
-    core = slice(1, -1)
-    res_x = np.abs(dx - rx / scale)[core]
-    res_y = np.abs(dy - ry / scale)[core]
-    res_z = np.abs(dz - rz / scale)[core]
-    return float(max(res_x.max(), res_y.max(), res_z.max()))
+    """Deviation of a trajectory's raw moments (x, y, z) from the closed
+    moment system ``moment_rhs`` (see ``derivative_residual``)."""
+    columns = (traj.n_a_raw, traj.n_b_raw, traj.coherence)
+    return derivative_residual(traj, params, columns,
+                               moment_rhs(columns, params, temperature))

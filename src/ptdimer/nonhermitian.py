@@ -6,13 +6,12 @@ on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
 evaluated by ``lindblad.density_generator`` with no jump channels. Both are
 restricted to the basis indices H_L connects to the initial state, i.e. its
 own excitation-number blocks, and H_L is built on those indices alone. Both
-are linear, so ``ode.integrate_adaptive`` steps them exactly with the
-exponential of H_L on those blocks (the 6 entries of |5,0>'s N = 5 block for
-a pure state). The squared norm / trace decays monotonically and observables
-are reported both raw (unnormalized) and renormalized by the total
-occupation. Trajectories carry the quartic loss moments
-<n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)> that drive the occupation
-ODEs, enabling a finite-difference consistency check.
+are linear, so ``ode.integrate_adaptive`` propagates them exactly on those
+blocks (the 6 entries of |5,0>'s N = 5 block for a pure state). The squared
+norm / trace decays monotonically and observables are reported both raw
+(unnormalized) and renormalized by the total occupation. Trajectories carry
+the quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)>
+that drive the occupation ODEs, enabling a finite-difference check.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ import numpy as np
 from .fock import FockSpace, QuantumState, hamiltonian_moves, lossy_hamiltonian, \
     reachable_indices
 from .lindblad import density_generator
-from .observables import ObservableOps, ObservableTrajectory, renormalized_ratios
+from .observables import ObservableOps, ObservableTrajectory, \
+    derivative_residual, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -62,15 +62,15 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
                          rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep)
-    states = sol.states if pure else sol.states.reshape(-1, len(keep), len(keep))
+    at = (sol.support,) if pure else np.divmod(sol.support, len(keep))
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep, at)
     record = ops.record_from_pure if pure else ops.record_from_nh_density
-    cols = record(states)
+    cols = record(sol.states)
     under = np.flatnonzero(cols["weight"] < _NORM_FLOOR)
     kept = under[0] if under.size else len(sol.times)
     warnings = [f"norm underflow at t={sol.times[kept]:.6e}; trajectory "
                 f"truncated"] if under.size else []
-    states = states[:kept]
+    states = sol.states[:kept]
     warnings += ops.leakage_warnings(sol.times[:kept], states)
     return ObservableTrajectory(
         "nonhermitian", params.omega_b, sol.times[:kept],
@@ -103,26 +103,11 @@ def occupation_ode_residual(traj: ObservableTrajectory,
     dx/dt = +2 g Im<c^dag d> - <n_a(gamma_a n_a + gamma_b n_b)>
     dy/dt = -2 g Im<c^dag d> - <n_b(gamma_a n_a + gamma_b n_b)>
 
-    evaluated by central finite differences in time units of the fastest rate
-    max(gamma_a, gamma_b, 2g); returns the maximum dimensionless residual over
-    interior samples. Needs at least five samples and recorded quartics.
+    against central finite differences (see ``derivative_residual``). Needs
+    recorded quartics.
     """
-    if len(traj.times) < 5:
-        raise ValueError("insufficient sampling density for finite differences")
     if traj.quartic_a is None:
         raise ValueError("trajectory lacks quartic loss moments")
-    scale = max(params.gamma_a, params.gamma_b, 2.0 * params.g)
-    if scale <= 0.0:
-        raise ValueError("all rates vanish; residual scale undefined")
-    tau = traj.times * scale
-    x = traj.n_a_raw
-    y = traj.n_b_raw
-    imz = traj.coherence.imag
-    qa = traj.quartic_a
-    qb = traj.quartic_b
-    dx = np.gradient(x, tau, edge_order=2)
-    dy = np.gradient(y, tau, edge_order=2)
-    rx = (2.0 * params.g * imz - qa) / scale
-    ry = (-2.0 * params.g * imz - qb) / scale
-    core = slice(1, -1)
-    return float(max(np.abs(dx - rx)[core].max(), np.abs(dy - ry)[core].max()))
+    hop = 2.0 * params.g * traj.coherence.imag
+    return derivative_residual(traj, params, (traj.n_a_raw, traj.n_b_raw),
+                               (hop - traj.quartic_a, -hop - traj.quartic_b))

@@ -5,10 +5,10 @@ renormalized occupations divide by the total <N> so that n_a + n_b = 1. A
 trajectory holds one array per observable with one entry per sample: the raw
 moments, the state weight (trace or squared norm) and, for the non-Hermitian
 engine, the quartic loss moments entering the occupation ODEs. The recorders
-turn an engine's whole stack of sampled states into these columns in one
-call; their sanity checks raise FloatingPointError. A trajectory warns where
-the renormalized ratios are undefined (<N> <= 0) or may be made of numerical
-error (0 < <N> < atol).
+turn an engine's whole stack of sampled states, or of the entries it
+evolves, into these columns in one call; their sanity checks raise
+FloatingPointError. A trajectory warns where the renormalized ratios are
+undefined (<N> <= 0) or may be made of numerical error (0 < <N> < atol).
 """
 
 from __future__ import annotations
@@ -78,43 +78,55 @@ def _require_real(imag: np.ndarray, tol: np.ndarray, what: str) -> None:
                                  f"beyond tolerance {tol[i]:.1e}")
 
 
-def _populations(states: np.ndarray) -> np.ndarray:
-    """Diagonal populations (S, d) of a vector (S, d) or density (S, d, d) stack."""
-    if states.ndim == 2:
-        return np.abs(states) ** 2
-    return np.diagonal(states, axis1=1, axis2=2).real
-
-
 class ObservableOps:
     """Expectation data of the joint Fock space, for whole state stacks.
 
     With ``keep`` (sorted basis indices) the recorders take states restricted
-    to those indices, as the engines evolve them.
+    to those indices, as the engines evolve them; with ``at`` (one index array
+    per axis of a state) each sample holds only those entries, the rest 0.
     """
 
     def __init__(self, space: FockSpace, gamma_a: float = 0.0,
-                 gamma_b: float = 0.0, keep=None) -> None:
+                 gamma_b: float = 0.0, keep=None, at=None) -> None:
         self._dim = space.dim
         self._keep = np.arange(space.dim) if keep is None else keep
+        self._at = at
+        self._every = np.arange(len(self._keep))
+        if at is not None:  # position of each entry in a sample, or -1
+            self._where = np.full((len(self._keep),) * len(at), -1)
+            self._where[at] = np.arange(len(at[0]))
         hop = ladder(space, HOP, self._keep)
         # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k], nonzeros row-major
         self._hop_row, self._hop_col = np.nonzero(hop)
         self._hop_data = hop[self._hop_row, self._hop_col]
         diag_a, diag_b = (n[self._keep] for n in space.number_diagonals())
-        self._diag_a = diag_a
-        self._diag_b = diag_b
+        self._diag_a, self._diag_b = diag_a, diag_b
         loss = gamma_a * diag_a + gamma_b * diag_b
         self._quartic_a = diag_a * loss
         self._quartic_b = diag_b * loss
         self._top = ((diag_a == space.dim_a - 1)
                      | (diag_b == space.dim_b - 1)).astype(float)
 
+    def _gather(self, states: np.ndarray, idx: tuple) -> np.ndarray:
+        """Entries ``idx`` (a tuple of index arrays) of every sampled state."""
+        if self._at is None:
+            return states[(slice(None),) + idx]
+        pos = self._where[idx]
+        out = states[:, pos]
+        out[:, pos < 0] = 0.0
+        return out
+
+    def _populations(self, states: np.ndarray) -> np.ndarray:
+        """Diagonal populations (S, k) of a vector or density stack."""
+        if (states.ndim - 1 if self._at is None else len(self._at)) == 1:
+            return np.abs(self._gather(states, (self._every,))) ** 2
+        return self._gather(states, (self._every,) * 2).real
+
     def embed(self, states: np.ndarray) -> np.ndarray:
-        """Full-space copy of a restricted stack (S, k) or (S, k, k), exactly
-        zero outside ``keep``."""
-        axes = states.ndim - 1
-        full = np.zeros((len(states),) + (self._dim,) * axes, dtype=states.dtype)
-        full[(slice(None),) + np.ix_(*[self._keep] * axes)] = states
+        """Full-space stack (S, d) or (S, d, d), exactly zero outside ``at``."""
+        full = np.zeros((len(states),) + (self._dim,) * len(self._at),
+                        dtype=states.dtype)
+        full[(slice(None),) + tuple(self._keep[i] for i in self._at)] = states
         return full
 
     def leakage_warnings(self, times, states) -> list[str]:
@@ -124,7 +136,7 @@ class ObservableOps:
         top Fock level of either mode holds more than 1e-6, naming the largest
         such population and the first time it occurs.
         """
-        leaks = _populations(states) @ self._top
+        leaks = self._populations(states) @ self._top
         if not leaks.size or leaks.max() <= 1e-6:
             return []
         k = int(np.argmax(leaks))
@@ -134,8 +146,8 @@ class ObservableOps:
     # -- stack recorders ---------------------------------------------------
 
     def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns of a Lindblad density stack (S, d, d); no quartics."""
-        diag = np.diagonal(rhos, axis1=1, axis2=2)
+        """Columns of a Lindblad density stack; no quartics."""
+        diag = self._gather(rhos, (self._every,) * 2)
         scale = np.maximum(1.0, np.abs(diag.real).sum(axis=1))
         tol = 1e-10 * scale
         _require_real(diag.imag @ self._diag_a, tol, "<c^dag c>")
@@ -145,22 +157,23 @@ class ObservableOps:
                              diag.real.sum(axis=1), quartics=False)
 
     def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns of a state-vector stack (S, d), with quartics."""
-        pops = _populations(psis)
+        """Columns of a state-vector stack, with quartics."""
+        pops = self._populations(psis)
         weight = pops.sum(axis=1)
-        hop = (psis[:, self._hop_row].conj() * psis[:, self._hop_col]) \
-            @ self._hop_data
+        hop = (self._gather(psis, (self._hop_row,)).conj()
+               * self._gather(psis, (self._hop_col,))) @ self._hop_data
         return self._columns(pops, np.maximum(1.0, weight), hop, weight)
 
     def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns of a non-Hermitian density stack (S, d, d), with quartics."""
-        pops = _populations(rhos)
+        """Columns of a non-Hermitian density stack, with quartics."""
+        pops = self._populations(rhos)
         weight = pops.sum(axis=1)
         return self._columns(pops, np.maximum(1.0, np.abs(weight)),
                              self._hop_mixed(rhos), weight)
 
     def _hop_mixed(self, rhos: np.ndarray) -> np.ndarray:
-        return rhos[:, self._hop_col, self._hop_row] @ self._hop_data
+        return self._gather(rhos, (self._hop_col, self._hop_row)) \
+            @ self._hop_data
 
     def _columns(self, pops, scale, coherence, weight,
                  quartics: bool = True) -> dict[str, np.ndarray]:
@@ -179,6 +192,22 @@ class ObservableOps:
             cols["quartic_a"] = pops @ self._quartic_a
             cols["quartic_b"] = pops @ self._quartic_b
         return cols
+
+
+def derivative_residual(traj: ObservableTrajectory, params, columns,
+                        rates) -> float:
+    """Largest gap over interior samples between the central differences of
+    ``columns`` and their ``rates``, in time units of the fastest rate
+    max(gamma_a, gamma_b, 2g) so that it is dimensionless; needs 5 samples."""
+    if len(traj.times) < 5:
+        raise ValueError("insufficient sampling density for finite differences")
+    scale = max(params.gamma_a, params.gamma_b, 2.0 * params.g)
+    if scale <= 0.0:
+        raise ValueError("all rates vanish; residual scale undefined")
+    tau = traj.times * scale
+    return float(max(np.abs(np.gradient(col, tau, edge_order=2)
+                            - rate / scale)[1:-1].max()
+                     for col, rate in zip(columns, rates)))
 
 
 def record_from_moments(n_mats: np.ndarray) -> dict[str, np.ndarray]:

@@ -3,14 +3,15 @@ adaptive Dormand-Prince 5(4) otherwise.
 
 A problem declared ``linear`` (y' = L y with a constant L) is propagated
 exactly: the support of y0 is closed under the problem's own RHS by applying
-it to unit vectors, L is assembled on that closure, and each sample is one
-matrix-vector product with exp(L dt), or with exp(L dt) - I for a step near
-I (``_exact_step``); the exponential is built again only when the sample
-step changes (scaling and squaring with a Pade-13 approximant, Higham, SIAM
-J. Matrix Anal. Appl. 26, 1179, 2005). A problem whose state has more than
-``EXACT_MAX_ENTRIES`` entries, or that is not linear, takes the adaptive
-path, whose error norm is a scaled RMS over the real and imaginary parts of
-the state and whose steps are clamped onto every sample time.
+it to unit vectors, and L is assembled on that closure. Each run of equal
+sample steps dt takes one exponential of L dt (scaling and squaring with a
+Pade-13 approximant, Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005) and
+fills its samples by doubling: the next k samples are exp(k L dt) applied to
+the last k in one matrix product (``_fill``). The states returned hold the
+closure only. A problem whose state has more than ``EXACT_MAX_ENTRIES``
+entries, or that is not linear, takes the adaptive path, whose error norm is
+a scaled RMS over the real and imaginary parts of the state and whose steps
+are clamped onto every sample time.
 
 Deterministic by construction: no randomness and no threading of our own, so
 identical inputs give bitwise identical trajectories.
@@ -73,9 +74,9 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass
 class IntegratorStats:
-    """How a run was evolved. On the exact path ``steps`` counts propagator
-    applications and ``rhs_evaluations`` the probes that assembled L;
-    ``dimension`` is the number of evolved entries."""
+    """How a run was evolved. On the exact path ``steps`` counts the samples
+    advanced, ``exponentials`` the Pade builds and ``rhs_evaluations`` the
+    probes that assembled L; ``dimension`` is the number of evolved entries."""
 
     steps: int = 0
     rejected: int = 0
@@ -104,10 +105,12 @@ class OdeProblem:
 
 @dataclass
 class Trajectory:
-    """Integrator output: states has one row per requested sample time."""
+    """Integrator output: one row per requested sample time of the entries
+    ``support`` of y (every entry on the adaptive path); the rest stay 0."""
 
     times: np.ndarray
     states: np.ndarray
+    support: np.ndarray
     stats: IntegratorStats = field(default_factory=IntegratorStats)
 
 
@@ -222,28 +225,35 @@ def expm_minus_identity(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _exact_step(a: np.ndarray):
-    """The map y -> exp(a) y, in the form that keeps y's relative precision.
-
-    Near I (as for a catalog grid's small steps) it adds (exp(a) - I) y, so
-    the rounding of thousands of steps does not build up in exp(a): with
-    |a| <= 0.4, |exp(a) - I| <= e^0.4 - 1 < 1/2 and the sum is at least
-    |y|/2, so the addition costs at most a bit. A longer step, such as a
-    strong decay, multiplies by exp(a).
-    """
-    if np.abs(a).sum(axis=0).max() <= 0.4:
-        q = expm_minus_identity(a)
-        return lambda y: y + q @ y
-    p = expm(a)
-    return lambda y: p @ y
+def _fill(a: np.ndarray, rows: np.ndarray) -> None:
+    """Rows j = 1, 2, ... of ``rows`` become exp(a)^j rows[0], by doubling:
+    the next k rows are exp(ka) applied to the last k in one product, and
+    exp(2ka) is one squaring of exp(ka). Near I the power is kept as
+    q = exp(ka) - I, squared as (I + q)^2 - I, so a short step's rounding
+    does not build up in it; with |q| <= 0.4, row + q row is at least |row|/2
+    and costs at most a bit. Past that, as for a strong decay, where it would
+    cancel, the power is exp(ka) itself. A squaring costs m^3 for m entries
+    and halves the products left, m^2 each: it is taken while m are left."""
+    near = np.abs(a).sum(axis=0).max() <= 0.4
+    p = expm_minus_identity(a) if near else expm(a)
+    span, done, total = 1, 1, len(rows)
+    while done < total:
+        if span < done and span * len(a) <= total - done:
+            p, span = (p @ p + 2.0 * p if near else p @ p), 2 * span
+            if near and np.abs(p).sum(axis=0).max() > 0.4:
+                p, near = p + np.eye(len(p)), False
+        count = min(span, total - done)
+        src = rows[done - span:done - span + count]
+        rows[done:done + count] = src @ p.T + src if near else src @ p.T
+        done += count
 
 
 def _closed_generator(rhs, t0: float, y0: np.ndarray, stats: IntegratorStats):
     """Support of y0 closed under a linear rhs, and rhs's matrix on it.
 
-    Each probe applies rhs to one unit vector, giving one column of L; only
-    the column's nonzero entries are kept. Probing stops when no column
-    reaches a new index, so L maps the closure into itself.
+    Each probe applies rhs to one unit vector, giving one column of L.
+    Probing stops when no column reaches a new index, so L maps the closure
+    into itself.
     """
     reached = y0 != 0
     frontier = np.flatnonzero(reached)
@@ -253,52 +263,45 @@ def _closed_generator(rhs, t0: float, y0: np.ndarray, stats: IntegratorStats):
         new = np.zeros_like(reached)
         for j in frontier:
             unit[j] = 1.0
-            col = rhs(t0, unit)
-            rows = np.flatnonzero(col)
-            columns[j] = (rows, col[rows])
+            columns[j] = col = np.array(rhs(t0, unit))
             unit[j] = 0.0
-            new[rows] = True
+            new |= col != 0
             stats.rhs_evaluations += 1
         frontier = np.flatnonzero(new & ~reached)
         reached |= new
     support = np.flatnonzero(reached)
-    generator = np.zeros((support.size, support.size), dtype=complex)
-    for col, j in enumerate(support):
-        rows, values = columns[j]
-        generator[np.searchsorted(support, rows), col] = values
-    return support, generator
+    return support, np.stack([columns[j][support] for j in support], axis=1)
 
 
 def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
                y: np.ndarray) -> Trajectory:
-    """Exact samples of y' = L y: one step y -> exp(L dt) y per sample, with
-    a new exponential only where the step changes by more than
-    ``_SAME_STEP_RTOL`` (a grid that returns to an earlier step rebuilds it)."""
+    """Exact samples of y' = L y on the closure of y's support. Each run of
+    sample steps within ``_SAME_STEP_RTOL`` of its first step h takes one
+    exponential of L h and fills its rows by doubling (``_fill``)."""
     stats = IntegratorStats()
     support, generator = _closed_generator(problem.rhs, t0, y, stats)
     stats.dimension = support.size
     steps = np.diff(samples, prepend=t0)
-    # the first exponential is built before the state stack, whose memory
-    # its work arrays would otherwise add to (0.31 MB at 91 entries)
-    h_step = next((h for h in steps if h > 0.0), 0.0)
-    if h_step:
-        step, stats.exponentials = _exact_step(generator * h_step), 1
-    states = np.zeros((samples.size, y.size), dtype=complex)
-    x = y[support]
+    # row 0 holds y and row r + 1 the sample r; only a first sample at t0
+    # has no step, and keeps y
+    rows = np.empty((samples.size + 1, support.size), dtype=complex)
+    rows[:2] = y[support]
+    start = int(steps[0] == 0.0)
+    stats.steps = samples.size - start
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for row, h in enumerate(steps):
-            if h > 0.0:
-                if abs(h - h_step) > _SAME_STEP_RTOL * h_step:
-                    h_step, step = h, _exact_step(generator * h)
-                    stats.exponentials += 1
-                x = step(x)
-                stats.steps += 1
-            states[row].put(support, x)
+        while start < samples.size:
+            h = steps[start]
+            end = start + np.append(
+                np.abs(steps[start:] - h) > _SAME_STEP_RTOL * h, True).argmax()
+            _fill(generator * h, rows[start:end + 1])
+            stats.exponentials += 1
+            start = end
+    states = rows[1:]
     bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
     if bad.size:
         reached = samples[bad[0] - 1] if bad[0] else t0
         raise IntegrationFailure("non-finite state", reached)
-    return Trajectory(times=samples.copy(), states=states, stats=stats)
+    return Trajectory(samples.copy(), states, support, stats)
 
 
 def integrate_adaptive(problem: OdeProblem) -> Trajectory:
@@ -321,6 +324,8 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
     samples = np.asarray(problem.sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("sample_times must be a nonempty 1-D array")
+    if not np.isfinite(samples).all():
+        raise ValueError("sample_times must be finite")
     if np.any(np.diff(samples) <= 0):
         raise ValueError("sample_times must be strictly increasing")
     if samples[0] < t0 or samples[-1] > t1:
@@ -374,7 +379,7 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
         states[idx] = y
         idx += 1
 
-    return Trajectory(times=samples.copy(), states=states, stats=stats)
+    return Trajectory(samples.copy(), states, np.arange(y.size), stats)
 
 
 def integrate_fixed(rhs, y0: np.ndarray, t0: float, t1: float,

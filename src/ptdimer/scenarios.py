@@ -272,8 +272,6 @@ def _parse_lines(text: str) -> dict[str, object]:
 
 
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    if not cfg.engines:
-        raise ConfigError("engine set is empty")
     if cfg.g is not None and cfg.g_over_omega_b is not None:
         raise ConfigError("give either g or g_over_omega_b, not both")
     if cfg.gamma_a <= 0:

@@ -27,6 +27,7 @@ from ptdimer import (
     truncation_dim,
 )
 from ptdimer.observables import ObservableOps
+from ptdimer.scenarios import catalog_config
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
     random_density
 
@@ -355,6 +356,44 @@ class TestExactPropagation:
         amp = np.array([expm(-1j * h_l * t)[:, 0] for t in times])
         assert np.abs(traj.n_a_raw - np.abs(amp[:, 0]) ** 2).max() < 1e-14
         assert np.abs(traj.n_b_raw - np.abs(amp[:, 1]) ** 2).max() < 1e-14
+
+    @engines
+    def test_long_horizon_keeps_relative_precision(self, evolve):
+        # fig1a to t = 200/gamma_a, where <N> falls to 2.6e-44: a power of the
+        # step kept as exp(kL dt) - I once it is far from I cancels in
+        # row + q row (4.5e-10 here), while exp(kL dt) itself holds
+        cfg = catalog_config("fig1a")
+        p = cfg.system_params()
+        space = FockSpace(*cfg.mode_dims())
+        times = np.linspace(0.0, 200.0 / p.gamma_a, 2000)
+        traj = evolve(fock_product_state(1, 0, space), p, space, times)
+        h_l = np.array([[-0.5j * p.gamma_a, p.g], [p.g, -0.5j * p.gamma_b]])
+        amp = np.array([expm(-1j * h_l * t)[:, 0] for t in times])
+        total = np.abs(amp[:, 0]) ** 2 + np.abs(amp[:, 1]) ** 2
+        assert total[-1] < 1e-43
+        for got, want in ((traj.n_a_raw, np.abs(amp[:, 0]) ** 2),
+                          (traj.n_b_raw, np.abs(amp[:, 1]) ** 2),
+                          (traj.coherence, amp[:, 0].conj() * amp[:, 1])):
+            assert np.max(np.abs(got - want) / total) < 1e-12
+
+    def test_snapshots_are_zero_off_the_evolved_entries(self):
+        # both engines evolve only the entries between equal excitation
+        # numbers; every other entry, inside the kept basis too, stays 0
+        n_a, n_b = self.space.number_diagonals()
+        n = n_a + n_b
+        mixed = np.zeros((self.space.dim, self.space.dim), dtype=complex)
+        for level, weight in ((1, 0.25), (2, 0.75)):
+            idx = np.flatnonzero((n_a == level) & (n_b == 0))
+            mixed[idx, idx] = weight
+        for evolve, state in ((evolve_density,
+                               fock_product_state(3, 2, self.space)),
+                              (evolve_nonhermitian, mixed)):
+            traj = evolve(state, make_params(), self.space,
+                          np.linspace(0.0, 0.3 / GAMMA_A, 20), keep_states=True)
+            off = n[:, None] != n[None, :]
+            assert traj.snapshots.shape == (20, 49, 49)
+            assert np.all(traj.snapshots[:, off] == 0.0)
+            assert np.abs(traj.snapshots[-1][~off]).max() > 0.0
 
     @engines
     def test_bitwise_deterministic(self, evolve):

@@ -163,6 +163,16 @@ class TestAdaptive:
         with pytest.raises(ValueError, match="rtol and atol"):
             integrate_adaptive(prob)
 
+    @pytest.mark.parametrize("linear", [False, True], ids=["adaptive", "exact"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_times_rejected(self, linear, bad):
+        # np.diff(samples) <= 0 is False for nan: [0.5, nan, 1.0] passed, and
+        # the exact path wrote exp(-0.5) in the t = 1.0 row
+        prob = OdeProblem(_decay, np.array([1.0 + 0j]), (0.0, 1.0),
+                          np.array([0.5, bad, 1.0]), linear=linear)
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adaptive(prob)
+
     def test_blowup_raises_with_position(self):
         # y' = y^2 from y(0)=1 diverges at t=1
         prob = OdeProblem(lambda t, y: y * y, np.array([1.0 + 0j]),
@@ -310,6 +320,34 @@ class TestExactPath:
         assert traj.stats.rhs_evaluations == len(calls) == 2
         assert np.all(traj.states[:, 2:] == 0.0)
         assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [6, 60])
+    @pytest.mark.parametrize("samples", [37, 1000])
+    def test_runs_that_are_not_powers_of_two(self, n, samples):
+        # doubling fills 1, 2, 4, ... rows and a partial last block; at 60
+        # entries and 37 samples it takes no squaring at all
+        a = _rotation_decay(n, 9)
+        y0 = np.linspace(1.0, 2.0, n) + 0.5j
+        times = np.linspace(0.0, 4.0, samples)
+        traj = integrate_adaptive(self._problem(a, y0, times))
+        q = expm_minus_identity(a * (times[1] - times[0]))
+        ref = [y0]
+        for _ in times[1:]:
+            ref.append(ref[-1] + q @ ref[-1])
+        ref = np.array(ref)
+        assert np.abs(traj.states - ref).max() < 1e-12 * np.abs(ref).max()
+        assert (traj.stats.steps, traj.stats.exponentials) == (samples - 1, 1)
+
+    def test_states_hold_the_closure_only(self):
+        a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
+        a[2, 0] = 0.5
+        y0 = np.array([1.0, 0, 0, 0], dtype=complex)
+        traj = integrate_adaptive(self._problem(a, y0, np.linspace(0, 1, 9)))
+        assert traj.states.shape == (9, traj.stats.dimension) == (9, 2)
+        assert np.array_equal(traj.support, [0, 2])
+        exact = np.array([scipy_expm(a * t) @ y0 for t in traj.times])
+        assert np.abs(exact[:, [1, 3]]).max() == 0.0
+        assert np.abs(traj.states - exact[:, [0, 2]]).max() < 1e-15
 
     def test_state_above_bound_takes_adaptive_path(self):
         y0 = np.zeros(EXACT_MAX_ENTRIES + 1, dtype=complex)
