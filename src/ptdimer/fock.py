@@ -2,13 +2,11 @@
 
 Joint basis ordering is mode-a major: |n_a, n_b> sits at index n_a*dim_b + n_b.
 Every operator of the model is one ladder move with its sqrt(n) factors (c,
-c^dag, d, d^dag, the hop c^dag d) or the diagonal A^dag A of one. ``ladder``
-writes either as a dense complex array directly on a sorted set of basis
-indices, the form every engine evolves: no operator is formed on the product
-space and then sliced, and no superoperator is ever built. The engines evolve
-only the indices a state can reach under the model's moves
-(``reachable_indices``): the beam splitter conserves the excitation number and
-zero-temperature losses lower it.
+c^dag, d, d^dag, the hop c^dag d) or the diagonal A^dag A of one. ``_move``
+applies a move to every basis index by index arithmetic; the engines build
+their generator from it, entry by entry (``lindblad.liouville_block``), and
+``ladder`` writes a move as a dense matrix on the product space for tests and
+direct callers.
 """
 
 from __future__ import annotations
@@ -122,14 +120,11 @@ class QuantumState:
             return float(np.vdot(self.data, self.data).real)
         return float(np.trace(self.data).real)
 
-    def density(self, keep=None) -> np.ndarray:
-        """Dense density matrix (outer product for pure states) on the basis
-        indices ``keep`` (default: all)."""
-        keep = np.arange(self.space.dim) if keep is None else keep
+    def density(self) -> np.ndarray:
+        """Dense density matrix (outer product for pure states)."""
         if self.is_pure:
-            vec = self.data[keep]
-            return np.outer(vec, vec.conj())
-        return self.data[np.ix_(keep, keep)]
+            return np.outer(self.data, self.data.conj())
+        return self.data
 
 
 # ladder moves (change of n_a, change of n_b)
@@ -137,12 +132,13 @@ _LOWER = {"a": (-1, 0), "b": (0, -1)}
 HOP = (1, -1)  # c^dag d
 
 
-def _move(space: FockSpace, idx: np.ndarray, move: tuple[int, int]):
+def _move(space: FockSpace, move: tuple[int, int]):
     """Targets, sqrt(n) factors and in-truncation mask of ``move`` applied to
-    the basis indices ``idx``."""
+    every basis index."""
+    idx = np.arange(space.dim)
     n_a, n_b = np.divmod(idx, space.dim_b)
-    factor = np.ones(len(idx))
-    inside = np.ones(len(idx), dtype=bool)
+    factor = np.ones(space.dim)
+    inside = np.ones(space.dim, dtype=bool)
     for n, step, dim in ((n_a, move[0], space.dim_a), (n_b, move[1], space.dim_b)):
         if step:
             factor = factor * np.sqrt(np.maximum(n, n + step))
@@ -150,57 +146,24 @@ def _move(space: FockSpace, idx: np.ndarray, move: tuple[int, int]):
     return idx + move[0] * space.dim_b + move[1], factor, inside
 
 
-def ladder(space: FockSpace, move: tuple[int, int], keep=None, *,
+def ladder(space: FockSpace, move: tuple[int, int], *,
            squared: bool = False) -> np.ndarray:
-    """Dense matrix of one ladder move on the sorted basis indices ``keep``.
+    """Dense matrix of one ladder move on the product space.
 
     ``move = (da, db)``, each step -1, 0 or +1, maps |n_a, n_b> to
     |n_a + da, n_b + db> with a factor sqrt(n) for each lowered mode and
     sqrt(n + 1) for each raised one: (-1, 0) is c, (0, 1) is d^dag and
     (1, -1) is c^dag d. Moves out of the truncation give zero. With
-    ``squared`` the diagonal A^dag A of the move is returned instead. Entries
-    are written by index arithmetic, so the build on ``keep`` (default: every
-    index) equals the full build sliced with ``np.ix_(keep, keep)``.
+    ``squared`` the diagonal A^dag A of the move is returned instead.
     """
-    idx = np.arange(space.dim) if keep is None else np.asarray(keep)
-    target, factor, inside = _move(space, idx, move)
-    out = np.zeros((len(idx), len(idx)), dtype=complex)
+    target, factor, inside = _move(space, move)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
     if squared:
         np.fill_diagonal(out, np.where(inside, factor * factor, 0.0))
-        return out
-    row = np.minimum(np.searchsorted(idx, target), len(idx) - 1)
-    col = np.flatnonzero(inside & (idx[row] == target))
-    out[row[col], col] = factor[col]
+    else:
+        source = np.flatnonzero(inside)
+        out[target[source], source] = factor[source]
     return out
-
-
-def hamiltonian_moves(g: float) -> list[tuple[int, int]]:
-    """Ladder moves of the beam splitter: the hop pair c^dag d, c d^dag when
-    g != 0 (its number terms are diagonal)."""
-    return [HOP, (-1, 1)] if g != 0 else []
-
-
-def reachable_indices(state: QuantumState, moves: list[tuple[int, int]]) -> np.ndarray:
-    """Sorted basis indices reachable from the support of ``state``.
-
-    The closure starts from every index on which the state (a vector, or a
-    density matrix by row or column) is nonzero and applies the ladder
-    ``moves`` (see ``ladder``) until no new index inside the truncation
-    appears.
-    """
-    space = state.space
-    reached = state.data != 0
-    if not state.is_pure:
-        reached = reached.any(axis=0) | reached.any(axis=1)
-    frontier = np.flatnonzero(reached)
-    while frontier.size:
-        new = np.zeros_like(reached)
-        for move in moves:
-            target, _, inside = _move(space, frontier, move)
-            new[target[inside]] = True
-        frontier = np.flatnonzero(new & ~reached)
-        reached[frontier] = True
-    return np.flatnonzero(reached)
 
 
 def _lowering(mode: str) -> tuple[int, int]:
@@ -209,42 +172,40 @@ def _lowering(mode: str) -> tuple[int, int]:
     return _LOWER[mode]
 
 
-def mode_annihilator(mode: str, space: FockSpace, keep=None) -> np.ndarray:
-    """c (mode "a") or d (mode "b") on the basis indices ``keep``."""
-    return ladder(space, _lowering(mode), keep)
+def mode_annihilator(mode: str, space: FockSpace) -> np.ndarray:
+    """c (mode "a") or d (mode "b")."""
+    return ladder(space, _lowering(mode))
 
 
-def mode_number(mode: str, space: FockSpace, keep=None) -> np.ndarray:
-    """n_a or n_b on the basis indices ``keep``; entries sqrt(n)*sqrt(n)."""
-    return ladder(space, _lowering(mode), keep, squared=True)
+def mode_number(mode: str, space: FockSpace) -> np.ndarray:
+    """n_a or n_b; entries sqrt(n)*sqrt(n)."""
+    return ladder(space, _lowering(mode), squared=True)
 
 
-def beam_splitter_hamiltonian(omega_b: float, g: float, space: FockSpace,
-                              keep=None) -> np.ndarray:
+def beam_splitter_hamiltonian(omega_b: float, g: float,
+                              space: FockSpace) -> np.ndarray:
     """H = omega_b*(n_a + n_b) + g*(c^dag d + c d^dag), energy in rad/s units.
 
     Passing omega_b = 0 gives the interaction-picture Hamiltonian. The hopping
     term conserves total excitation number exactly, also on the truncated
-    space. Built on the basis indices ``keep`` (default: all).
+    space.
     """
-    hop = ladder(space, HOP, keep)
-    return omega_b * (mode_number("a", space, keep)
-                      + mode_number("b", space, keep)) \
+    hop = ladder(space, HOP)
+    return omega_b * (mode_number("a", space) + mode_number("b", space)) \
         + g * (hop + hop.conj().T)
 
 
 def lossy_hamiltonian(params: SystemParams, space: FockSpace,
-                      omega_b: float | None = None, keep=None) -> np.ndarray:
+                      omega_b: float | None = None) -> np.ndarray:
     """Non-Hermitian H_L = H - i(gamma_a n_a + gamma_b n_b)/2.
 
     ``omega_b`` overrides the mode frequency (0 for the interaction picture);
-    by default it is taken from ``params``. Built on the basis indices
-    ``keep`` (default: all).
+    by default it is taken from ``params``.
     """
     omega = params.omega_b if omega_b is None else omega_b
-    h = beam_splitter_hamiltonian(omega, params.g, space, keep)
-    loss = params.gamma_a * mode_number("a", space, keep) \
-        + params.gamma_b * mode_number("b", space, keep)
+    h = beam_splitter_hamiltonian(omega, params.g, space)
+    loss = params.gamma_a * mode_number("a", space) \
+        + params.gamma_b * mode_number("b", space)
     return h - 0.5j * loss
 
 

@@ -94,11 +94,15 @@ def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
     sol = integrate_adaptive(OdeProblem(
         lambda t, y: generator @ y, np.append(n0.ravel(), scale),
         (0.0, float(samples[-1])), samples, linear=True))
-    vec_n = np.zeros((len(sol.times), 5), dtype=complex)
-    vec_n[:, sol.support] = sol.states
+    # N00, N01 and N11 are entries 0, 1 and 3 of y; one the flow does not
+    # reach (N01 at g = 0) stays 0
+    evolved = dict(zip(sol.support.tolist(), sol.states.T))
+    n00, n01, n11 = (evolved[k] if k in evolved
+                     else np.zeros(len(sol.times), dtype=complex)
+                     for k in (0, 1, 3))
     return ObservableTrajectory(
         "gaussian", params.omega_b, sol.times,
-        **record_from_moments(vec_n[:, :4].reshape(-1, 2, 2)), stats=sol.stats)
+        **record_from_moments(n00, n01, n11), stats=sol.stats)
 
 
 def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray:

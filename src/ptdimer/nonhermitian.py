@@ -2,12 +2,12 @@
 
 This is the no-jump half of the Lindblad generator: H_L is the H_eff of the
 zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
-on a dense H_L; mixed states follow d rho/dt = -i(H_L rho - rho H_L^dag),
-evaluated by ``lindblad.density_generator`` with no jump channels. Both are
-restricted to the basis indices H_L connects to the initial state, i.e. its
-own excitation-number blocks, and H_L is built on those indices alone. Both
-are linear, so ``ode.integrate_adaptive`` propagates them exactly on those
-blocks (the 6 entries of |5,0>'s N = 5 block for a pure state). The squared
+and mixed states d rho/dt = -i(H_L rho - rho H_L^dag), both written by
+``lindblad.liouville_block`` with the zero-temperature channels and no jump
+terms, on the entries H_L connects to the initial state, i.e. its own
+excitation-number blocks. Both are linear, so ``ode.integrate_adaptive``
+propagates them exactly on those entries (the 6 of |5,0>'s N = 5 block for a
+pure state). The squared
 norm / trace decays monotonically and observables are reported both raw
 (unnormalized) and renormalized by the total occupation. Trajectories carry
 the quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)>
@@ -16,11 +16,14 @@ that drive the occupation ODEs, enabling a finite-difference check.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .fock import FockSpace, QuantumState, hamiltonian_moves, lossy_hamiltonian, \
-    reachable_indices
-from .lindblad import density_generator
+# lossy_hamiltonian is unused here but stays importable: perfbench/tracing.py
+# times it as a site of this module
+from .fock import FockSpace, QuantumState, lossy_hamiltonian  # noqa: F401
+from .lindblad import liouville_block, thermal_channels
 from .observables import ObservableOps, ObservableTrajectory, \
     derivative_residual, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
@@ -43,28 +46,20 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
     """
     if not isinstance(state0, QuantumState):
         state0 = QuantumState(space, state0)
-    omega = 0.0 if interaction_picture else None
-    keep = reachable_indices(state0, hamiltonian_moves(params.g))
-    h_lossy = lossy_hamiltonian(params, space, omega_b=omega, keep=keep)
-    pure = state0.is_pure
-    if pure:
-        k = -1j * h_lossy
-        y0 = state0.data[keep]
-
-        def rhs(t, psi):
-            return k @ psi
-    else:
-        y0 = state0.density(keep).ravel()
-        rhs = density_generator(h_lossy)
+    omega = 0.0 if interaction_picture else params.omega_b
+    entries, y0, rhs = liouville_block(
+        state0, omega, params.g,
+        thermal_channels(replace(params, temperature=0.0)), jumps=False)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,
                          rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    at = (sol.support,) if pure else np.divmod(sol.support, len(keep))
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b, keep, at)
-    record = ops.record_from_pure if pure else ops.record_from_nh_density
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b,
+                        tuple(e[sol.support] for e in entries))
+    record = ops.record_from_pure if state0.is_pure \
+        else ops.record_from_nh_density
     cols = record(sol.states)
     under = np.flatnonzero(cols["weight"] < _NORM_FLOOR)
     kept = under[0] if under.size else len(sol.times)

@@ -19,7 +19,7 @@ import numpy as np
 
 # mode_annihilator is unused here but stays importable: perfbench/tracing.py
 # times it as a site of this module
-from .fock import HOP, FockSpace, ladder, mode_annihilator  # noqa: F401
+from .fock import HOP, FockSpace, _move, mode_annihilator  # noqa: F401
 from .ode import IntegratorStats
 
 
@@ -81,52 +81,64 @@ def _require_real(imag: np.ndarray, tol: np.ndarray, what: str) -> None:
 class ObservableOps:
     """Expectation data of the joint Fock space, for whole state stacks.
 
-    With ``keep`` (sorted basis indices) the recorders take states restricted
-    to those indices, as the engines evolve them; with ``at`` (one index array
-    per axis of a state) each sample holds only those entries, the rest 0.
+    ``entries`` names the entries each sample of a stack holds, as the
+    engines evolve them: one full-space index array per axis of the state,
+    (i,) for vectors or (row, col) for density matrices. Entries left out are
+    0. Without ``entries`` each sample is a whole state, (d,) or (d, d).
     """
 
     def __init__(self, space: FockSpace, gamma_a: float = 0.0,
-                 gamma_b: float = 0.0, keep=None, at=None) -> None:
-        self._dim = space.dim
-        self._keep = np.arange(space.dim) if keep is None else keep
-        self._at = at
-        self._every = np.arange(len(self._keep))
-        if at is not None:  # position of each entry in a sample, or -1
-            self._where = np.full((len(self._keep),) * len(at), -1)
-            self._where[at] = np.arange(len(at[0]))
-        hop = ladder(space, HOP, self._keep)
-        # tr(c^dag d rho) = sum_k data_k rho[col_k, row_k], nonzeros row-major
-        self._hop_row, self._hop_col = np.nonzero(hop)
-        self._hop_data = hop[self._hop_row, self._hop_col]
-        diag_a, diag_b = (n[self._keep] for n in space.number_diagonals())
+                 gamma_b: float = 0.0, entries=None) -> None:
+        self._space = space
+        self._gammas = (gamma_a, gamma_b)
+        self._entries = entries
+        if entries is not None:
+            self._index(entries)
+
+    def _index(self, entries) -> None:
+        """Positions of the diagonal entries with their number data, and of
+        the hop pairs with their sqrt(n) factors, ordered by hop target."""
+        space = self._space
+        first = entries[0]
+        # the hop target n + (1, -1) grows with n, so sources in entry order
+        # are also in target order
+        target, factor, inside = (a[first] for a in _move(space, HOP))
+        if len(entries) == 1:
+            self._diag = np.arange(first.size)
+            at = np.minimum(np.searchsorted(first, target), first.size - 1)
+            source = np.flatnonzero(inside & (first[at] == target))
+            # <c^dag d> = sum conj(psi[target]) psi[source] factor
+            self._hop = (at[source], source)
+        else:
+            self._diag = np.flatnonzero(first == entries[1])
+            source = np.flatnonzero(inside & (entries[1] == target))
+            # <c^dag d> = sum rho[source, target] factor
+            self._hop = (source,)
+        self._hop_data = factor[source].astype(complex)
+        basis = first[self._diag]
+        diag_a, diag_b = (n[basis] for n in space.number_diagonals())
         self._diag_a, self._diag_b = diag_a, diag_b
-        loss = gamma_a * diag_a + gamma_b * diag_b
+        loss = self._gammas[0] * diag_a + self._gammas[1] * diag_b
         self._quartic_a = diag_a * loss
         self._quartic_b = diag_b * loss
         self._top = ((diag_a == space.dim_a - 1)
                      | (diag_b == space.dim_b - 1)).astype(float)
 
-    def _gather(self, states: np.ndarray, idx: tuple) -> np.ndarray:
-        """Entries ``idx`` (a tuple of index arrays) of every sampled state."""
-        if self._at is None:
-            return states[(slice(None),) + idx]
-        pos = self._where[idx]
-        out = states[:, pos]
-        out[:, pos < 0] = 0.0
-        return out
-
-    def _populations(self, states: np.ndarray) -> np.ndarray:
-        """Diagonal populations (S, k) of a vector or density stack."""
-        if (states.ndim - 1 if self._at is None else len(self._at)) == 1:
-            return np.abs(self._gather(states, (self._every,))) ** 2
-        return self._gather(states, (self._every,) * 2).real
+    def _flat(self, states: np.ndarray, axes: int) -> np.ndarray:
+        """(S, n) stack of the entries; whole states are flattened."""
+        if self._entries is not None:
+            return states
+        dim = self._space.dim
+        every = np.arange(dim**axes)
+        self._index((every,) if axes == 1 else np.divmod(every, dim))
+        return states.reshape(len(states), -1)
 
     def embed(self, states: np.ndarray) -> np.ndarray:
-        """Full-space stack (S, d) or (S, d, d), exactly zero outside ``at``."""
-        full = np.zeros((len(states),) + (self._dim,) * len(self._at),
-                        dtype=states.dtype)
-        full[(slice(None),) + tuple(self._keep[i] for i in self._at)] = states
+        """Full-space stack (S, d) or (S, d, d), exactly zero outside the
+        entries."""
+        shape = (len(states),) + (self._space.dim,) * len(self._entries)
+        full = np.zeros(shape, dtype=states.dtype)
+        full[(slice(None),) + tuple(self._entries)] = states
         return full
 
     def leakage_warnings(self, times, states) -> list[str]:
@@ -136,7 +148,9 @@ class ObservableOps:
         top Fock level of either mode holds more than 1e-6, naming the largest
         such population and the first time it occurs.
         """
-        leaks = self._populations(states) @ self._top
+        diag = states[:, self._diag]
+        pops = np.abs(diag) ** 2 if len(self._entries) == 1 else diag.real
+        leaks = pops @ self._top
         if not leaks.size or leaks.max() <= 1e-6:
             return []
         k = int(np.argmax(leaks))
@@ -147,33 +161,33 @@ class ObservableOps:
 
     def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a Lindblad density stack; no quartics."""
-        diag = self._gather(rhos, (self._every,) * 2)
+        rhos = self._flat(rhos, 2)
+        diag = rhos[:, self._diag]
         scale = np.maximum(1.0, np.abs(diag.real).sum(axis=1))
         tol = 1e-10 * scale
         _require_real(diag.imag @ self._diag_a, tol, "<c^dag c>")
         _require_real(diag.imag @ self._diag_b, tol, "<d^dag d>")
         _require_real(diag.imag.sum(axis=1), tol, "trace")
-        return self._columns(diag.real, scale, self._hop_mixed(rhos),
-                             diag.real.sum(axis=1), quartics=False)
+        return self._columns(diag.real, scale, rhos[:, self._hop[0]]
+                             @ self._hop_data, diag.real.sum(axis=1),
+                             quartics=False)
 
     def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a state-vector stack, with quartics."""
-        pops = self._populations(psis)
+        psis = self._flat(psis, 1)
+        pops = np.abs(psis[:, self._diag]) ** 2
         weight = pops.sum(axis=1)
-        hop = (self._gather(psis, (self._hop_row,)).conj()
-               * self._gather(psis, (self._hop_col,))) @ self._hop_data
+        target, source = self._hop
+        hop = (psis[:, target].conj() * psis[:, source]) @ self._hop_data
         return self._columns(pops, np.maximum(1.0, weight), hop, weight)
 
     def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a non-Hermitian density stack, with quartics."""
-        pops = self._populations(rhos)
+        rhos = self._flat(rhos, 2)
+        pops = rhos[:, self._diag].real
         weight = pops.sum(axis=1)
         return self._columns(pops, np.maximum(1.0, np.abs(weight)),
-                             self._hop_mixed(rhos), weight)
-
-    def _hop_mixed(self, rhos: np.ndarray) -> np.ndarray:
-        return self._gather(rhos, (self._hop_col, self._hop_row)) \
-            @ self._hop_data
+                             rhos[:, self._hop[0]] @ self._hop_data, weight)
 
     def _columns(self, pops, scale, coherence, weight,
                  quartics: bool = True) -> dict[str, np.ndarray]:
@@ -210,11 +224,13 @@ def derivative_residual(traj: ObservableTrajectory, params, columns,
                      for col, rate in zip(columns, rates)))
 
 
-def record_from_moments(n_mats: np.ndarray) -> dict[str, np.ndarray]:
-    """Columns of a stack (S, 2, 2) of second moments N_jk = <v_j^dag v_k>."""
-    x = n_mats[:, 0, 0].real
-    y = n_mats[:, 1, 1].real
+def record_from_moments(n00: np.ndarray, n01: np.ndarray,
+                        n11: np.ndarray) -> dict[str, np.ndarray]:
+    """Columns of the second moments N_jk = <v_j^dag v_k>, given as the
+    sampled entries N00, N01 and N11."""
+    x = n00.real
+    y = n11.real
     if np.any(np.minimum(x, y) < -1e-10 * np.maximum(1.0, x + y)):
         raise FloatingPointError("moment diagonal negative beyond tolerance")
-    return {"n_a_raw": x, "n_b_raw": y, "coherence": n_mats[:, 0, 1],
+    return {"n_a_raw": x, "n_b_raw": y, "coherence": n01,
             "weight": np.ones(len(x))}

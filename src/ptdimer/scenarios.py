@@ -496,8 +496,6 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 50
 
 
 def _svg_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return list(np.linspace(lo, hi, n))
 
 
@@ -516,6 +514,8 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
     series = [_plot_series(t) for t in trajs]
     x_lo = min(float(x.min()) for x in xs)
     x_hi = max(float(x.max()) for x in xs)
+    if x_hi <= x_lo:  # every trajectory holds one sample
+        x_hi = x_lo + 1.0
     finite = np.concatenate([y[np.isfinite(y)] for s in series for y in s])
     y_lo, y_hi = (finite.min(), finite.max()) if finite.size else (0.0, 0.0)
     if y_hi <= y_lo:

@@ -9,26 +9,23 @@ from ptdimer import (
     beam_splitter_hamiltonian,
     dimer_mode_eigenvalues,
     fock_product_state,
-    hamiltonian_moves,
     ladder,
     lossy_hamiltonian,
     mode_annihilator,
     mode_number,
     noon_state,
-    reachable_indices,
     thermal_channels,
     thermal_density_matrix,
     thermal_truncation_dim,
     truncation_dim,
 )
-from ptdimer.lindblad import effective_hamiltonian, lindblad_moves
+from ptdimer.lindblad import liouville_block
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, ROOM_T, make_params
 
 
 def annihilation(dim):
     """Single-mode annihilator: c on the n_b = 0 slice of a (dim, 2) space."""
-    space = FockSpace(dim, 2)
-    return mode_annihilator("a", space, [space.index(n, 0) for n in range(dim)])
+    return mode_annihilator("a", FockSpace(dim, 2))[::2, ::2]
 
 
 class TestAnnihilation:
@@ -300,6 +297,38 @@ class TestQuantumState:
         assert QuantumState(space, vec).norm() == pytest.approx(1.0, rel=1e-15)
 
 
+    def test_norm_of_a_density_matrix_is_its_trace(self):
+        space = FockSpace(2, 2)
+        rho = np.diag([0.5, 0.25, 0.125, 0.0]).astype(complex)
+        assert QuantumState(space, rho).norm() == 0.875
+
+
+class TestValidation:
+    """Input from outside the program is checked where it enters."""
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: truncation_dim(-1), ValueError, "excitation number"),
+        (lambda: thermal_truncation_dim(-0.1), ValueError, "occupation"),
+        (lambda: thermal_truncation_dim(1.0, 1.0), ValueError, "tail"),
+        (lambda: FockSpace(1, 3), ValueError, "two Fock levels"),
+        (lambda: FockSpace(3, 3).index(3, 0), ValueError, "outside"),
+        (lambda: QuantumState(FockSpace(2, 2), np.eye(3)), ValueError,
+         "shape"),
+        (lambda: QuantumState(FockSpace(2, 2), np.zeros((4, 4, 1))),
+         ValueError, "vector or a square matrix"),
+        (lambda: fock_product_state(-1, 0, FockSpace(3, 3)), ValueError,
+         "nonnegative"),
+        (lambda: noon_state(0, FockSpace(3, 3)), ValueError, "N >= 1"),
+        (lambda: thermal_density_matrix(-1.0, 0.0, FockSpace(3, 3)),
+         ValueError, "occupation"),
+    ], ids=["truncation", "thermal-dim-nbar", "thermal-dim-tail", "space",
+            "index", "density-shape", "state-ndim", "fock-occupation",
+            "noon-n", "thermal-weights-nbar"])
+    def test_invalid_input_raises(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+
 class TestFockOperator:
     def test_dagger(self):
         # c^dag is the raising move
@@ -316,76 +345,68 @@ class TestFockOperator:
 
 
 class TestReachableIndices:
+    """The entry closure of ``liouville_block``: the density-matrix entries
+    (or vector entries) a state reaches under the generator's moves."""
+
     space = FockSpace(7, 7)
 
-    def _lindblad_reach(self, params):
-        return reachable_indices(fock_product_state(5, 0, self.space),
-                                 lindblad_moves(params))
-
-    def _total(self):
+    def _total(self, idx):
         n_a, n_b = self.space.number_diagonals()
-        return n_a + n_b
+        return (n_a + n_b)[idx]
+
+    def _lindblad_entries(self, params):
+        state = fock_product_state(5, 0, self.space)
+        return liouville_block(state, 0.0, params.g,
+                               thermal_channels(params))[0]
 
     def test_zero_temperature_channels_keep_n_at_most_initial(self):
-        expected = np.flatnonzero(self._total() <= 5)
+        # the Delta N = 0 blocks of N <= 5: sum (N+1)^2 = 91 entries on the
+        # 21 basis indices with N <= 5
+        rows, cols = self._lindblad_entries(make_params())
+        assert rows.size == 91
+        assert np.array_equal(self._total(rows), self._total(cols))
+        expected = np.flatnonzero(self._total(np.arange(self.space.dim)) <= 5)
         assert expected.size == 21
-        assert np.array_equal(self._lindblad_reach(make_params()), expected)
+        assert np.array_equal(np.unique(rows), expected)
 
     def test_lossy_hamiltonian_keeps_the_initial_block(self):
-        moves = hamiltonian_moves(make_params().g)
-        reach = reachable_indices(fock_product_state(5, 0, self.space), moves)
-        expected = np.flatnonzero(self._total() == 5)
+        p = make_params()
+        (reach,), _, _ = liouville_block(fock_product_state(5, 0, self.space),
+                                         0.0, p.g, thermal_channels(p),
+                                         jumps=False)
+        expected = np.flatnonzero(self._total(np.arange(self.space.dim)) == 5)
         assert expected.size == 6
         assert np.array_equal(reach, expected)
 
     def test_thermal_channels_reach_every_index(self):
-        reach = self._lindblad_reach(make_params(temperature=ROOM_T))
-        assert np.array_equal(reach, np.arange(self.space.dim))
+        # the up-jumps reach every basis index, but every term keeps
+        # Delta N = N_row - N_col: 2 (1 + 4 + ... + 36) + 49 = 231 entries
+        rows, cols = self._lindblad_entries(make_params(temperature=ROOM_T))
+        assert np.array_equal(np.unique(rows), np.arange(self.space.dim))
+        assert np.array_equal(self._total(rows), self._total(cols))
+        assert rows.size == 231
 
     def test_density_support_includes_coherences(self):
-        # only an off-diagonal entry links |2,0> and |0,0>: both blocks count
+        # only an off-diagonal entry links |2,0> and |0,0>: the hops fill the
+        # coherences between the N = 2 and N = 0 blocks, in both orders
         space = FockSpace(3, 3)
         rho = np.zeros((space.dim, space.dim), dtype=complex)
         rho[space.index(2, 0), space.index(0, 0)] = 1.0
         rho[space.index(0, 0), space.index(2, 0)] = 1.0
-        moves = hamiltonian_moves(make_params().g)
-        reach = reachable_indices(QuantumState(space, rho), moves)
-        n_a, n_b = space.number_diagonals()
-        assert np.array_equal(reach, np.flatnonzero(np.isin(n_a + n_b, [0, 2])))
-
-
-_RESTRICTION_SPACE = FockSpace(5, 4)  # unequal dims catch n_a/n_b mix-ups
-_N = np.add(*_RESTRICTION_SPACE.number_diagonals())
-_KEEPS = {"n_at_most_3": np.flatnonzero(_N <= 3),  # downward closed
-          "n_is_3": np.flatnonzero(_N == 3)}      # one excitation-number block
-_MOVES = [(-1, 0), (1, 0), (0, -1), (0, 1), (1, -1), (-1, 1)]
-
-
-def _builders():
-    space = _RESTRICTION_SPACE
-    p = make_params()
-    room = make_params(temperature=ROOM_T)
-    builders = {
-        "c": lambda keep: mode_annihilator("a", space, keep),
-        "d": lambda keep: mode_annihilator("b", space, keep),
-        "n_a": lambda keep: mode_number("a", space, keep),
-        "n_b": lambda keep: mode_number("b", space, keep),
-        "h": lambda keep: beam_splitter_hamiltonian(OMEGA_B, p.g, space, keep),
-        "h_lossy": lambda keep: lossy_hamiltonian(p, space, keep=keep),
-        "channels": lambda keep: np.array(
-            [ch.operator for ch in thermal_channels(room, space, keep)]),
-    }
-    for move in _MOVES:
-        builders[f"move{move}"] = lambda keep, m=move: ladder(space, m, keep)
-        builders[f"squared{move}"] = \
-            lambda keep, m=move: ladder(space, m, keep, squared=True)
-    return builders
+        p = make_params()
+        (rows, cols), _, _ = liouville_block(QuantumState(space, rho), 0.0,
+                                             p.g, thermal_channels(p),
+                                             jumps=False)
+        total = np.add(*space.number_diagonals()).astype(int)
+        assert set(zip(total[rows], total[cols])) == {(2, 0), (0, 2)}
+        assert rows.size == 6
 
 
 class TestLadder:
     def test_full_build_equals_the_joint_space_products(self):
-        # the Kronecker / matrix-product construction the builder replaces
-        space = _RESTRICTION_SPACE
+        # the Kronecker / matrix-product construction the builder replaces;
+        # unequal dims catch n_a/n_b mix-ups
+        space = FockSpace(5, 4)
         a = np.diag(np.sqrt(np.arange(1.0, space.dim_a)), 1).astype(complex)
         b = np.diag(np.sqrt(np.arange(1.0, space.dim_b)), 1).astype(complex)
         c = np.kron(a, np.eye(space.dim_b))
@@ -397,32 +418,3 @@ class TestLadder:
             assert np.array_equal(ladder(space, move), op), move
             assert np.array_equal(ladder(space, move, squared=True),
                                   op.conj().T @ op), move
-
-
-class TestRestriction:
-    """A build on sorted basis indices equals the full build sliced there."""
-
-    @pytest.mark.parametrize("keep_name", sorted(_KEEPS))
-    @pytest.mark.parametrize("name", sorted(_builders()))
-    def test_build_on_keep_is_sliced_full_build(self, name, keep_name):
-        build = _builders()[name]
-        keep = _KEEPS[keep_name]
-        full = build(None)
-        sliced = full[..., keep[:, None], keep]
-        assert np.array_equal(build(keep), sliced)
-
-    def test_effective_hamiltonian_on_a_channel_closed_basis(self):
-        # A_K^dag A_K is the restricted A^dag A when the basis K is closed
-        # under A: at zero temperature the channels only lower N
-        space = _RESTRICTION_SPACE
-        p = make_params()
-        keep = _KEEPS["n_at_most_3"]
-        assert np.array_equal(reachable_indices(
-            QuantumState(space, np.diag((_N <= 3).astype(complex))),
-            lindblad_moves(p)), keep)
-        full = effective_hamiltonian(beam_splitter_hamiltonian(0.0, p.g, space),
-                                     thermal_channels(p, space))
-        restricted = effective_hamiltonian(
-            beam_splitter_hamiltonian(0.0, p.g, space, keep),
-            thermal_channels(p, space, keep))
-        assert np.array_equal(restricted, full[np.ix_(keep, keep)])

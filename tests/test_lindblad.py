@@ -8,12 +8,14 @@ from scipy.linalg import expm
 from ptdimer import (
     FockSpace,
     OdeProblem,
+    QuantumState,
     beam_splitter_hamiltonian,
     dissipator_apply,
     evolve_density,
     evolve_moments,
     fock_product_state,
     integrate_adaptive,
+    ladder,
     lindblad_rhs,
     lossy_hamiltonian,
     mode_annihilator,
@@ -26,54 +28,38 @@ from ptdimer import (
     evolve_nonhermitian,
     truncation_dim,
 )
+from ptdimer.lindblad import liouville_block
 from ptdimer.observables import ObservableOps
-from ptdimer.scenarios import catalog_config
+from ptdimer.scenarios import catalog_config, parse_config, run_engine
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
     random_density
 
 
 class TestThermalChannels:
     def test_zero_temperature_pair(self):
-        space = FockSpace(3, 3)
-        chans = thermal_channels(make_params(), space)
-        assert len(chans) == 2
-        rates = sorted(ch.rate for ch in chans)
-        assert rates == [GAMMA_B, GAMMA_A]
-        ops = {ch.rate: ch.operator for ch in chans}
-        assert np.allclose(ops[GAMMA_A], mode_annihilator("a", space), atol=0)
-        assert np.allclose(ops[GAMMA_B], mode_annihilator("b", space), atol=0)
+        chans = thermal_channels(make_params())
+        assert [(ch.move, ch.rate) for ch in chans] \
+            == [((-1, 0), GAMMA_A), ((0, -1), GAMMA_B)]
 
     def test_room_temperature_quadruple(self):
-        space = FockSpace(3, 3)
         p = make_params(temperature=ROOM_T)
-        chans = thermal_channels(p, space)
-        assert len(chans) == 4
-        rates = sorted(ch.rate for ch in chans)
+        chans = thermal_channels(p)
+        assert [ch.move for ch in chans] == [(-1, 0), (1, 0), (0, -1), (0, 1)]
         nb_a = thermal_occupation(OMEGA_A, ROOM_T)
         nb_b = thermal_occupation(OMEGA_B, ROOM_T)
-        expected = sorted([GAMMA_A * (nb_a + 1), GAMMA_A * nb_a,
-                           GAMMA_B * (nb_b + 1), GAMMA_B * nb_b])
-        assert rates == pytest.approx(expected, rel=1e-12)
+        expected = [GAMMA_A * (nb_a + 1), GAMMA_A * nb_a,
+                    GAMMA_B * (nb_b + 1), GAMMA_B * nb_b]
+        assert [ch.rate for ch in chans] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_rate_channels_dropped(self):
-        space = FockSpace(3, 3)
-        chans = thermal_channels(make_params(gamma_b=0.0), space)
+        chans = thermal_channels(make_params(gamma_b=0.0))
         assert len(chans) == 1
         assert chans[0].rate == GAMMA_A
 
     def test_negative_rate_rejected(self):
         from ptdimer import LindbladChannel
-        space = FockSpace(2, 2)
         with pytest.raises(ValueError):
-            LindbladChannel(mode_annihilator("a", space), -1.0)
-
-    def test_non_ladder_operator_rejected(self):
-        # the generator applies each jump as the gather of one ladder move
-        from ptdimer import LindbladChannel
-        space = FockSpace(2, 2)
-        c = mode_annihilator("a", space)
-        with pytest.raises(ValueError, match="ladder move"):
-            LindbladChannel(c + mode_annihilator("b", space), 1.0)
+            LindbladChannel((-1, 0), -1.0)
 
 
 class TestDissipator:
@@ -118,16 +104,15 @@ class TestLindbladRhs:
             return u @ rho0 @ u.conj().T
 
         fd = (propagated(t + eps) - propagated(t - eps)) / (2 * eps)
-        rhs = lindblad_rhs(propagated(t), h, [])
+        rhs = lindblad_rhs(propagated(t), space, 1.3, 0.4, [])
         scale = np.abs(rhs).max()
         assert np.abs(fd - rhs).max() < 1e-6 * scale
 
     def test_dark_state(self):
         space = FockSpace(3, 3)
-        zero_h = np.zeros((9, 9), dtype=complex)
-        chans = thermal_channels(make_params(gamma_b=0.0), space)
+        chans = thermal_channels(make_params(gamma_b=0.0))
         vac = fock_product_state(0, 0, space).density()
-        assert np.abs(lindblad_rhs(vac, zero_h, chans)).max() == 0.0
+        assert np.abs(lindblad_rhs(vac, space, 0.0, 0.0, chans)).max() == 0.0
 
     def test_moment_derivatives_on_random_states(self):
         # the occupation equations follow from [N, A] = -A, which truncation
@@ -137,8 +122,7 @@ class TestLindbladRhs:
         # level of each mode empty
         space = FockSpace(4, 4)
         p = make_params()
-        h = beam_splitter_hamiltonian(OMEGA_B, p.g, space)
-        chans = thermal_channels(p, space)
+        chans = thermal_channels(p)
         num_a = mode_number("a", space)
         num_b = mode_number("b", space)
         hop = mode_annihilator("a", space).conj().T @ mode_annihilator("b", space)
@@ -152,7 +136,7 @@ class TestLindbladRhs:
                 rho = np.zeros((space.dim, space.dim), dtype=complex)
                 rho[np.ix_(lower, lower)] = random_density(rng, 9)
                 check_z = True
-            rhs = lindblad_rhs(rho, h, chans)
+            rhs = lindblad_rhs(rho, space, OMEGA_B, p.g, chans)
             x = np.trace(num_a @ rho)
             y = np.trace(num_b @ rho)
             z = np.trace(hop @ rho)
@@ -168,28 +152,32 @@ class TestGeneratorIdentity:
     @pytest.mark.parametrize("temperature", [0.0, 6e-5, ROOM_T],
                              ids=["zero", "cold", "room"])
     def test_no_jump_plus_jump_form(self, temperature):
-        # the production generator against the textbook commutator +
+        # the move-built generator against the textbook commutator +
         # dissipator form; at zero temperature its no-jump part is the
         # evolution under the lossy Hamiltonian H_L
         space = FockSpace(4, 4)
         p = make_params(temperature=temperature)
         h = beam_splitter_hamiltonian(0.0, p.g, space)
-        hd = h
-        chans = thermal_channels(p, space)
+        chans = thermal_channels(p)
+        ops = [(ch.rate, ladder(space, ch.move)) for ch in chans]
         h_l = lossy_hamiltonian(p, space, omega_b=0.0)
         rng = np.random.default_rng(34)
         for _ in range(20):
             rho = random_density(rng, space.dim)
-            rhs = lindblad_rhs(rho, h, chans)
-            textbook = 1j * (rho @ hd - hd @ rho)
-            for ch in chans:
-                textbook += ch.rate * dissipator_apply(ch.operator, rho)
+            rhs = lindblad_rhs(rho, space, 0.0, p.g, chans)
+            textbook = 1j * (rho @ h - h @ rho)
+            for rate, a in ops:
+                textbook += rate * dissipator_apply(a, rho)
             scale = np.abs(textbook).max()
             assert np.abs(rhs - textbook).max() < 1e-12 * scale
             if temperature == 0.0:
-                jumps = sum(ch.rate * (ch.operator @ rho @ ch.operator.conj().T)
-                            for ch in chans)
-                no_jump = -1j * (h_l @ rho - rho @ h_l.conj().T)
+                entries, y0, rhs_no_jump = liouville_block(
+                    QuantumState(space, rho), 0.0, p.g, chans, jumps=False)
+                no_jump = np.zeros_like(rho)
+                no_jump[entries] = rhs_no_jump(0.0, y0)
+                jumps = sum(rate * (a @ rho @ a.conj().T) for rate, a in ops)
+                assert np.abs(no_jump + 1j * (h_l @ rho - rho @ h_l.conj().T)
+                              ).max() < 1e-12 * scale
                 assert np.abs(rhs - jumps - no_jump).max() < 1e-12 * scale
 
 
@@ -239,15 +227,17 @@ class TestEvolveDensity:
         for rho in traj.snapshots:
             assert np.abs(rho - rho.conj().T).max() < 1e-12
 
-    def test_observables_picture_independent(self):
+    @pytest.mark.parametrize("evolve", [evolve_density, evolve_nonhermitian],
+                             ids=["lindblad", "nonhermitian"])
+    def test_observables_picture_independent(self, evolve):
         # a short window where resolving the fast phase is still cheap
         space = FockSpace(3, 3)
         p = make_params()
         times = np.linspace(0.0, 2e-6, 40)
         state = fock_product_state(1, 0, space)
-        rot = evolve_density(state, p, space, times, interaction_picture=False,
-                             rtol=1e-11, atol=1e-14)
-        lab = evolve_density(state, p, space, times, rtol=1e-11, atol=1e-14)
+        rot = evolve(state, p, space, times, interaction_picture=False,
+                     rtol=1e-11, atol=1e-14)
+        lab = evolve(state, p, space, times, rtol=1e-11, atol=1e-14)
         assert np.abs(rot.n_a - lab.n_a).max() < 1e-8
         assert np.abs(rot.g1 - lab.g1).max() < 1e-8
 
@@ -262,12 +252,16 @@ class TestReachableSubspace:
         p = make_params()
         state = fock_product_state(3, 2, self.space)
         traj = evolve_density(state, p, self.space, self.times)
+        # the textbook generator on the whole product space
         h = beam_splitter_hamiltonian(0.0, p.g, self.space)
-        chans = thermal_channels(p, self.space)
+        ops = [(ch.rate, ladder(self.space, ch.move))
+               for ch in thermal_channels(p)]
         dim = self.space.dim
 
         def rhs(t, y):
-            return lindblad_rhs(y.reshape(dim, dim), h, chans).ravel()
+            rho = y.reshape(dim, dim)
+            return (1j * (rho @ h - h @ rho) + sum(
+                rate * dissipator_apply(a, rho) for rate, a in ops)).ravel()
         sol = integrate_adaptive(OdeProblem(
             rhs, state.density().ravel(), (0.0, self.times[-1]), self.times))
         ref = ObservableOps(self.space, GAMMA_A, GAMMA_B).record_from_density(
@@ -404,16 +398,31 @@ class TestExactPropagation:
         for name in (*self.columns, "snapshots"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
 
+    @pytest.mark.parametrize("text, dimension", [
+        ("state = thermal 6e-5\ntemperature = 6e-5\nengines = lindblad\n"
+         "allow_lindblad_thermal = true\nsamples = 200", 344),
+        ("state = fock 3 3\nengines = lindblad", 140)],
+        ids=["cold-thermal", "fock-3-3"])
+    def test_block_below_the_bound_runs_exact(self, text, dimension):
+        # the bound sees the evolved block, not the 4,096 or 784 entries of
+        # the whole density matrix
+        cfg = parse_config(text)
+        traj = run_engine("lindblad", cfg, cfg.system_params())
+        stats = traj.stats
+        assert (stats.dimension, stats.exponentials) == (dimension, 1)
+
     def test_thermal_state_above_the_bound_stays_adaptive(self):
-        # at T > 0 the up-jumps reach all 25 indices: 625 entries
+        # at T > 0 the up-jumps reach all 100 indices, and the Delta N = 0
+        # blocks of a diagonal start hold 2 (1 + 4 + ... + 81) + 100 = 670
+        # entries, above the bound of 512
         temp = 6e-5
-        space = FockSpace(5, 5)
+        space = FockSpace(10, 10)
         rho0 = thermal_density_matrix(0.0, thermal_occupation(OMEGA_B, temp),
                                       space, tail_tol=1e-3)
         traj = evolve_density(rho0, make_params(temperature=temp), space,
                               np.linspace(0.0, 0.1 / GAMMA_A, 5))
         assert traj.stats.exponentials == 0
-        assert traj.stats.dimension == 625
+        assert traj.stats.dimension == 670
         assert traj.stats.steps > 0
 
 

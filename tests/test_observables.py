@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from ptdimer import FockSpace, evolve_density, mode_annihilator
-from ptdimer.observables import ObservableOps, record_from_moments
+from ptdimer.observables import ObservableOps, ObservableTrajectory, \
+    derivative_residual, record_from_moments
 from conftest import GAMMA_A, make_params, random_density
 
 
@@ -73,8 +74,26 @@ class TestRecorderChecks:
             ObservableOps(space).record_from_density(rho)
 
     def test_negative_moment_diagonal_is_numerical_failure(self):
-        n = np.array([[[-1e-11, 0.0], [0.0, 1.0]],
-                      [[-1e-9, 0.0], [0.0, 1.0]]], dtype=complex)
-        assert record_from_moments(n[:1])["n_a_raw"][0] == -1e-11
+        n00 = np.array([-1e-11, -1e-9], dtype=complex)
+        n01 = np.zeros(2, dtype=complex)
+        n11 = np.ones(2, dtype=complex)
+        assert record_from_moments(n00[:1], n01[:1], n11[:1])["n_a_raw"][0] \
+            == -1e-11
         with pytest.raises(FloatingPointError, match="moment diagonal"):
-            record_from_moments(n)
+            record_from_moments(n00, n01, n11)
+
+
+class TestValidation:
+    """Input from outside the program is checked where it enters."""
+
+    @pytest.mark.parametrize("samples, params, match", [
+        (4, make_params(), "insufficient sampling"),
+        (5, make_params(g=0.0, gamma_a=0.0, gamma_b=0.0), "all rates vanish"),
+    ], ids=["samples", "rates"])
+    def test_invalid_input_raises(self, samples, params, match):
+        ones = np.ones(samples)
+        times = np.arange(1.0, samples + 1)
+        traj = ObservableTrajectory("lindblad", 1.0, times, ones, ones,
+                                    ones.astype(complex), ones)
+        with pytest.raises(ValueError, match=match):
+            derivative_residual(traj, params, (ones,), (ones,))

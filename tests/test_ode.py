@@ -393,3 +393,19 @@ class TestExactPath:
             integrate_adaptive(self._problem(a, np.array([1.0 + 0j]),
                                              np.linspace(0.0, 4.0, 5)))
         assert exc.value.t_reached == 1.0
+
+
+class TestValidation:
+    """Input from outside the program is checked where it enters."""
+
+    @pytest.mark.parametrize("case", ["step-budget", "fixed-steps"])
+    def test_invalid_input_raises(self, case, monkeypatch):
+        if case == "step-budget":
+            monkeypatch.setattr("ptdimer.ode._MAX_STEPS", 3)
+            problem = OdeProblem(_decay, np.ones(1, dtype=complex),
+                                 (0.0, 10.0), np.array([10.0]))
+            with pytest.raises(IntegrationFailure, match="step budget"):
+                integrate_adaptive(problem)
+        else:
+            with pytest.raises(ValueError, match="at least one step"):
+                integrate_fixed(_decay, np.ones(1), 0.0, 1.0, 0)

@@ -302,3 +302,30 @@ class TestSystemParams:
         p = make_params()
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.g = 1.0
+
+
+class TestValidation:
+    """Input from outside the program is checked where it enters."""
+
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: classify_regime(-1.0, 0.5), ValueError, "coupling"),
+        # an undamped cavity pumped on resonance
+        (lambda: make_params(g=None, gamma_a=0.0, g0=1.0, pump_amplitude=1.0,
+                             omega_p=OMEGA_A), ZeroDivisionError, "resonance"),
+        (lambda: red_sideband_pump_frequency(OMEGA_A, 0.0, GAMMA_A, 0.0, 1.0,
+                                             1.0), ZeroDivisionError,
+         "omega_b = gamma_b = 0"),
+        (lambda: red_sideband_pump_frequency(OMEGA_A, OMEGA_B, GAMMA_A,
+                                             GAMMA_B, 1.0, 1e3, max_iter=1),
+         RuntimeError, "did not converge"),
+        (lambda: make_params(classify_tol=0.0), ValueError, "classify_tol"),
+        (lambda: make_params(g=None, g0=-1.0, pump_amplitude=1.0), ValueError,
+         "g0 and pump_amplitude"),
+        (lambda: steady_state_amplitudes(make_params()), ValueError,
+         "requires g0"),
+    ], ids=["negative-coupling", "alpha-singular", "beta-singular",
+            "sideband-iterations", "classify-tol", "negative-drive",
+            "amplitudes-need-drive"])
+    def test_invalid_input_raises(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()

@@ -482,6 +482,40 @@ class TestWriterFormat:
             assert len(points.split()) == np.isfinite(y).sum() < len(y)
         assert "nan" not in path.read_text()
 
+    def test_svg_of_single_samples_has_a_finite_time_axis(self, tmp_path):
+        # a non-Hermitian run whose norm underflows at its second sample
+        # keeps one: the time axis is widened as the occupation axis is
+        traj = ObservableTrajectory("nonhermitian", OMEGA_B, np.array([0.0]),
+                                    np.array([1.0]), np.array([0.0]),
+                                    np.zeros(1, dtype=complex), np.ones(1))
+        path = tmp_path / "plot.svg"
+        write_svg([traj], path)
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        root = ET.parse(path).getroot()
+        got = [el.attrib["points"] for el in root.iter()
+               if el.tag.endswith("polyline")]
+        assert [p.split(",")[0] for p in got] == [f"{_MARGIN_L:.2f}"] * 2
+
+
+class TestValidation:
+    """Input from outside the program is checked where it enters."""
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: parse_config("state =\n"), "empty state descriptor"),
+        (lambda: parse_config("state = thermal -1\n"),
+         "temperature must be nonnegative"),
+        (lambda: run_engine("gaussian", catalog_config("fig1a"),
+                            catalog_config("fig1a").system_params()),
+         "needs a thermal initial state"),
+        (lambda: run_engine("bogus", catalog_config("fig1a"),
+                            catalog_config("fig1a").system_params()),
+         "unknown engine"),
+    ], ids=["empty-state", "negative-thermal", "gaussian-fock", "engine"])
+    def test_invalid_input_raises(self, build, match):
+        with pytest.raises(ConfigError, match=match):
+            build()
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("writer", ["csv", "comparison", "svg"])
@@ -580,11 +614,10 @@ class TestRunScenario:
         from ptdimer import lindblad
 
         def broken(*args, **kwargs):
-            h = beam_splitter_hamiltonian(*args, **kwargs)
-            h[0, 0] = np.nan
-            return h
-        beam_splitter_hamiltonian = lindblad.beam_splitter_hamiltonian
-        monkeypatch.setattr(lindblad, "beam_splitter_hamiltonian", broken)
+            entries, y0, rhs = liouville_block(*args, **kwargs)
+            return entries, y0, lambda t, y: rhs(t, y) * np.nan
+        liouville_block = lindblad.liouville_block
+        monkeypatch.setattr(lindblad, "liouville_block", broken)
         conf = tmp_path / "short.conf"
         conf.write_text("samples = 60\n")
         out = tmp_path / "out"
