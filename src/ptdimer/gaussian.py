@@ -94,12 +94,8 @@ def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
     sol = integrate_adaptive(OdeProblem(
         lambda t, y: generator @ y, np.append(n0.ravel(), scale),
         (0.0, float(samples[-1])), samples, linear=True))
-    # N00, N01 and N11 are entries 0, 1 and 3 of y; one the flow does not
-    # reach (N01 at g = 0) stays 0
-    evolved = dict(zip(sol.support.tolist(), sol.states.T))
-    n00, n01, n11 = (evolved[k] if k in evolved
-                     else np.zeros(len(sol.times), dtype=complex)
-                     for k in (0, 1, 3))
+    # N00, N01 and N11 are entries 0, 1 and 3 of y
+    n00, n01, n11 = (sol.states[:, k] for k in (0, 1, 3))
     return ObservableTrajectory(
         "gaussian", params.omega_b, sol.times,
         **record_from_moments(n00, n01, n11), stats=sol.stats)

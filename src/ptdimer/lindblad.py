@@ -11,10 +11,11 @@ column of a density-matrix entry, the rest of H_eff is diagonal, and a jump
 moves both by the same step. So ``liouville_block`` finds by index arithmetic
 the entries the initial state reaches (for |5,0> at zero temperature the 91
 entries of the Delta N = 0 blocks of N <= 5) and writes each one's generator
-row as a gather of at most nine entries; ``ode.integrate_adaptive`` evolves
-that block, exactly up to ``ode.EXACT_MAX_ENTRIES`` entries. At zero
-temperature H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine
-is the same builder with the zero-temperature channels and no jumps.
+row as a gather of at most nine entries; it alone chooses the evolved
+entries, and ``ode.integrate_adaptive`` evolves every one of them, exactly up
+to ``ode.EXACT_MAX_ENTRIES`` entries. At zero temperature H_eff is the lossy
+Hamiltonian H_L, and the non-Hermitian engine is the same builder with the
+zero-temperature channels and no jumps.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
 reference. Also hosts the closed first-moment system (occupations +
 coherence) and its finite-difference consistency check.
@@ -89,7 +90,7 @@ def liouville_block(state: QuantumState, omega: float, g: float,
     weight) term per move; a source the state never reaches gets weight 0.
     With ``jumps`` off, the generator is the no-jump evolution, and a pure
     state stays a vector, evolved by d psi/dt = K psi; otherwise a pure state
-    is promoted to its projector.
+    is promoted to its projector. Raises ValueError for a zero state.
     """
     space, data = state.space, state.data
     vector = state.is_pure and not jumps
@@ -100,6 +101,8 @@ def liouville_block(state: QuantumState, omega: float, g: float,
         idx = np.flatnonzero(data)
         flat = (idx[:, None] * space.dim + idx).ravel()
         values = np.outer(data[idx], data[idx].conj()).ravel()
+    if not flat.size:
+        raise ValueError("the initial state is zero: no entry to evolve")
 
     table = cache(partial(_move, space))
 
@@ -209,8 +212,7 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
                          rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b,
-                        tuple(e[sol.support] for e in entries))
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b, entries)
     return ObservableTrajectory(
         "lindblad", params.omega_b, sol.times,
         **ops.record_from_density(sol.states), stats=sol.stats,

@@ -56,8 +56,7 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
                          rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b,
-                        tuple(e[sol.support] for e in entries))
+    ops = ObservableOps(space, params.gamma_a, params.gamma_b, entries)
     record = ops.record_from_pure if state0.is_pure \
         else ops.record_from_nh_density
     cols = record(sol.states)

@@ -2,16 +2,16 @@
 adaptive Dormand-Prince 5(4) otherwise.
 
 A problem declared ``linear`` (y' = L y with a constant L) is propagated
-exactly: the support of y0 is closed under the problem's own RHS by applying
-it to unit vectors, and L is assembled on that closure. Each run of equal
-sample steps dt takes one exponential of L dt (scaling and squaring with a
-Pade-13 approximant, Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005) and
-fills its samples by doubling: the next k samples are exp(k L dt) applied to
-the last k in one matrix product (``_fill``). The states returned hold the
-closure only. A problem whose state has more than ``EXACT_MAX_ENTRIES``
-entries, or that is not linear, takes the adaptive path, whose error norm is
-a scaled RMS over the real and imaginary parts of the state and whose steps
-are clamped onto every sample time.
+exactly: L is assembled by applying the problem's own RHS to one unit vector
+per entry of y. Each run of equal sample steps dt takes one exponential of
+L dt (scaling and squaring with a Pade-13 approximant, Higham, SIAM J. Matrix
+Anal. Appl. 26, 1179, 2005) and fills its samples by doubling: the next k
+samples are exp(k L dt) applied to the last k in one matrix product
+(``_fill``). Which entries a state holds is the caller's choice; both paths
+evolve all of them. A problem whose state has more than
+``EXACT_MAX_ENTRIES`` entries, or that is not linear, takes the adaptive
+path, whose error norm is a scaled RMS over the real and imaginary parts of
+the state and whose steps are clamped onto every sample time.
 
 Deterministic by construction: no randomness and no threading of our own, so
 identical inputs give bitwise identical trajectories.
@@ -76,7 +76,8 @@ class IntegrationFailure(RuntimeError):
 class IntegratorStats:
     """How a run was evolved. On the exact path ``steps`` counts the samples
     advanced, ``exponentials`` the Pade builds and ``rhs_evaluations`` the
-    probes that assembled L; ``dimension`` is the number of evolved entries."""
+    probes that assembled L, one per entry; ``dimension`` is the number of
+    entries of the state."""
 
     steps: int = 0
     rejected: int = 0
@@ -105,12 +106,10 @@ class OdeProblem:
 
 @dataclass
 class Trajectory:
-    """Integrator output: one row per requested sample time of the entries
-    ``support`` of y (every entry on the adaptive path); the rest stay 0."""
+    """Integrator output: one row of y per requested sample time."""
 
     times: np.ndarray
     states: np.ndarray
-    support: np.ndarray
     stats: IntegratorStats = field(default_factory=IntegratorStats)
 
 
@@ -248,44 +247,26 @@ def _fill(a: np.ndarray, rows: np.ndarray) -> None:
         done += count
 
 
-def _closed_generator(rhs, t0: float, y0: np.ndarray, stats: IntegratorStats):
-    """Support of y0 closed under a linear rhs, and rhs's matrix on it.
-
-    Each probe applies rhs to one unit vector, giving one column of L.
-    Probing stops when no column reaches a new index, so L maps the closure
-    into itself.
-    """
-    reached = y0 != 0
-    frontier = np.flatnonzero(reached)
-    unit = np.zeros(y0.size, dtype=complex)
-    columns = {}
-    while frontier.size:
-        new = np.zeros_like(reached)
-        for j in frontier:
-            unit[j] = 1.0
-            columns[j] = col = np.array(rhs(t0, unit))
-            unit[j] = 0.0
-            new |= col != 0
-            stats.rhs_evaluations += 1
-        frontier = np.flatnonzero(new & ~reached)
-        reached |= new
-    support = np.flatnonzero(reached)
-    return support, np.stack([columns[j][support] for j in support], axis=1)
-
-
 def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
                y: np.ndarray) -> Trajectory:
-    """Exact samples of y' = L y on the closure of y's support. Each run of
-    sample steps within ``_SAME_STEP_RTOL`` of its first step h takes one
-    exponential of L h and fills its rows by doubling (``_fill``)."""
-    stats = IntegratorStats()
-    support, generator = _closed_generator(problem.rhs, t0, y, stats)
-    stats.dimension = support.size
+    """Exact samples of y' = L y. L is probed column by column, one rhs call
+    per unit vector; the copy keeps an rhs that returns its argument from
+    aliasing the probe. Each run of sample steps within ``_SAME_STEP_RTOL``
+    of its first step h takes one exponential of L h and fills its rows by
+    doubling (``_fill``)."""
+    stats = IntegratorStats(rhs_evaluations=y.size, dimension=y.size)
+    unit = np.zeros(y.size, dtype=complex)
+    columns = []
+    for j in range(y.size):
+        unit[j] = 1.0
+        columns.append(np.array(problem.rhs(t0, unit)))
+        unit[j] = 0.0
+    generator = np.stack(columns, axis=1)
     steps = np.diff(samples, prepend=t0)
     # row 0 holds y and row r + 1 the sample r; only a first sample at t0
     # has no step, and keeps y
-    rows = np.empty((samples.size + 1, support.size), dtype=complex)
-    rows[:2] = y[support]
+    rows = np.empty((samples.size + 1, y.size), dtype=complex)
+    rows[:2] = y
     start = int(steps[0] == 0.0)
     stats.steps = samples.size - start
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -301,7 +282,7 @@ def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
     if bad.size:
         reached = samples[bad[0] - 1] if bad[0] else t0
         raise IntegrationFailure("non-finite state", reached)
-    return Trajectory(samples.copy(), states, support, stats)
+    return Trajectory(samples.copy(), states, stats)
 
 
 def integrate_adaptive(problem: OdeProblem) -> Trajectory:
@@ -379,7 +360,7 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
         states[idx] = y
         idx += 1
 
-    return Trajectory(samples.copy(), states, np.arange(y.size), stats)
+    return Trajectory(samples.copy(), states, stats)
 
 
 def integrate_fixed(rhs, y0: np.ndarray, t0: float, t1: float,

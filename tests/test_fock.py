@@ -321,9 +321,12 @@ class TestValidation:
         (lambda: noon_state(0, FockSpace(3, 3)), ValueError, "N >= 1"),
         (lambda: thermal_density_matrix(-1.0, 0.0, FockSpace(3, 3)),
          ValueError, "occupation"),
+        (lambda: liouville_block(QuantumState(FockSpace(3, 3),
+                                              np.zeros((9, 9))),
+                                 0.0, 1.0, []), ValueError, "state is zero"),
     ], ids=["truncation", "thermal-dim-nbar", "thermal-dim-tail", "space",
             "index", "density-shape", "state-ndim", "fock-occupation",
-            "noon-n", "thermal-weights-nbar"])
+            "noon-n", "thermal-weights-nbar", "zero-state"])
     def test_invalid_input_raises(self, build, error, match):
         with pytest.raises(error, match=match):
             build()

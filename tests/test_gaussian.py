@@ -13,12 +13,13 @@ from ptdimer import (
     moment_rhs,
     steady_state_moments,
     thermal_moment_state,
+    thermal_occupation,
 )
 from ptdimer.scenarios import run_engine
 from ptdimer.gaussian import check_moment_state, diffusion_matrix, drift_matrix, \
     moment_flow_rhs
-from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_B, \
-    ROOM_T, make_params
+from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_A, \
+    OMEGA_B, ROOM_T, make_params
 
 
 def _random_moment_state(rng, scale=1.0):
@@ -131,8 +132,23 @@ class TestExactPath:
         assert stats.exponentials == 1
         assert stats.rejected == 0
         assert stats.steps == cfg.samples - 1
-        # one probe per entry of the closure of (vec N0, s)
-        assert stats.rhs_evaluations == stats.dimension <= 5
+        # one probe per entry of (vec N0, s)
+        assert stats.rhs_evaluations == stats.dimension == 5
+
+    def test_uncoupled_modes_relax_on_their_own(self):
+        # at g = 0 nothing feeds N01: it evolves from an exact 0 and stays 0
+        p = make_params(g=0.0)
+        n0 = np.diag([2.0, 5.0])
+        times = np.linspace(0.0, 3.0 / GAMMA_A, 200)
+        traj = evolve_moments(n0, p, ROOM_T, times)
+        assert np.all(traj.coherence == 0.0)
+        for x, omega, gamma, n in ((traj.n_a_raw, OMEGA_A, GAMMA_A, 2.0),
+                                   (traj.n_b_raw, OMEGA_B, GAMMA_B, 5.0)):
+            nbar = thermal_occupation(omega, ROOM_T)
+            # nbar + (n - nbar) e^(-gamma t), without the cancellation of
+            # the two large terms at early times
+            ref = n - (nbar - n) * np.expm1(-gamma * times)
+            assert np.all(np.abs(x - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("case", ["ep", "geometric", "undamped"])
     def test_matches_tight_adaptive_reference(self, case):

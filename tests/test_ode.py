@@ -303,23 +303,25 @@ class TestExactPath:
         assert exact.stats.steps == np.count_nonzero(steps)
         assert exact.stats.rejected == 0
 
-    def test_closure_follows_the_rhs(self):
-        # index 3 is decoupled from the support of y0 and never evolved
+    def test_every_entry_is_evolved(self):
+        # y0 never reaches indices 1 and 3; the exact path evolves them all
+        # the same, from and at exactly 0
         a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
-        a[1, 0] = 0.5
+        a[2, 0] = 0.5
         y0 = np.array([1.0, 0, 0, 0], dtype=complex)
         calls = []
 
         def rhs(t, y):
             calls.append(t)
             return a @ y
-        samples = np.linspace(0.0, 1.0, 11)
-        traj = integrate_adaptive(OdeProblem(rhs, y0, (0.0, 1.0), samples,
-                                             linear=True))
-        assert traj.stats.dimension == 2
-        assert traj.stats.rhs_evaluations == len(calls) == 2
-        assert np.all(traj.states[:, 2:] == 0.0)
-        assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        traj = integrate_adaptive(OdeProblem(
+            rhs, y0, (0.0, 1.0), np.linspace(0.0, 1.0, 9), linear=True))
+        assert traj.states.shape == (9, 4)
+        assert traj.stats.dimension == 4
+        assert traj.stats.rhs_evaluations == len(calls) == 4
+        assert np.all(traj.states[:, [1, 3]] == 0.0)
+        exact = np.array([scipy_expm(a * t) @ y0 for t in traj.times])
+        assert np.abs(traj.states - exact).max() < 1e-15
 
     @pytest.mark.parametrize("n", [6, 60])
     @pytest.mark.parametrize("samples", [37, 1000])
@@ -337,17 +339,6 @@ class TestExactPath:
         ref = np.array(ref)
         assert np.abs(traj.states - ref).max() < 1e-12 * np.abs(ref).max()
         assert (traj.stats.steps, traj.stats.exponentials) == (samples - 1, 1)
-
-    def test_states_hold_the_closure_only(self):
-        a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
-        a[2, 0] = 0.5
-        y0 = np.array([1.0, 0, 0, 0], dtype=complex)
-        traj = integrate_adaptive(self._problem(a, y0, np.linspace(0, 1, 9)))
-        assert traj.states.shape == (9, traj.stats.dimension) == (9, 2)
-        assert np.array_equal(traj.support, [0, 2])
-        exact = np.array([scipy_expm(a * t) @ y0 for t in traj.times])
-        assert np.abs(exact[:, [1, 3]]).max() == 0.0
-        assert np.abs(traj.states - exact[:, [0, 2]]).max() < 1e-15
 
     def test_state_above_bound_takes_adaptive_path(self):
         y0 = np.zeros(EXACT_MAX_ENTRIES + 1, dtype=complex)
