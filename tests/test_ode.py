@@ -303,23 +303,34 @@ class TestExactPath:
         assert exact.stats.steps == np.count_nonzero(steps)
         assert exact.stats.rejected == 0
 
-    def test_every_entry_is_evolved(self):
-        # y0 never reaches indices 1 and 3; the exact path evolves them all
-        # the same, from and at exactly 0
+    def test_closure_follows_the_rhs(self):
+        # indices 2 and 3 lie outside the closure of y0 under the RHS; the
+        # exact path probes and evolves every entry, and those stay exactly 0
         a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
-        a[2, 0] = 0.5
+        a[1, 0] = 0.5
         y0 = np.array([1.0, 0, 0, 0], dtype=complex)
         calls = []
 
         def rhs(t, y):
             calls.append(t)
             return a @ y
-        traj = integrate_adaptive(OdeProblem(
-            rhs, y0, (0.0, 1.0), np.linspace(0.0, 1.0, 9), linear=True))
-        assert traj.states.shape == (9, 4)
+        samples = np.linspace(0.0, 1.0, 11)
+        traj = integrate_adaptive(OdeProblem(rhs, y0, (0.0, 1.0), samples,
+                                             linear=True))
         assert traj.stats.dimension == 4
         assert traj.stats.rhs_evaluations == len(calls) == 4
-        assert np.all(traj.states[:, [1, 3]] == 0.0)
+        assert np.all(traj.states[:, 2:] == 0.0)
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+
+    def test_states_hold_the_closure_only(self):
+        # states have a column for every entry, but are nonzero only on the
+        # closure {0, 2} of y0 under the RHS
+        a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
+        a[2, 0] = 0.5
+        y0 = np.array([1.0, 0, 0, 0], dtype=complex)
+        traj = integrate_adaptive(self._problem(a, y0, np.linspace(0, 1, 9)))
+        assert traj.states.shape == (9, traj.stats.dimension) == (9, 4)
+        assert np.array_equal(np.flatnonzero(traj.states.any(axis=0)), [0, 2])
         exact = np.array([scipy_expm(a * t) @ y0 for t in traj.times])
         assert np.abs(traj.states - exact).max() < 1e-15
 
