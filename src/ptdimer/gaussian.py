@@ -25,12 +25,10 @@ def drift_matrix(params: SystemParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def diffusion_matrix(params: SystemParams, temperature: float) -> np.ndarray:
-    """D = diag(gamma_a*nbar_a, gamma_b*nbar_b) at the given bath temperature."""
-    return np.diag([
-        params.gamma_a * thermal_occupation(params.omega_a, temperature),
-        params.gamma_b * thermal_occupation(params.omega_b, temperature),
-    ])
+def diffusion_matrix(params: SystemParams) -> np.ndarray:
+    """D = diag(gamma_a*nbar_a, gamma_b*nbar_b) of the bath of ``params``."""
+    return np.diag([params.gamma_a * params.nbar_a(),
+                    params.gamma_b * params.nbar_b()])
 
 
 def moment_flow_rhs(n_mat: np.ndarray, m_mat: np.ndarray,
@@ -66,17 +64,17 @@ def thermal_moment_state(params: SystemParams, temperature: float) -> np.ndarray
     ]).astype(complex)
 
 
-def _moment_generator(params: SystemParams, temperature: float):
+def _moment_generator(params: SystemParams):
     """(L, vec D) of d vec(N)/dt = L vec(N) + vec(D), N row-major, in the
     frame rotating at omega_b (exactly neutral, see moment_flow_rhs)."""
     m_int = drift_matrix(params) - params.omega_b * np.eye(2)
     eye = np.eye(2, dtype=complex)
     # vec(A N) = (A (x) I) vec(N), vec(N B) = (I (x) B^T) vec(N)
     lin = 1j * (np.kron(m_int.conj(), eye) - np.kron(eye, m_int))
-    return lin, diffusion_matrix(params, temperature).ravel().astype(complex)
+    return lin, diffusion_matrix(params).ravel().astype(complex)
 
 
-def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
+def evolve_moments(n0: np.ndarray, params: SystemParams,
                    sample_times) -> ObservableTrajectory:
     """Propagate the moment flow exactly; record observables at the samples.
 
@@ -87,7 +85,7 @@ def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
     """
     n0 = check_moment_state(n0, "initial moment matrix")
     scale = max(1.0, float(np.abs(n0).max()))
-    lin, diffusion = _moment_generator(params, temperature)
+    lin, diffusion = _moment_generator(params)
     generator = np.vstack([np.column_stack([lin, diffusion / scale]),
                            np.zeros(5)])
     samples = np.asarray(sample_times, dtype=float)
@@ -101,7 +99,7 @@ def evolve_moments(n0: np.ndarray, params: SystemParams, temperature: float,
         **record_from_moments(n00, n01, n11), stats=sol.stats)
 
 
-def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray:
+def steady_state_moments(params: SystemParams) -> np.ndarray:
     """Unique fixed point of the moment flow, from the vectorized linear solve.
 
     Raises ValueError when the flow has no decaying steady state (both
@@ -109,12 +107,12 @@ def steady_state_moments(params: SystemParams, temperature: float) -> np.ndarray
     """
     if params.gamma_a == 0.0 and params.gamma_b == 0.0:
         raise ValueError("undamped system has no steady state")
-    lin, diffusion = _moment_generator(params, temperature)
+    lin, diffusion = _moment_generator(params)
     try:
-        n_flat = np.linalg.solve(lin, -diffusion)
+        n_vec = np.linalg.solve(lin, -diffusion)
     except np.linalg.LinAlgError as exc:
         raise ValueError("moment flow is singular: no steady state") from exc
-    n_ss = n_flat.reshape(2, 2)
+    n_ss = n_vec.reshape(2, 2)
     return 0.5 * (n_ss + n_ss.conj().T)
 
 

@@ -28,14 +28,14 @@ from functools import cache, partial
 
 import numpy as np
 
-from .fock import HOP, FockSpace, QuantumState, _move
+from .fock import HOP, QuantumState, _move
 # beam_splitter_hamiltonian and mode_annihilator are unused here but stay
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
     derivative_residual
 from .ode import OdeProblem, integrate_adaptive
-from .params import SystemParams, thermal_occupation
+from .params import SystemParams
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ def thermal_channels(params: SystemParams) -> list[LindbladChannel]:
     Mode a: rate gamma_a*(nbar_a+1) on c and gamma_a*nbar_a on c^dag; likewise
     for mode b. Zero-rate channels are dropped.
     """
-    nbar_a = thermal_occupation(params.omega_a, params.temperature)
-    nbar_b = thermal_occupation(params.omega_b, params.temperature)
+    nbar_a, nbar_b = params.nbar_a(), params.nbar_b()
     channels = [LindbladChannel((-1, 0), params.gamma_a * (nbar_a + 1.0)),
                 LindbladChannel((1, 0), params.gamma_a * nbar_a),
                 LindbladChannel((0, -1), params.gamma_b * (nbar_b + 1.0)),
@@ -175,34 +174,33 @@ def liouville_block(state: QuantumState, omega: float, g: float,
     return tuple(entries), y0, rhs
 
 
-def lindblad_rhs(rho: np.ndarray, space: FockSpace, omega: float, g: float,
+def lindblad_rhs(state: QuantumState, omega: float, g: float,
                  channels: list[LindbladChannel]) -> np.ndarray:
-    """d rho/dt of the move-built generator (``liouville_block``) at the
-    dense density matrix ``rho`` on ``space``."""
-    entries, y0, rhs = liouville_block(QuantumState(space, rho), omega, g,
-                                       channels)
-    out = np.zeros((space.dim, space.dim), dtype=complex)
+    """d rho/dt of the move-built generator (``liouville_block``) at
+    ``state``, as a dense density matrix (pure states are promoted to
+    projectors)."""
+    entries, y0, rhs = liouville_block(state, omega, g, channels)
+    dim = state.space.dim
+    out = np.zeros((dim, dim), dtype=complex)
     out[entries] = rhs(0.0, y0)
     return out
 
 
-def evolve_density(state0, params: SystemParams, space: FockSpace,
+def evolve_density(state0: QuantumState, params: SystemParams,
                    sample_times, *, rtol: float = 1e-9, atol: float = 1e-12,
                    interaction_picture: bool = True,
                    keep_states: bool = False) -> ObservableTrajectory:
     """Evolve a density matrix and record observables at the sample times.
 
-    ``state0`` may be a QuantumState (pure states are promoted to projectors)
-    or a raw density matrix; only the entries it reaches are evolved (see the
-    module docstring). With ``interaction_picture`` the omega_b*(n_a+n_b)
-    rotation is removed from the Hamiltonian; all recorded observables are
-    invariant under that choice. A warning is attached when the top Fock
-    level of either mode accumulates more than 1e-6 population. With
-    ``keep_states`` the ``snapshots`` are the full (S, d, d) sampled states,
-    exactly zero outside the evolved entries.
+    A pure ``state0`` is promoted to its projector; only the entries it
+    reaches on its space are evolved (see the module docstring). With
+    ``interaction_picture`` the omega_b*(n_a+n_b) rotation is removed from
+    the Hamiltonian; all recorded observables are invariant under that
+    choice. A warning is attached when the top Fock level of either mode
+    accumulates more than 1e-6 population. With ``keep_states`` the
+    ``snapshots`` are the full (S, d, d) sampled states, exactly zero outside
+    the evolved entries.
     """
-    if not isinstance(state0, QuantumState):
-        state0 = QuantumState(space, state0)
     omega = 0.0 if interaction_picture else params.omega_b
     entries, y0, rhs = liouville_block(state0, omega, params.g,
                                        thermal_channels(params))
@@ -212,7 +210,7 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
                          rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b, entries)
+    ops = ObservableOps(state0.space, entries, params.gamma_a, params.gamma_b)
     return ObservableTrajectory(
         "lindblad", params.omega_b, sol.times,
         **ops.record_from_density(sol.states), stats=sol.stats,
@@ -220,19 +218,18 @@ def evolve_density(state0, params: SystemParams, space: FockSpace,
         snapshots=ops.embed(sol.states) if keep_states else None, atol=atol)
 
 
-def moment_rhs(m, params: SystemParams, temperature: float = 0.0):
+def moment_rhs(m, params: SystemParams):
     """Closed system for (x, y, z) = (<c^dag c>, <d^dag d>, <c^dag d>).
 
     dx/dt = 2 g Im z - gamma_a x + gamma_a nbar_a
     dy/dt = -2 g Im z - gamma_b y + gamma_b nbar_b
     dz/dt = i g (y - x) - (gamma_a + gamma_b) z / 2
 
-    The thermal sources vanish at zero temperature; the coherence has no
-    thermal source at any temperature.
+    with the bath occupations of ``params``. The thermal sources vanish at
+    zero temperature; the coherence has no thermal source at any temperature.
     """
     x, y, z = m
-    nbar_a = thermal_occupation(params.omega_a, temperature)
-    nbar_b = thermal_occupation(params.omega_b, temperature)
+    nbar_a, nbar_b = params.nbar_a(), params.nbar_b()
     g = params.g
     dx = 2.0 * g * z.imag - params.gamma_a * x + params.gamma_a * nbar_a
     dy = -2.0 * g * z.imag - params.gamma_b * y + params.gamma_b * nbar_b
@@ -240,10 +237,10 @@ def moment_rhs(m, params: SystemParams, temperature: float = 0.0):
     return np.array([dx, dy, dz], dtype=complex)
 
 
-def moment_closure_residual(traj: ObservableTrajectory, params: SystemParams,
-                            temperature: float = 0.0) -> float:
+def moment_closure_residual(traj: ObservableTrajectory,
+                            params: SystemParams) -> float:
     """Deviation of a trajectory's raw moments (x, y, z) from the closed
     moment system ``moment_rhs`` (see ``derivative_residual``)."""
     columns = (traj.n_a_raw, traj.n_b_raw, traj.coherence)
     return derivative_residual(traj, params, columns,
-                               moment_rhs(columns, params, temperature))
+                               moment_rhs(columns, params))

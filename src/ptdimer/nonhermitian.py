@@ -22,7 +22,7 @@ import numpy as np
 
 # lossy_hamiltonian is unused here but stays importable: perfbench/tracing.py
 # times it as a site of this module
-from .fock import FockSpace, QuantumState, lossy_hamiltonian  # noqa: F401
+from .fock import QuantumState, lossy_hamiltonian  # noqa: F401
 from .lindblad import liouville_block, thermal_channels
 from .observables import ObservableOps, ObservableTrajectory, \
     derivative_residual, renormalized_ratios
@@ -32,20 +32,18 @@ from .params import SystemParams
 _NORM_FLOOR = 1e-300
 
 
-def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
+def evolve_nonhermitian(state0: QuantumState, params: SystemParams,
                         sample_times, *, rtol: float = 1e-9,
                         atol: float = 1e-12, interaction_picture: bool = True,
                         keep_states: bool = False) -> ObservableTrajectory:
     """Evolve a state under H_L and record observables at the sample times.
 
-    Accepts a pure QuantumState (evolved as a vector) or a density matrix
-    (evolved two-sided), on the excitation-number blocks it starts in. If the
+    A pure ``state0`` is evolved as a vector and a mixed one two-sided, on
+    the excitation-number blocks of its space that it starts in. If the
     squared norm underflows below 1e-300 the trajectory is truncated there
     with a warning. With ``keep_states`` the ``snapshots`` are the full
     sampled states, exactly zero outside the evolved blocks.
     """
-    if not isinstance(state0, QuantumState):
-        state0 = QuantumState(space, state0)
     omega = 0.0 if interaction_picture else params.omega_b
     entries, y0, rhs = liouville_block(
         state0, omega, params.g,
@@ -56,7 +54,7 @@ def evolve_nonhermitian(state0, params: SystemParams, space: FockSpace,
                          rtol=rtol, atol=atol, linear=True)
     sol = integrate_adaptive(problem)
 
-    ops = ObservableOps(space, params.gamma_a, params.gamma_b, entries)
+    ops = ObservableOps(state0.space, entries, params.gamma_a, params.gamma_b)
     record = ops.record_from_pure if state0.is_pure \
         else ops.record_from_nh_density
     cols = record(sol.states)
@@ -79,9 +77,10 @@ def renormalized_observables(state: QuantumState) -> tuple[float, float, complex
     Raises ValueError for states with zero total occupation (vacuum), where
     the ratios are undefined. Invariant: n_a + n_b = 1.
     """
-    ops = ObservableOps(state.space)
+    entries = np.nonzero(state.data)
+    ops = ObservableOps(state.space, entries)
     record = ops.record_from_pure if state.is_pure else ops.record_from_nh_density
-    cols = record(state.data[np.newaxis])
+    cols = record(state.data[entries][np.newaxis])
     n_a, n_b, g1 = renormalized_ratios(cols["n_a_raw"], cols["n_b_raw"],
                                        cols["coherence"])
     if np.isnan(n_a[0]):

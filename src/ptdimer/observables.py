@@ -5,10 +5,10 @@ renormalized occupations divide by the total <N> so that n_a + n_b = 1. A
 trajectory holds one array per observable with one entry per sample: the raw
 moments, the state weight (trace or squared norm) and, for the non-Hermitian
 engine, the quartic loss moments entering the occupation ODEs. The recorders
-turn an engine's whole stack of sampled states, or of the entries it
-evolves, into these columns in one call; their sanity checks raise
-FloatingPointError. A trajectory warns where the renormalized ratios are
-undefined (<N> <= 0) or may be made of numerical error (0 < <N> < atol).
+turn an engine's whole stack of sampled entries into these columns in one
+call; their sanity checks raise FloatingPointError. A trajectory warns where
+the renormalized ratios are undefined (<N> <= 0) or may be made of numerical
+error (0 < <N> < atol).
 """
 
 from __future__ import annotations
@@ -83,22 +83,16 @@ class ObservableOps:
 
     ``entries`` names the entries each sample of a stack holds, as the
     engines evolve them: one full-space index array per axis of the state,
-    (i,) for vectors or (row, col) for density matrices. Entries left out are
-    0. Without ``entries`` each sample is a whole state, (d,) or (d, d).
+    (i,) for vectors or (row, col) for density matrices, sorted row-major.
+    Entries left out are 0.
     """
 
-    def __init__(self, space: FockSpace, gamma_a: float = 0.0,
-                 gamma_b: float = 0.0, entries=None) -> None:
+    def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
+                 gamma_b: float = 0.0) -> None:
         self._space = space
-        self._gammas = (gamma_a, gamma_b)
         self._entries = entries
-        if entries is not None:
-            self._index(entries)
-
-    def _index(self, entries) -> None:
-        """Positions of the diagonal entries with their number data, and of
-        the hop pairs with their sqrt(n) factors, ordered by hop target."""
-        space = self._space
+        # positions of the diagonal entries with their number data, and of
+        # the hop pairs with their sqrt(n) factors, ordered by hop target
         first = entries[0]
         # the hop target n + (1, -1) grows with n, so sources in entry order
         # are also in target order
@@ -118,20 +112,11 @@ class ObservableOps:
         basis = first[self._diag]
         diag_a, diag_b = (n[basis] for n in space.number_diagonals())
         self._diag_a, self._diag_b = diag_a, diag_b
-        loss = self._gammas[0] * diag_a + self._gammas[1] * diag_b
+        loss = gamma_a * diag_a + gamma_b * diag_b
         self._quartic_a = diag_a * loss
         self._quartic_b = diag_b * loss
         self._top = ((diag_a == space.dim_a - 1)
                      | (diag_b == space.dim_b - 1)).astype(float)
-
-    def _flat(self, states: np.ndarray, axes: int) -> np.ndarray:
-        """(S, n) stack of the entries; whole states are flattened."""
-        if self._entries is not None:
-            return states
-        dim = self._space.dim
-        every = np.arange(dim**axes)
-        self._index((every,) if axes == 1 else np.divmod(every, dim))
-        return states.reshape(len(states), -1)
 
     def embed(self, states: np.ndarray) -> np.ndarray:
         """Full-space stack (S, d) or (S, d, d), exactly zero outside the
@@ -161,7 +146,6 @@ class ObservableOps:
 
     def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a Lindblad density stack; no quartics."""
-        rhos = self._flat(rhos, 2)
         diag = rhos[:, self._diag]
         scale = np.maximum(1.0, np.abs(diag.real).sum(axis=1))
         tol = 1e-10 * scale
@@ -174,7 +158,6 @@ class ObservableOps:
 
     def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a state-vector stack, with quartics."""
-        psis = self._flat(psis, 1)
         pops = np.abs(psis[:, self._diag]) ** 2
         weight = pops.sum(axis=1)
         target, source = self._hop
@@ -183,7 +166,6 @@ class ObservableOps:
 
     def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a non-Hermitian density stack, with quartics."""
-        rhos = self._flat(rhos, 2)
         pops = rhos[:, self._diag].real
         weight = pops.sum(axis=1)
         return self._columns(pops, np.maximum(1.0, np.abs(weight)),

@@ -192,9 +192,12 @@ class SystemParams:
         return classify_regime(self.g, self.contrast(), self.classify_tol)
 
     def nbar_a(self) -> float:
+        """Bath occupation of mode a at ``temperature``; the engines read the
+        bath from here only."""
         return thermal_occupation(self.omega_a, self.temperature)
 
     def nbar_b(self) -> float:
+        """Bath occupation of mode b at ``temperature``."""
         return thermal_occupation(self.omega_b, self.temperature)
 
 

@@ -345,7 +345,7 @@ def parse_config(text: str, scenario: str | None = None,
 
 # ------------------------------------------------------------------ runner --
 
-def _zero_t_initial(cfg: ScenarioConfig, space: FockSpace):
+def _initial_state(cfg: ScenarioConfig, space: FockSpace):
     kind = cfg.state[0]
     if kind == "fock":
         return fock_product_state(cfg.state[1], cfg.state[2], space)
@@ -364,16 +364,13 @@ def run_engine(engine: str, cfg: ScenarioConfig,
         if cfg.state[0] != "thermal":
             raise ConfigError("gaussian engine needs a thermal initial state")
         n0 = gaussian_mod.thermal_moment_state(params, cfg.state[1])
-        return gaussian_mod.evolve_moments(n0, params, params.temperature,
-                                           times)
-    dims = cfg.mode_dims()
-    space = FockSpace(*dims)
-    state = _zero_t_initial(cfg, space)
+        return gaussian_mod.evolve_moments(n0, params, times)
+    state = _initial_state(cfg, FockSpace(*cfg.mode_dims()))
     if engine == "lindblad":
-        return lindblad_mod.evolve_density(state, params, space, times,
+        return lindblad_mod.evolve_density(state, params, times,
                                            rtol=cfg.rtol, atol=cfg.atol)
     if engine == "nonhermitian":
-        return nonhermitian_mod.evolve_nonhermitian(state, params, space, times,
+        return nonhermitian_mod.evolve_nonhermitian(state, params, times,
                                                     rtol=cfg.rtol, atol=cfg.atol)
     raise ConfigError(f"unknown engine {engine!r}")
 

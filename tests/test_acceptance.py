@@ -114,14 +114,13 @@ def test_criterion_04_moment_closure_and_dedicated_integrator(criterion):
         p = make_params()
         space = FockSpace(5, 5)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 4000)
-        fock21 = evolve_density(fock_product_state(2, 1, space), p, space,
-                                times)
+        fock21 = evolve_density(fock_product_state(2, 1, space), p, times)
         assert moment_closure_residual(fock21, p) < 1e-5
         assert moment_closure_residual(_catalog_run("fig4d", "lindblad"),
                                        p) < 1e-5
 
-        tight = evolve_density(fock_product_state(2, 1, space), p, space,
-                               times, rtol=1e-11, atol=1e-14)
+        tight = evolve_density(fock_product_state(2, 1, space), p, times,
+                               rtol=1e-11, atol=1e-14)
         problem = OdeProblem(lambda t, m: moment_rhs(m, p),
                              np.array([2.0, 1.0, 0.0], dtype=complex),
                              (0.0, times[-1]), times, rtol=1e-11, atol=1e-14)
@@ -165,12 +164,11 @@ def test_criterion_07_thermal_regime_signatures(criterion):
         pair_rate = 0.5 * (GAMMA_A + GAMMA_B)
 
         times = np.linspace(0.0, 5.0 / pair_rate, 2000)
-        strong = evolve_moments(n0, make_params(temperature=ROOM_T),
-                                ROOM_T, times)
+        strong = evolve_moments(n0, make_params(temperature=ROOM_T), times)
         assert count_prominent_extrema(strong.n_b_raw) >= 3
 
         critical = evolve_moments(
-            n0, make_params(g=G_BALANCED, temperature=ROOM_T), ROOM_T, times)
+            n0, make_params(g=G_BALANCED, temperature=ROOM_T), times)
         assert count_prominent_extrema(critical.n_b_raw) == 0
 
         contrast = 0.25 * (GAMMA_A - GAMMA_B)
@@ -178,8 +176,8 @@ def test_criterion_07_thermal_regime_signatures(criterion):
                       - np.sqrt(contrast ** 2 - G_WEAK ** 2))
         p_weak = make_params(g=G_WEAK, temperature=ROOM_T)
         times = np.linspace(0.0, 5.0 / slow, 2000)
-        weak = evolve_moments(n0, p_weak, ROOM_T, times)
-        asymptote = steady_state_moments(p_weak, ROOM_T)[1, 1].real
+        weak = evolve_moments(n0, p_weak, times)
+        asymptote = steady_state_moments(p_weak)[1, 1].real
         fitted = fit_decay_rate(times, weak.n_b_raw, asymptote=asymptote)
         assert fitted == pytest.approx(slow, rel=0.05)
 
@@ -208,13 +206,12 @@ def test_criterion_08_conservation_sweep_over_catalog(criterion):
                     assert np.all(np.linalg.eigvalsh(n).min(axis=1)
                                   > -floor), sid
                 else:
-                    dims = run_cfg.mode_dims()
-                    space = FockSpace(*dims)
-                    from ptdimer.scenarios import _zero_t_initial
-                    state = _zero_t_initial(run_cfg, space)
+                    from ptdimer.scenarios import _initial_state
+                    state = _initial_state(run_cfg,
+                                           FockSpace(*run_cfg.mode_dims()))
                     times = run_cfg.sample_times()
                     if engine == "lindblad":
-                        traj = evolve_density(state, params, space, times,
+                        traj = evolve_density(state, params, times,
                                               keep_states=True)
                         rhos = traj.snapshots
                         trace = np.trace(rhos, axis1=1, axis2=2).real
@@ -231,7 +228,7 @@ def test_criterion_08_conservation_sweep_over_catalog(criterion):
                         traj.snapshots = rhos = None
                     else:
                         from ptdimer import evolve_nonhermitian
-                        traj = evolve_nonhermitian(state, params, space, times)
+                        traj = evolve_nonhermitian(state, params, times)
                         w = traj.weight
                         assert np.all(w[1:] <= w[:-1] * (1.0 + 1e-12)), sid
                 assert np.abs(traj.n_a + traj.n_b - 1.0).max() <= 1e-12, sid
@@ -243,8 +240,8 @@ def test_criterion_08_conservation_sweep_over_catalog(criterion):
 def test_criterion_09_steady_state_residual_and_convergence(criterion):
     with criterion(9, "steady-state fixed point and convergence"):
         p = make_params(temperature=ROOM_T)
-        n_ss = steady_state_moments(p, ROOM_T)
-        d = diffusion_matrix(p, ROOM_T)
+        n_ss = steady_state_moments(p)
+        d = diffusion_matrix(p)
         res = moment_flow_rhs(n_ss, drift_matrix(p), d)
         assert np.abs(res).max() < 1e-9 * np.abs(d).max()
 
@@ -255,7 +252,7 @@ def test_criterion_09_steady_state_residual_and_convergence(criterion):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             n0 = a @ a.conj().T
             n0 *= 1e6 / np.abs(n0).max()
-            traj = evolve_moments(n0, p, ROOM_T, times)
+            traj = evolve_moments(n0, p, times)
             final = np.array([[traj.n_a_raw[-1], traj.coherence[-1]],
                               [np.conj(traj.coherence[-1]), traj.n_b_raw[-1]]])
             assert np.abs(final - n_ss).max() / np.abs(n_ss).max() < 1e-6

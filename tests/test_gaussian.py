@@ -45,17 +45,15 @@ class TestDriftAndDiffusion:
                 assert abs(a - b) < 1e-12 * abs(a)
 
     def test_diffusion_cold_and_room(self):
-        p = make_params()
-        assert np.all(diffusion_matrix(p, 0.0) == 0.0)
-        d = diffusion_matrix(p, ROOM_T)
+        assert np.all(diffusion_matrix(make_params()) == 0.0)
+        d = diffusion_matrix(make_params(temperature=ROOM_T))
         assert d[0, 0] == pytest.approx(1.2258e9, rel=1e-2)
         assert d[1, 1] == pytest.approx(7.2377e8, rel=1e-2)
         assert d[0, 1] == d[1, 0] == 0.0
 
     def test_diffusion_monotone_in_temperature(self):
-        p = make_params()
-        cold = diffusion_matrix(p, 200.0)
-        hot = diffusion_matrix(p, 350.0)
+        cold = diffusion_matrix(make_params(temperature=200.0))
+        hot = diffusion_matrix(make_params(temperature=350.0))
         assert hot[0, 0] > cold[0, 0]
         assert hot[1, 1] > cold[1, 1]
 
@@ -72,12 +70,12 @@ class TestMomentFlowRhs:
         for temp in (0.0, ROOM_T):
             p = make_params(temperature=temp)
             m = drift_matrix(p)
-            d = diffusion_matrix(p, temp)
+            d = diffusion_matrix(p)
             for _ in range(50):
                 n = _random_moment_state(rng, scale=2.5)
                 dn = moment_flow_rhs(n, m, d)
                 dx, dy, dz = moment_rhs(
-                    np.array([n[0, 0], n[1, 1], n[0, 1]]), p, temperature=temp)
+                    np.array([n[0, 0], n[1, 1], n[0, 1]]), p)
                 scale = max(np.abs(dn).max(), 1.0)
                 assert abs(dn[0, 0] - dx) < 1e-13 * scale
                 assert abs(dn[1, 1] - dy) < 1e-13 * scale
@@ -85,9 +83,9 @@ class TestMomentFlowRhs:
 
     def test_rotation_shift_is_neutral(self):
         rng = np.random.default_rng(7)
-        p = make_params()
+        p = make_params(temperature=ROOM_T)
         m = drift_matrix(p)
-        d = diffusion_matrix(p, ROOM_T)
+        d = diffusion_matrix(p)
         n = _random_moment_state(rng, scale=1e4)
         shifted = moment_flow_rhs(n, m - OMEGA_B * np.eye(2), d)
         scale = np.abs(shifted).max()
@@ -95,9 +93,9 @@ class TestMomentFlowRhs:
 
     def test_preserves_hermiticity(self):
         rng = np.random.default_rng(11)
-        p = make_params()
+        p = make_params(temperature=ROOM_T)
         m = drift_matrix(p)
-        d = diffusion_matrix(p, ROOM_T)
+        d = diffusion_matrix(p)
         n = _random_moment_state(rng, scale=1e3)
         dn = moment_flow_rhs(n, m, d)
         assert np.abs(dn - dn.conj().T).max() < 1e-12 * np.abs(dn).max()
@@ -137,10 +135,10 @@ class TestExactPath:
 
     def test_uncoupled_modes_relax_on_their_own(self):
         # at g = 0 nothing feeds N01: it evolves from an exact 0 and stays 0
-        p = make_params(g=0.0)
+        p = make_params(g=0.0, temperature=ROOM_T)
         n0 = np.diag([2.0, 5.0])
         times = np.linspace(0.0, 3.0 / GAMMA_A, 200)
-        traj = evolve_moments(n0, p, ROOM_T, times)
+        traj = evolve_moments(n0, p, times)
         assert np.all(traj.coherence == 0.0)
         for x, omega, gamma, n in ((traj.n_a_raw, OMEGA_A, GAMMA_A, 2.0),
                                    (traj.n_b_raw, OMEGA_B, GAMMA_B, 5.0)):
@@ -153,14 +151,16 @@ class TestExactPath:
     @pytest.mark.parametrize("case", ["ep", "geometric", "undamped"])
     def test_matches_tight_adaptive_reference(self, case):
         pair_rate = 0.5 * (GAMMA_A + GAMMA_B)
-        p = {"ep": make_params(g=G_BALANCED), "geometric": make_params(),
-             "undamped": make_params(gamma_a=0.0, gamma_b=0.0)}[case]
+        p = {"ep": make_params(g=G_BALANCED, temperature=ROOM_T),
+             "geometric": make_params(temperature=ROOM_T),
+             "undamped": make_params(gamma_a=0.0, gamma_b=0.0,
+                                     temperature=ROOM_T)}[case]
         times = np.geomspace(1e-3 / pair_rate, 10.0 / pair_rate, 80) \
             if case == "geometric" else np.linspace(0.0, 5.0 / pair_rate, 300)
         n0 = _random_moment_state(np.random.default_rng(5), scale=3e5)
-        traj = evolve_moments(n0, p, ROOM_T, times)
+        traj = evolve_moments(n0, p, times)
         m = drift_matrix(p)
-        d = diffusion_matrix(p, ROOM_T)
+        d = diffusion_matrix(p)
         ref = integrate_adaptive(OdeProblem(
             lambda t, y: moment_flow_rhs(y.reshape(2, 2), m, d).ravel(),
             n0.ravel(), (0.0, times[-1]), times, rtol=1e-12, atol=1e-6))
@@ -173,10 +173,10 @@ class TestExactPath:
 
 class TestRegimeSignatures:
     def _run(self, g, horizon_rate, samples=2000):
-        p = make_params(g=g)
+        p = make_params(g=g, temperature=ROOM_T)
         n0 = thermal_moment_state(p, ROOM_T)
         times = np.linspace(0.0, 5.0 / horizon_rate, samples)
-        return p, times, evolve_moments(n0, p, ROOM_T, times)
+        return p, times, evolve_moments(n0, p, times)
 
     def test_oscillating_phase_shows_beats(self):
         pair_rate = 0.5 * (GAMMA_A + GAMMA_B)
@@ -193,7 +193,7 @@ class TestRegimeSignatures:
         slow = 2.0 * (0.25 * (GAMMA_A + GAMMA_B)
                       - np.sqrt(contrast ** 2 - G_WEAK ** 2))
         p, times, traj = self._run(G_WEAK, slow)
-        n_ss = steady_state_moments(p, ROOM_T)[1, 1].real
+        n_ss = steady_state_moments(p)[1, 1].real
         fitted = fit_decay_rate(times, traj.n_b_raw, asymptote=n_ss)
         assert fitted == pytest.approx(slow, rel=0.05)
 
@@ -205,35 +205,35 @@ class TestRegimeSignatures:
 
 class TestSteadyState:
     def test_uncoupled_is_thermal(self):
-        p = make_params(g=0.0)
-        n_ss = steady_state_moments(p, ROOM_T)
+        p = make_params(g=0.0, temperature=ROOM_T)
+        n_ss = steady_state_moments(p)
         ref = thermal_moment_state(p, ROOM_T)
         assert np.abs(n_ss - ref).max() < 1e-10 * np.abs(ref).max()
 
     def test_cold_baths_empty(self):
-        n_ss = steady_state_moments(make_params(), 0.0)
+        n_ss = steady_state_moments(make_params())
         assert np.abs(n_ss).max() < 1e-12
 
     def test_fixed_point_residual(self):
-        p = make_params()
-        n_ss = steady_state_moments(p, ROOM_T)
-        d = diffusion_matrix(p, ROOM_T)
+        p = make_params(temperature=ROOM_T)
+        n_ss = steady_state_moments(p)
+        d = diffusion_matrix(p)
         res = moment_flow_rhs(n_ss, drift_matrix(p), d)
         assert np.abs(res).max() < 1e-12 * np.abs(d).max()
 
     def test_steady_state_is_physical(self):
-        n_ss = steady_state_moments(make_params(), ROOM_T)
+        n_ss = steady_state_moments(make_params(temperature=ROOM_T))
         check_moment_state(n_ss)
 
     def test_random_starts_converge(self):
-        p = make_params()
-        n_ss = steady_state_moments(p, ROOM_T)
+        p = make_params(temperature=ROOM_T)
+        n_ss = steady_state_moments(p)
         rate = 0.5 * (GAMMA_A + GAMMA_B)
         times = np.linspace(0.0, 24.0 / rate, 400)
         rng = np.random.default_rng(17)
         for _ in range(2):
             n0 = _random_moment_state(rng, scale=3e5)
-            traj = evolve_moments(n0, p, ROOM_T, times)
+            traj = evolve_moments(n0, p, times)
             final = np.array([[traj.n_a_raw[-1], traj.coherence[-1]],
                               [np.conj(traj.coherence[-1]), traj.n_b_raw[-1]]])
             rel = np.abs(final - n_ss).max() / np.abs(n_ss).max()
@@ -241,11 +241,13 @@ class TestSteadyState:
 
     def test_undamped_rejected(self):
         with pytest.raises(ValueError, match="steady state"):
-            steady_state_moments(make_params(gamma_a=0.0, gamma_b=0.0), ROOM_T)
+            steady_state_moments(make_params(gamma_a=0.0, gamma_b=0.0,
+                                             temperature=ROOM_T))
 
     def test_undamped_decoupled_mode_rejected(self):
         with pytest.raises(ValueError, match="singular"):
-            steady_state_moments(make_params(gamma_a=0.0, g=0.0), ROOM_T)
+            steady_state_moments(make_params(gamma_a=0.0, g=0.0,
+                                             temperature=ROOM_T))
 
 
 class TestExtremaCounter:

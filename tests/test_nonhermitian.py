@@ -28,9 +28,8 @@ class TestSingleExcitation:
         space = FockSpace(3, 2)
         p = make_params(g=g)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 60)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times, rtol=1e-11, atol=1e-14,
-                                   keep_states=True)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times,
+                                   rtol=1e-11, atol=1e-14, keep_states=True)
         h2 = _single_excitation_block(g)
         i_10 = space.index(1, 0)
         i_01 = space.index(0, 1)
@@ -48,9 +47,8 @@ class TestSingleExcitation:
         p = make_params(g=G_BALANCED)
         contrast = 0.25 * (GAMMA_A - GAMMA_B)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 60)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times, rtol=1e-11, atol=1e-14,
-                                   keep_states=True)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times,
+                                   rtol=1e-11, atol=1e-14, keep_states=True)
         i_10 = space.index(1, 0)
         i_01 = space.index(0, 1)
         for t, psi in zip(traj.times, traj.snapshots):
@@ -62,8 +60,7 @@ class TestSingleExcitation:
         space = FockSpace(3, 2)
         p = make_params()
         times = np.linspace(0.0, 5.0 / GAMMA_A, 200)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times)
         assert np.abs(traj.n_a + traj.n_b - 1.0).max() < 1e-12
 
 
@@ -72,8 +69,8 @@ class TestUncoupledDecay:
         space = FockSpace(3, 2)
         p = make_params(g=0.0)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 100)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times, rtol=1e-11, atol=1e-14)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times,
+                                   rtol=1e-11, atol=1e-14)
         assert np.abs(traj.weight / np.exp(-GAMMA_A * times) - 1.0).max() < 1e-8
         assert np.abs(traj.n_a - 1.0).max() < 1e-12
         assert np.abs(traj.n_b).max() < 1e-12
@@ -82,7 +79,7 @@ class TestUncoupledDecay:
         space = FockSpace(4, 4)
         p = make_params()
         times = np.linspace(0.0, 5.0 / GAMMA_A, 400)
-        traj = evolve_nonhermitian(noon_state(2, space), p, space, times)
+        traj = evolve_nonhermitian(noon_state(2, space), p, times)
         w = traj.weight
         assert np.all(w[1:] <= w[:-1] * (1.0 + 1e-12))
 
@@ -93,10 +90,9 @@ class TestMixedStates:
         p = make_params()
         times = np.linspace(0.0, 3.0 / GAMMA_A, 80)
         psi = noon_state(2, space)
-        pure = evolve_nonhermitian(psi, p, space, times,
-                                   rtol=1e-11, atol=1e-14)
-        mixed = evolve_nonhermitian(psi.density(), p, space, times,
-                                    rtol=1e-11, atol=1e-14)
+        pure = evolve_nonhermitian(psi, p, times, rtol=1e-11, atol=1e-14)
+        mixed = evolve_nonhermitian(QuantumState(space, psi.density()), p,
+                                    times, rtol=1e-11, atol=1e-14)
         assert np.abs(pure.weight - mixed.weight).max() < 1e-9
         assert np.abs(pure.n_a_raw - mixed.n_a_raw).max() < 1e-9
         assert np.abs(pure.g1 - mixed.g1).max() < 1e-9
@@ -135,8 +131,8 @@ class TestNormUnderflow:
         space = FockSpace(3, 2)
         p = make_params(g=0.0)
         times = np.linspace(0.0, 1000.0 / GAMMA_A, 30)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times, atol=1e-160)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times,
+                                   atol=1e-160)
         kept = len(traj.n_a_raw)
         assert 0 < kept < 30
         assert len(traj.times) == kept
@@ -153,7 +149,7 @@ class TestTruncationLeakage:
         rho = np.zeros((space.dim, space.dim), dtype=complex)
         rho[space.index(1, 0), space.index(1, 0)] = 1.0
         times = np.linspace(0.0, 1.0 / GAMMA_A, 5)
-        traj = evolve(rho, make_params(), space, times)
+        traj = evolve(QuantumState(space, rho), make_params(), times)
         assert any("truncation leakage" in w for w in traj.warnings)
 
 
@@ -165,8 +161,7 @@ class TestLossOfSignificance:
         # t ~ 1.7e-4 s, where the renormalized ratios are integration noise
         space = FockSpace(3, 3)
         times = np.linspace(0.0, 4e-4, 41)
-        traj = evolve(fock_product_state(1, 0, space), make_params(), space,
-                      times)
+        traj = evolve(fock_product_state(1, 0, space), make_params(), times)
         total = traj.n_a_raw + traj.n_b_raw
         low = np.flatnonzero((total > 0) & (total < 1e-12))
         assert low.size
@@ -179,8 +174,7 @@ class TestLossOfSignificance:
     def test_resolved_decay_does_not_warn(self, evolve):
         space = FockSpace(3, 3)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 41)
-        traj = evolve(fock_product_state(1, 0, space), make_params(), space,
-                      times)
+        traj = evolve(fock_product_state(1, 0, space), make_params(), times)
         assert traj.warnings == []
 
 
@@ -189,31 +183,28 @@ class TestOccupationOdeResidual:
         space = FockSpace(3, 2)
         p = make_params()
         times = np.linspace(0.0, 5.0 / GAMMA_A, 4000)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times)
         assert occupation_ode_residual(traj, p) < 1e-6
 
     def test_two_one_fock(self):
         space = FockSpace(5, 5)
         p = make_params()
         times = np.linspace(0.0, 5.0 / GAMMA_A, 4000)
-        traj = evolve_nonhermitian(fock_product_state(2, 1, space), p, space,
-                                   times)
+        traj = evolve_nonhermitian(fock_product_state(2, 1, space), p, times)
         assert occupation_ode_residual(traj, p) < 1e-5
 
     def test_uncoupled(self):
         space = FockSpace(5, 5)
         p = make_params(g=0.0)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 12000)
-        traj = evolve_nonhermitian(fock_product_state(2, 1, space), p, space,
-                                   times)
+        traj = evolve_nonhermitian(fock_product_state(2, 1, space), p, times)
         assert occupation_ode_residual(traj, p) < 1e-6
 
     def test_needs_quartics(self):
         space = FockSpace(3, 2)
         p = make_params()
         times = np.linspace(0.0, 1.0 / GAMMA_A, 50)
-        traj = evolve_density(fock_product_state(1, 0, space), p, space, times)
+        traj = evolve_density(fock_product_state(1, 0, space), p, times)
         with pytest.raises(ValueError, match="quartic"):
             occupation_ode_residual(traj, p)
 
@@ -221,7 +212,6 @@ class TestOccupationOdeResidual:
         space = FockSpace(3, 2)
         p = make_params()
         times = np.linspace(0.0, 1.0 / GAMMA_A, 4)
-        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times)
+        traj = evolve_nonhermitian(fock_product_state(1, 0, space), p, times)
         with pytest.raises(ValueError, match="sampling"):
             occupation_ode_residual(traj, p)

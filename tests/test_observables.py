@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from ptdimer import FockSpace, evolve_density, mode_annihilator
+from ptdimer import FockSpace, QuantumState, evolve_density, mode_annihilator
 from ptdimer.observables import ObservableOps, ObservableTrajectory, \
     derivative_residual, record_from_moments
 from conftest import GAMMA_A, make_params, random_density
@@ -13,6 +13,12 @@ def _dense_ops(space):
     d = mode_annihilator("b", space)
     return {"n_a_raw": c.conj().T @ c, "n_b_raw": d.conj().T @ d,
             "coherence": c.conj().T @ d}
+
+
+def _whole(space, axes):
+    """Every entry of the whole space, row-major: (i,) or (row, col)."""
+    every = np.arange(space.dim**axes)
+    return (every,) if axes == 1 else np.divmod(every, space.dim)
 
 
 class TestStackRecorders:
@@ -30,7 +36,8 @@ class TestStackRecorders:
     def test_density_stack_matches_trace(self, recorder):
         rng = np.random.default_rng(7)
         rhos = np.array([random_density(rng, self.space.dim) for _ in range(5)])
-        cols = getattr(ObservableOps(self.space), recorder)(rhos)
+        cols = getattr(ObservableOps(self.space, _whole(self.space, 2)),
+                       recorder)(rhos.reshape(len(rhos), -1))
         self._check(cols, {name: np.array([np.trace(op @ rho) for rho in rhos])
                            for name, op in _dense_ops(self.space).items()})
 
@@ -38,7 +45,8 @@ class TestStackRecorders:
         rng = np.random.default_rng(8)
         dim = self.space.dim
         psis = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
-        cols = ObservableOps(self.space).record_from_pure(psis)
+        cols = ObservableOps(self.space, _whole(self.space, 1)) \
+            .record_from_pure(psis)
         self._check(cols, {name: np.array([np.vdot(psi, op @ psi)
                                            for psi in psis])
                            for name, op in _dense_ops(self.space).items()})
@@ -50,7 +58,7 @@ class TestRecorderChecks:
         rho = np.zeros((space.dim, space.dim), dtype=complex)
         rho[space.index(0, 0), space.index(0, 0)] = 1.0
         times = np.linspace(0.0, 1.0 / GAMMA_A, 5)
-        traj = evolve_density(rho, make_params(), space, times)
+        traj = evolve_density(QuantumState(space, rho), make_params(), times)
         assert np.all(np.isnan(traj.n_a))
         assert traj.warnings == [
             "renormalized observables undefined (<N> <= 0) at 5 samples, "
@@ -63,15 +71,15 @@ class TestRecorderChecks:
         rho[space.index(1, 0), space.index(1, 0)] = -0.5
         times = np.linspace(0.0, 1.0 / GAMMA_A, 5)
         with pytest.raises(FloatingPointError, match="negative"):
-            evolve_density(rho, make_params(), space, times)
+            evolve_density(QuantumState(space, rho), make_params(), times)
 
     def test_complex_trace_is_numerical_failure(self):
         # on the vacuum entry only the trace sees the imaginary part
         space = FockSpace(2, 2)
-        rho = np.zeros((1, space.dim, space.dim), dtype=complex)
-        rho[0, 0, 0] = 1.0 + 1e-9j
+        rho = np.zeros((1, space.dim**2), dtype=complex)
+        rho[0, 0] = 1.0 + 1e-9j
         with pytest.raises(FloatingPointError, match="trace has imaginary"):
-            ObservableOps(space).record_from_density(rho)
+            ObservableOps(space, _whole(space, 2)).record_from_density(rho)
 
     def test_negative_moment_diagonal_is_numerical_failure(self):
         n00 = np.array([-1e-11, -1e-9], dtype=complex)

@@ -304,10 +304,8 @@ class TestComparison:
         p = make_params()
         space = FockSpace(3, 3)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 50)
-        nonh = evolve_nonhermitian(fock_product_state(1, 0, space), p, space,
-                                   times)
-        gaus = evolve_moments(np.diag([1.0, 0.0]).astype(complex), p, 0.0,
-                              times)
+        nonh = evolve_nonhermitian(fock_product_state(1, 0, space), p, times)
+        gaus = evolve_moments(np.diag([1.0, 0.0]).astype(complex), p, times)
         report = compare_trajectories([nonh, gaus], p, "custom")
         assert report.reference == "nonhermitian"
         assert set(report.deviations) == {"gaussian"}
