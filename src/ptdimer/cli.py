@@ -121,12 +121,12 @@ def main(argv=None) -> int:
         if args.command == "list-scenarios":
             return _cmd_list()
         return _cmd_classify(args)
+    except NUMERICAL_FAILURES as exc:  # before ValueError: LinAlgError is one
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

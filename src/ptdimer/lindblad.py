@@ -1,7 +1,8 @@
 """Lindblad master equation on the truncated two-mode space.
 
 d rho/dt = i[rho, H] + sum_k rate_k D[A_k] rho with thermal up/down channels
-on both modes, evaluated in its no-jump + jump form
+on both modes, in the frame rotating at omega_b, where H = g (c^dag d + c d^dag)
+is the beam-splitter coupling alone, evaluated in its no-jump + jump form
 
     d rho/dt = -i(H_eff rho - rho H_eff^dag) + sum_k rate_k A_k rho A_k^dag,
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k.
@@ -14,8 +15,8 @@ entries of the Delta N = 0 blocks of N <= 5) and writes each one's generator
 row as a gather of at most nine entries; it alone chooses the evolved
 entries, and ``ode.integrate_adaptive`` evolves every one of them, exactly up
 to ``ode.EXACT_MAX_ENTRIES`` entries. At zero temperature H_eff is the lossy
-Hamiltonian H_L, and the non-Hermitian engine is the same builder with the
-zero-temperature channels and no jumps.
+Hamiltonian H_L, and the non-Hermitian engine is the same builder without
+jumps, which also takes the zero-temperature channels.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
 reference. Also hosts the closed first-moment system (occupations +
 coherence) and its finite-difference consistency check.
@@ -23,7 +24,7 @@ coherence) and its finite-difference consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 
 import numpy as np
@@ -74,23 +75,29 @@ def dissipator_apply(channel_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
-def liouville_block(state: QuantumState, omega: float, g: float,
-                    channels: list[LindbladChannel], *, jumps: bool = True):
+def liouville_block(state: QuantumState, params: SystemParams, *,
+                    jumps: bool = True):
     """Entries ``state`` reaches under d rho/dt = K rho + rho K^dag + jumps,
     their initial values, and the linear RHS on them, as (entries, y0, rhs).
 
-    K = -i H_eff, with H = omega (n_a + n_b) + g (c^dag d + c d^dag) and H_eff
-    as in the module docstring. ``entries`` holds one full-space index array
-    per axis of the evolved state, (i,) for a vector or (row, col) for a
-    density matrix, sorted row-major. The closure starts from the nonzero
-    entries of the state and applies H's hops to rows and columns and each
-    jump to both, until no new entry inside the truncation appears. Each
-    entry's row of the generator is its K diagonal term plus one (source,
-    weight) term per move; a source the state never reaches gets weight 0.
-    With ``jumps`` off, the generator is the no-jump evolution, and a pure
-    state stays a vector, evolved by d psi/dt = K psi; otherwise a pure state
-    is promoted to its projector. Raises ValueError for a zero state.
+    K = -i H_eff, with H_eff as in the module docstring, built from the
+    coupling and the ``thermal_channels`` of ``params``. ``entries`` holds
+    one full-space index array per axis of the evolved state, (i,) for a
+    vector or (row, col) for a density matrix, sorted row-major. The closure
+    starts from the nonzero entries of the state and applies H's hops to rows
+    and columns and each jump to both, until no new entry inside the
+    truncation appears. Each entry's row of the generator is its K diagonal
+    term plus one (source, weight) term per move; a source the state never
+    reaches gets weight 0.
+    With ``jumps`` off, the generator is the no-jump evolution under H_L, the
+    H_eff of the zero-temperature channels at any ``params.temperature``, and
+    a pure state stays a vector, evolved by d psi/dt = K psi; otherwise a
+    pure state is promoted to its projector. Raises ValueError for a zero
+    state.
     """
+    g = params.g
+    channels = thermal_channels(params) if jumps \
+        else thermal_channels(replace(params, temperature=0.0))
     space, data = state.space, state.data
     vector = state.is_pure and not jumps
     if vector or not state.is_pure:
@@ -145,11 +152,9 @@ def liouville_block(state: QuantumState, omega: float, g: float,
         frontier = np.fromiter(found, dtype=int, count=len(found))
     block = np.array(sorted(block), dtype=int)
 
-    # K on the basis: A^dag A is the square of A's sqrt(n) factor, and n_a,
-    # n_b those of c and d
-    n_a, n_b = (np.where(ok, f * f, 0.0)
-                for _, f, ok in (table((-1, 0)), table((0, -1))))
-    h_eff = (omega * (n_a + n_b)).astype(complex)
+    # K's diagonal on the basis: each A^dag A is the square of A's sqrt(n)
+    # factor
+    h_eff = np.zeros(space.dim, dtype=complex)
     for ch in channels:
         _, f, ok = table(ch.move)
         h_eff = h_eff - 0.5j * ch.rate * np.where(ok, f * f, 0.0)
@@ -174,12 +179,11 @@ def liouville_block(state: QuantumState, omega: float, g: float,
     return tuple(entries), y0, rhs
 
 
-def lindblad_rhs(state: QuantumState, omega: float, g: float,
-                 channels: list[LindbladChannel]) -> np.ndarray:
+def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
     """d rho/dt of the move-built generator (``liouville_block``) at
     ``state``, as a dense density matrix (pure states are promoted to
     projectors)."""
-    entries, y0, rhs = liouville_block(state, omega, g, channels)
+    entries, y0, rhs = liouville_block(state, params)
     dim = state.space.dim
     out = np.zeros((dim, dim), dtype=complex)
     out[entries] = rhs(0.0, y0)
@@ -188,22 +192,17 @@ def lindblad_rhs(state: QuantumState, omega: float, g: float,
 
 def evolve_density(state0: QuantumState, params: SystemParams,
                    sample_times, *, rtol: float = 1e-9, atol: float = 1e-12,
-                   interaction_picture: bool = True,
                    keep_states: bool = False) -> ObservableTrajectory:
     """Evolve a density matrix and record observables at the sample times.
 
     A pure ``state0`` is promoted to its projector; only the entries it
-    reaches on its space are evolved (see the module docstring). With
-    ``interaction_picture`` the omega_b*(n_a+n_b) rotation is removed from
-    the Hamiltonian; all recorded observables are invariant under that
-    choice. A warning is attached when the top Fock level of either mode
-    accumulates more than 1e-6 population. With ``keep_states`` the
-    ``snapshots`` are the full (S, d, d) sampled states, exactly zero outside
-    the evolved entries.
+    reaches on its space are evolved, in the frame rotating at omega_b (see
+    the module docstring), which no recorded observable depends on. A
+    warning is attached when the top Fock level of either mode accumulates
+    more than 1e-6 population. With ``keep_states`` the ``snapshots`` are the
+    full (S, d, d) sampled states, exactly zero outside the evolved entries.
     """
-    omega = 0.0 if interaction_picture else params.omega_b
-    entries, y0, rhs = liouville_block(state0, omega, params.g,
-                                       thermal_channels(params))
+    entries, y0, rhs = liouville_block(state0, params)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,

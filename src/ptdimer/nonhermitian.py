@@ -1,29 +1,28 @@
 """Post-selected (no-jump) evolution under the lossy Hamiltonian.
 
 This is the no-jump half of the Lindblad generator: H_L is the H_eff of the
-zero-temperature master equation. Pure states follow d|psi>/dt = -i H_L |psi>
-and mixed states d rho/dt = -i(H_L rho - rho H_L^dag), both written by
-``lindblad.liouville_block`` with the zero-temperature channels and no jump
-terms, on the entries H_L connects to the initial state, i.e. its own
-excitation-number blocks. Both are linear, so ``ode.integrate_adaptive``
-propagates them exactly on those entries (the 6 of |5,0>'s N = 5 block for a
-pure state). The squared
-norm / trace decays monotonically and observables are reported both raw
-(unnormalized) and renormalized by the total occupation. Trajectories carry
+zero-temperature master equation, in the frame rotating at omega_b. Pure
+states follow d|psi>/dt = -i H_L |psi> and mixed states
+d rho/dt = -i(H_L rho - rho H_L^dag), both written by
+``lindblad.liouville_block`` without jump terms (which takes the
+zero-temperature channels), on the entries H_L connects to the initial state,
+i.e. its own excitation-number blocks. Both are linear, so
+``ode.integrate_adaptive`` propagates them exactly on those entries (the 6 of
+|5,0>'s N = 5 block for a pure state). The squared norm / trace decays
+monotonically and observables are reported both raw (unnormalized) and
+renormalized by the total occupation. Trajectories carry
 the quartic loss moments <n_a (gamma_a n_a + gamma_b n_b)> and <n_b (...)>
 that drive the occupation ODEs, enabling a finite-difference check.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 # lossy_hamiltonian is unused here but stays importable: perfbench/tracing.py
 # times it as a site of this module
 from .fock import QuantumState, lossy_hamiltonian  # noqa: F401
-from .lindblad import liouville_block, thermal_channels
+from .lindblad import liouville_block
 from .observables import ObservableOps, ObservableTrajectory, \
     derivative_residual, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
@@ -34,20 +33,18 @@ _NORM_FLOOR = 1e-300
 
 def evolve_nonhermitian(state0: QuantumState, params: SystemParams,
                         sample_times, *, rtol: float = 1e-9,
-                        atol: float = 1e-12, interaction_picture: bool = True,
+                        atol: float = 1e-12,
                         keep_states: bool = False) -> ObservableTrajectory:
     """Evolve a state under H_L and record observables at the sample times.
 
     A pure ``state0`` is evolved as a vector and a mixed one two-sided, on
-    the excitation-number blocks of its space that it starts in. If the
-    squared norm underflows below 1e-300 the trajectory is truncated there
-    with a warning. With ``keep_states`` the ``snapshots`` are the full
-    sampled states, exactly zero outside the evolved blocks.
+    the excitation-number blocks of its space that it starts in. H_L holds
+    the zero-temperature losses at any ``params.temperature``. If the squared
+    norm underflows below 1e-300 the trajectory is truncated there with a
+    warning. With ``keep_states`` the ``snapshots`` are the full sampled
+    states, exactly zero outside the evolved blocks.
     """
-    omega = 0.0 if interaction_picture else params.omega_b
-    entries, y0, rhs = liouville_block(
-        state0, omega, params.g,
-        thermal_channels(replace(params, temperature=0.0)), jumps=False)
+    entries, y0, rhs = liouville_block(state0, params, jumps=False)
 
     samples = np.asarray(sample_times, dtype=float)
     problem = OdeProblem(rhs, y0, (0.0, float(samples[-1])), samples,

@@ -357,8 +357,8 @@ def _initial_state(cfg: ScenarioConfig, space: FockSpace):
                                   space)
 
 
-def run_engine(engine: str, cfg: ScenarioConfig,
-               params: SystemParams) -> ObservableTrajectory:
+def run_engine(engine: str, cfg: ScenarioConfig) -> ObservableTrajectory:
+    params = cfg.system_params()
     times = cfg.sample_times()
     if engine == "gaussian":
         if cfg.state[0] != "thermal":
@@ -492,10 +492,6 @@ _SVG_W, _SVG_H = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 50
 
 
-def _svg_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return list(np.linspace(lo, hi, n))
-
-
 def _plot_series(traj: ObservableTrajectory) -> tuple[np.ndarray, np.ndarray]:
     # renormalized occupations for the Fock engines, raw for the moment engine
     if traj.engine == "gaussian":
@@ -537,14 +533,14 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for xt in _svg_ticks(x_lo, x_hi):
+    for xt in np.linspace(x_lo, x_hi, 5):
         px = sx(xt)
         parts.append(f'<line x1="{px:.2f}" y1="{_MARGIN_T + plot_h}" '
                      f'x2="{px:.2f}" y2="{_MARGIN_T + plot_h + 6}" '
                      'stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 22}" '
                      f'font-size="12" text-anchor="middle">{xt:.4g}</text>')
-    for yt in _svg_ticks(y_lo, y_hi):
+    for yt in np.linspace(y_lo, y_hi, 5):
         py = sy(yt)
         parts.append(f'<line x1="{_MARGIN_L - 6}" y1="{py:.2f}" '
                      f'x2="{_MARGIN_L}" y2="{py:.2f}" '
@@ -593,7 +589,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[Path]:
     trajs: list[ObservableTrajectory] = []
     for engine in cfg.engines:
         try:
-            traj = run_engine(engine, cfg, params)
+            traj = run_engine(engine, cfg)
         except NUMERICAL_FAILURES as exc:
             marker = outdir / f"{cfg.scenario}.partial"
             marker.write_text(f"engine {engine} failed: {exc}\n")

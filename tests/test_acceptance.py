@@ -42,7 +42,7 @@ def _catalog_run(sid: str, engine: str):
     key = (sid, engine)
     if key not in _RUNS:
         cfg = catalog_config(sid)
-        _RUNS[key] = run_engine(engine, cfg, cfg.system_params())
+        _RUNS[key] = run_engine(engine, cfg)
     return _RUNS[key]
 
 
@@ -196,7 +196,7 @@ def test_criterion_08_conservation_sweep_over_catalog(criterion):
             for engine in cfg.engines:
                 run_cfg = cfg if engine == "gaussian" else replace(cfg)
                 if engine == "gaussian":
-                    traj = run_engine(engine, run_cfg, params)
+                    traj = run_engine(engine, run_cfg)
                     n = np.empty((len(traj.times), 2, 2), dtype=complex)
                     n[:, 0, 0] = traj.n_a_raw
                     n[:, 0, 1] = traj.coherence

@@ -14,7 +14,6 @@ from ptdimer import (
     mode_annihilator,
     mode_number,
     noon_state,
-    thermal_channels,
     thermal_density_matrix,
     thermal_truncation_dim,
     truncation_dim,
@@ -323,7 +322,8 @@ class TestValidation:
          ValueError, "occupation"),
         (lambda: liouville_block(QuantumState(FockSpace(3, 3),
                                               np.zeros((9, 9))),
-                                 0.0, 1.0, []), ValueError, "state is zero"),
+                                 make_params()), ValueError,
+         "state is zero"),
     ], ids=["truncation", "thermal-dim-nbar", "thermal-dim-tail", "space",
             "index", "density-shape", "state-ndim", "fock-occupation",
             "noon-n", "thermal-weights-nbar", "zero-state"])
@@ -359,8 +359,7 @@ class TestReachableIndices:
 
     def _lindblad_entries(self, params):
         state = fock_product_state(5, 0, self.space)
-        return liouville_block(state, 0.0, params.g,
-                               thermal_channels(params))[0]
+        return liouville_block(state, params)[0]
 
     def test_zero_temperature_channels_keep_n_at_most_initial(self):
         # the Delta N = 0 blocks of N <= 5: sum (N+1)^2 = 91 entries on the
@@ -375,8 +374,7 @@ class TestReachableIndices:
     def test_lossy_hamiltonian_keeps_the_initial_block(self):
         p = make_params()
         (reach,), _, _ = liouville_block(fock_product_state(5, 0, self.space),
-                                         0.0, p.g, thermal_channels(p),
-                                         jumps=False)
+                                         p, jumps=False)
         expected = np.flatnonzero(self._total(np.arange(self.space.dim)) == 5)
         assert expected.size == 6
         assert np.array_equal(reach, expected)
@@ -397,8 +395,7 @@ class TestReachableIndices:
         rho[space.index(2, 0), space.index(0, 0)] = 1.0
         rho[space.index(0, 0), space.index(2, 0)] = 1.0
         p = make_params()
-        (rows, cols), _, _ = liouville_block(QuantumState(space, rho), 0.0,
-                                             p.g, thermal_channels(p),
+        (rows, cols), _, _ = liouville_block(QuantumState(space, rho), p,
                                              jumps=False)
         total = np.add(*space.number_diagonals()).astype(int)
         assert set(zip(total[rows], total[cols])) == {(2, 0), (0, 2)}

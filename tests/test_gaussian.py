@@ -126,7 +126,7 @@ class TestCheckMomentState:
 class TestExactPath:
     def test_catalog_run_takes_one_exponential(self):
         cfg = catalog_config("fig6b")
-        stats = run_engine("gaussian", cfg, cfg.system_params()).stats
+        stats = run_engine("gaussian", cfg).stats
         assert stats.exponentials == 1
         assert stats.rejected == 0
         assert stats.steps == cfg.samples - 1

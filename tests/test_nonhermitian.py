@@ -13,7 +13,8 @@ from ptdimer import (
     occupation_ode_residual,
     renormalized_observables,
 )
-from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, make_params
+from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, ROOM_T, \
+    make_params
 
 
 def _single_excitation_block(g):
@@ -82,6 +83,21 @@ class TestUncoupledDecay:
         traj = evolve_nonhermitian(noon_state(2, space), p, times)
         w = traj.weight
         assert np.all(w[1:] <= w[:-1] * (1.0 + 1e-12))
+
+
+class TestBathTemperature:
+    def test_room_temperature_params_evolve_as_at_zero(self):
+        # H_L holds the zero-temperature losses, so the bath of the params
+        # does not enter the post-selected evolution
+        space = FockSpace(4, 4)
+        times = np.linspace(0.0, 3.0 / GAMMA_A, 80)
+        state = fock_product_state(2, 1, space)
+        cold, room = (evolve_nonhermitian(state, make_params(temperature=t),
+                                          times) for t in (0.0, ROOM_T))
+        for name in ("times", "n_a_raw", "n_b_raw", "coherence", "weight",
+                     "n_a", "n_b", "g1", "quartic_a", "quartic_b"):
+            assert np.array_equal(getattr(cold, name), getattr(room, name)), \
+                name
 
 
 class TestMixedStates:

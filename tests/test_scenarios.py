@@ -28,7 +28,8 @@ from ptdimer import (
 from ptdimer.cli import main
 from ptdimer.observables import ObservableTrajectory
 from ptdimer.scenarios import _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, _MARGIN_R, \
-    _MARGIN_T, _SVG_H, _SVG_W, ComparisonReport, run_engine, write_comparison
+    _MARGIN_T, _SVG_H, _SVG_W, NUMERICAL_FAILURES, ComparisonReport, \
+    run_engine, write_comparison
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
 
 CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
@@ -252,7 +253,7 @@ class TestConfigSemantics:
 
 def _tiny_gaussian_traj(samples=3):
     cfg = replace(catalog_config("fig6a"), samples=samples)
-    return run_engine("gaussian", cfg, cfg.system_params())
+    return run_engine("gaussian", cfg)
 
 
 class TestCsvOutput:
@@ -288,7 +289,7 @@ class TestComparison:
     def _pair(self, samples=120):
         cfg = replace(catalog_config("fig1a"), samples=samples)
         params = cfg.system_params()
-        return [run_engine(e, cfg, params) for e in cfg.engines], params
+        return [run_engine(e, cfg) for e in cfg.engines], params
 
     def test_lindblad_is_reference(self):
         trajs, params = self._pair()
@@ -318,8 +319,8 @@ class TestComparison:
     def test_grid_mismatch_rejected(self):
         cfg = replace(catalog_config("fig1a"), samples=10)
         params = cfg.system_params()
-        a = run_engine("lindblad", cfg, params)
-        b = run_engine("nonhermitian", replace(cfg, samples=11), params)
+        a = run_engine("lindblad", cfg)
+        b = run_engine("nonhermitian", replace(cfg, samples=11))
         with pytest.raises(ValueError, match="time grids"):
             compare_trajectories([a, b], params, "fig1a")
 
@@ -356,8 +357,7 @@ class TestSvgOutput:
 
     def test_engine_pair_dashes_the_postselected_run(self, tmp_path):
         cfg = replace(catalog_config("fig1a"), samples=30)
-        params = cfg.system_params()
-        trajs = [run_engine(e, cfg, params) for e in cfg.engines]
+        trajs = [run_engine(e, cfg) for e in cfg.engines]
         path = tmp_path / "plot.svg"
         write_svg(trajs, path)
         polys = self._polylines(path)
@@ -368,8 +368,7 @@ class TestSvgOutput:
     def test_no_finite_point_keeps_a_finite_scale(self, tmp_path):
         # from the vacuum no renormalized occupation is ever defined
         cfg = parse_config("state = fock 0 0\nsamples = 20\n")
-        params = cfg.system_params()
-        trajs = [run_engine(e, cfg, params) for e in cfg.engines]
+        trajs = [run_engine(e, cfg) for e in cfg.engines]
         assert not np.isfinite(trajs[0].n_a).any()
         path = tmp_path / "plot.svg"
         write_svg(trajs, path)
@@ -503,11 +502,9 @@ class TestValidation:
         (lambda: parse_config("state =\n"), "empty state descriptor"),
         (lambda: parse_config("state = thermal -1\n"),
          "temperature must be nonnegative"),
-        (lambda: run_engine("gaussian", catalog_config("fig1a"),
-                            catalog_config("fig1a").system_params()),
+        (lambda: run_engine("gaussian", catalog_config("fig1a")),
          "needs a thermal initial state"),
-        (lambda: run_engine("bogus", catalog_config("fig1a"),
-                            catalog_config("fig1a").system_params()),
+        (lambda: run_engine("bogus", catalog_config("fig1a")),
          "unknown engine"),
     ], ids=["empty-state", "negative-thermal", "gaussian-fock", "engine"])
     def test_invalid_input_raises(self, build, match):
@@ -521,7 +518,7 @@ class TestAtomicWrite:
                                               writer):
         cfg = replace(catalog_config("fig1a"), samples=10)
         params = cfg.system_params()
-        trajs = [run_engine(e, cfg, params) for e in cfg.engines]
+        trajs = [run_engine(e, cfg) for e in cfg.engines]
         write = {"csv": lambda p: write_csv(trajs[0], p),
                  "comparison": lambda p: write_comparison(
                      compare_trajectories(trajs, params, "fig1a"), p),
@@ -594,7 +591,7 @@ class TestRunScenario:
         assert not any("leakage" in l for l in cold_header)
 
     def test_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
-        def explode(engine, cfg, params):
+        def explode(engine, cfg):
             raise IntegrationFailure("diverged", 1e-6)
 
         monkeypatch.setattr("ptdimer.scenarios.run_engine", explode)
@@ -718,13 +715,20 @@ class TestCli:
         assert main(["classify"]) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        def explode(cfg):
-            raise IntegrationFailure("diverged", 0.0)
+        # one error of each type in NUMERICAL_FAILURES; LinAlgError is also
+        # a ValueError, and must not read as a config error
+        errors = [IntegrationFailure("diverged", 0.0),
+                  FloatingPointError("overflow"),
+                  np.linalg.LinAlgError("Singular matrix")]
+        assert tuple(type(e) for e in errors) == NUMERICAL_FAILURES
+        for error in errors:
+            def explode(cfg):
+                raise error
 
-        monkeypatch.setattr("ptdimer.cli.run_scenario", explode)
-        rc = main(["run", "--scenario", "fig1a", "--out", str(tmp_path)])
-        assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+            monkeypatch.setattr("ptdimer.cli.run_scenario", explode)
+            rc = main(["run", "--scenario", "fig1a", "--out", str(tmp_path)])
+            assert rc == 3, type(error).__name__
+            assert "numerical failure" in capsys.readouterr().err
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         rc = main(["run", "--scenario", "fig1a",
