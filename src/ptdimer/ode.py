@@ -224,20 +224,26 @@ def expm_minus_identity(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _fill(a: np.ndarray, rows: np.ndarray) -> None:
-    """Rows j = 1, 2, ... of ``rows`` become exp(a)^j rows[0], by doubling:
-    the next k rows are exp(ka) applied to the last k in one product, and
-    exp(2ka) is one squaring of exp(ka). Near I the power is kept as
-    q = exp(ka) - I, squared as (I + q)^2 - I, so a short step's rounding
-    does not build up in it; with |q| <= 0.4, row + q row is at least |row|/2
-    and costs at most a bit. Past that, as for a strong decay, where it would
-    cancel, the power is exp(ka) itself. A squaring costs m^3 for m entries
-    and halves the products left, m^2 each: it is taken while m are left."""
+def _power(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(exp(a) - I, True) near I, where |a| <= 0.4, else (exp(a), False):
+    the first power for ``_fill``."""
     near = np.abs(a).sum(axis=0).max() <= 0.4
-    p = expm_minus_identity(a) if near else expm(a)
+    return (expm_minus_identity(a) if near else expm(a)), near
+
+
+def _fill(p: np.ndarray, near: bool, rows: np.ndarray) -> None:
+    """Rows j = 1, 2, ... of ``rows`` become exp(a)^j rows[0], from the power
+    ``_power(a)``, by doubling: the next k rows are exp(ka) applied to the
+    last k in one product, and exp(2ka) is one squaring of exp(ka). Near I
+    the power is kept as q = exp(ka) - I, squared as (I + q)^2 - I, so a
+    short step's rounding does not build up in it; with |q| <= 0.4, row +
+    q row is at least |row|/2 and costs at most a bit. Past that, as for a
+    strong decay, where it would cancel, the power is exp(ka) itself. A
+    squaring costs m^3 for m entries and halves the products left, m^2 each:
+    it is taken while m are left."""
     span, done, total = 1, 1, len(rows)
     while done < total:
-        if span < done and span * len(a) <= total - done:
+        if span < done and span * len(p) <= total - done:
             p, span = (p @ p + 2.0 * p if near else p @ p), 2 * span
             if near and np.abs(p).sum(axis=0).max() > 0.4:
                 p, near = p + np.eye(len(p)), False
@@ -264,19 +270,27 @@ def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
     generator = np.stack(columns, axis=1)
     steps = np.diff(samples, prepend=t0)
     # row 0 holds y and row r + 1 the sample r; only a first sample at t0
-    # has no step, and keeps y
-    rows = np.empty((samples.size + 1, y.size), dtype=complex)
-    rows[:2] = y
+    # has no step, and keeps y. Each run fills rows start..end.
     start = int(steps[0] == 0.0)
     stats.steps = samples.size - start
+    runs = []
+    while start < samples.size:
+        h = steps[start]
+        end = start + np.append(
+            np.abs(steps[start:] - h) > _SAME_STEP_RTOL * h, True).argmax()
+        runs.append((start, end))
+        start = end
+    stats.exponentials = len(runs)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        while start < samples.size:
-            h = steps[start]
-            end = start + np.append(
-                np.abs(steps[start:] - h) > _SAME_STEP_RTOL * h, True).argmax()
-            _fill(generator * h, rows[start:end + 1])
-            stats.exponentials += 1
-            start = end
+        # the rows are allocated after the first power, so they are never
+        # held together with its Pade temporaries
+        power = _power(generator * steps[runs[0][0]]) if runs else None
+        rows = np.empty((samples.size + 1, y.size), dtype=complex)
+        rows[:2] = y
+        for k, (start, end) in enumerate(runs):
+            if k:
+                power = _power(generator * steps[start])
+            _fill(*power, rows[start:end + 1])
     states = rows[1:]
     bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
     if bad.size:

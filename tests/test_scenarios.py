@@ -1,7 +1,9 @@
 """Catalog presets, config parsing, batch runner, CSV/SVG output, CLI."""
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -27,9 +29,9 @@ from ptdimer import (
 )
 from ptdimer.cli import main
 from ptdimer.observables import ObservableTrajectory
-from ptdimer.scenarios import _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, _MARGIN_R, \
-    _MARGIN_T, _SVG_H, _SVG_W, NUMERICAL_FAILURES, ComparisonReport, \
-    run_engine, write_comparison
+from ptdimer.scenarios import _BLOCK_ROWS, _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, \
+    _MARGIN_R, _MARGIN_T, _SVG_H, _SVG_W, _VECTOR_MIN_ROWS, NUMERICAL_FAILURES, \
+    ComparisonReport, _format_rows, run_engine, write_comparison
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
 
 CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
@@ -494,6 +496,87 @@ class TestWriterFormat:
                if el.tag.endswith("polyline")]
         assert [p.split(",")[0] for p in got] == [f"{_MARGIN_L:.2f}"] * 2
 
+    @staticmethod
+    def _assert_rows_are_per_value_text(table):
+        got = b"".join(_format_rows(list(table.T))).decode().split("\n")
+        want = [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
+        assert got[-1] == "" and len(got) == len(want) + 1
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not bad, bad[:5]
+
+    def test_random_bit_patterns(self):
+        # subnormals, nan payloads and -nan included; most lie outside the
+        # digit arithmetic's range, so the values spread over that range
+        # follow
+        rng = np.random.default_rng(1616)
+        bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        with np.errstate(invalid="ignore"):  # a nan compares false
+            assert np.sum(np.isnan(x) & np.signbit(x)) > 0
+            assert np.sum((x != 0) & (np.abs(x) < np.finfo(float).tiny)) > 0
+        self._assert_rows_are_per_value_text(x.reshape(-1, 8))
+        spread = rng.random(100_000) * 10.0 ** rng.integers(-31, 31, 100_000)
+        spread[::2] *= -1.0
+        self._assert_rows_are_per_value_text(spread.reshape(-1, 8))
+
+    def test_edges_of_the_digit_arithmetic(self):
+        powers = 10.0 ** np.arange(-30, 30)
+        x = np.concatenate([
+            [0.0, np.inf, 1e-30, 1e30, 2.0**-25, 3 * 2.0**-25],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.nextafter([1e-30, 1e30], 0.0), np.nextafter([1e-30, 1e30], 1.0),
+            # fixed notation from exponent -4 to 16, exponent notation past it
+            [1e-4, 1.5e-4, 9.9999999999999999e-5, 1.5e-5, 1e16, 1.5e16,
+             12345678901234567.0, 99999999999999990.0, 1e17, 1.5e17]])
+        x = np.concatenate([x, -x])
+        self._assert_rows_are_per_value_text(x[:, None])
+        self._assert_rows_are_per_value_text(np.resize(x, (len(x) // 4, 4)))
+
+    @pytest.mark.parametrize("rows, cols", [
+        (1, 9), (1, 1), (_VECTOR_MIN_ROWS - 1, 9), (_VECTOR_MIN_ROWS, 9),
+        (_VECTOR_MIN_ROWS, 1), (_BLOCK_ROWS + 1, 5)])
+    def test_table_shapes(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
+            -8, 8, size=(rows, cols))
+        table[::3, 0] = 0.0
+        self._assert_rows_are_per_value_text(table)
+
+    def test_writing_a_2000_by_9_table_allocates_little(self, tmp_path):
+        # the table is formatted in row blocks and written as it goes
+        times = np.linspace(0.0, 1e-5, 2000)
+        decay = np.exp(-GAMMA_A * times)
+        traj = ObservableTrajectory(
+            "lindblad", OMEGA_B, times, decay * np.cos(1e6 * times) ** 2,
+            decay * np.sin(1e6 * times) ** 2, 0.5j * decay * np.sin(2e6 * times),
+            np.ones(2000))
+        path = tmp_path / "out.csv"
+        write_csv(traj, path)
+        tracemalloc.start()
+        try:
+            write_csv(traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        assert len(path.read_text().splitlines()) == 2001
+
+
+class TestRunEngineMemory:
+    def test_first_exponential_precedes_the_sample_rows(self):
+        # a 50-sample fock 3 2 Lindblad run peaked at 1.703 MB when the
+        # sample rows were allocated before the first Pade build, and at
+        # 1.628 MB with the build first
+        cfg = parse_config("state = fock 3 2\nsamples = 50")
+        run_engine("lindblad", cfg)
+        tracemalloc.start()
+        try:
+            run_engine("lindblad", cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.665e6
+
 
 class TestValidation:
     """Input from outside the program is checked where it enters."""
@@ -526,17 +609,20 @@ class TestAtomicWrite:
         path = tmp_path / "out"
         path.write_text("previous\n")
 
-        def fail_halfway(self, data, *args, **kwargs):
-            with open(self, "w") as fh:
-                fh.write(data[:len(data) // 2])
-            raise OSError("disk full")
+        class FailHalfway(io.FileIO):
+            """A file that takes half of the first write, then fails."""
 
-        monkeypatch.setattr(Path, "write_text", fail_halfway)
+            def write(self, data):
+                super().write(bytes(data)[:len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "open",
+                            lambda self, *args, **kwargs: FailHalfway(self, "w"))
         with pytest.raises(OSError, match="disk full"):
             write(path)
+        monkeypatch.undo()
         assert path.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
-        monkeypatch.undo()
         write(path)
         assert path.read_text() != "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
