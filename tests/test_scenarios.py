@@ -29,8 +29,9 @@ from ptdimer import (
 )
 from ptdimer.cli import main
 from ptdimer.observables import ObservableTrajectory
-from ptdimer.scenarios import _BLOCK_ROWS, _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, \
-    _MARGIN_R, _MARGIN_T, _SVG_H, _SVG_W, _VECTOR_MIN_ROWS, NUMERICAL_FAILURES, \
+from ptdimer.digits import BLOCK_ROWS
+from ptdimer.scenarios import _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, _MARGIN_R, \
+    _MARGIN_T, _SVG_H, _SVG_W, _VECTOR_MIN_ROWS, NUMERICAL_FAILURES, \
     ComparisonReport, _format_rows, run_engine, write_comparison
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
 
@@ -534,7 +535,7 @@ class TestWriterFormat:
 
     @pytest.mark.parametrize("rows, cols", [
         (1, 9), (1, 1), (_VECTOR_MIN_ROWS - 1, 9), (_VECTOR_MIN_ROWS, 9),
-        (_VECTOR_MIN_ROWS, 1), (_BLOCK_ROWS + 1, 5)])
+        (_VECTOR_MIN_ROWS, 1), (BLOCK_ROWS + 1, 5)])
     def test_table_shapes(self, rows, cols):
         rng = np.random.default_rng(rows * cols)
         table = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(
