@@ -12,6 +12,7 @@ direct callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -132,9 +133,11 @@ _LOWER = {"a": (-1, 0), "b": (0, -1)}
 HOP = (1, -1)  # c^dag d
 
 
+@cache
 def _move(space: FockSpace, move: tuple[int, int]):
     """Targets, sqrt(n) factors and in-truncation mask of ``move`` applied to
-    every basis index."""
+    every basis index; tabulated once per space and move, so the arrays are
+    read-only."""
     idx = np.arange(space.dim)
     n_a, n_b = np.divmod(idx, space.dim_b)
     factor = np.ones(space.dim)
@@ -143,7 +146,10 @@ def _move(space: FockSpace, move: tuple[int, int]):
         if step:
             factor = factor * np.sqrt(np.maximum(n, n + step))
             inside &= (0 <= n + step) & (n + step < dim)
-    return idx + move[0] * space.dim_b + move[1], factor, inside
+    tables = idx + move[0] * space.dim_b + move[1], factor, inside
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def ladder(space: FockSpace, move: tuple[int, int], *,

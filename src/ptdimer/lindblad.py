@@ -25,8 +25,6 @@ coherence) and its finite-difference consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
-
 import numpy as np
 
 from .fock import HOP, QuantumState, _move
@@ -110,13 +108,11 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     if not flat.size:
         raise ValueError("the initial state is zero: no entry to evolve")
 
-    table = cache(partial(_move, space))
-
     def shift(entries, move, axes):
         """``entries`` with ``move`` applied on ``axes``, the product of the
         sqrt(n) factors, and whether every moved index stays in the
         truncation."""
-        target, f, ok = table(move)
+        target, f, ok = _move(space, move)
         out, factor, inside = list(entries), 1.0, True
         for axis in axes:
             idx = entries[axis]
@@ -156,7 +152,7 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     # factor
     h_eff = np.zeros(space.dim, dtype=complex)
     for ch in channels:
-        _, f, ok = table(ch.move)
+        _, f, ok = _move(space, ch.move)
         h_eff = h_eff - 0.5j * ch.rate * np.where(ok, f * f, 0.0)
     k = -1j * h_eff
     entries = split(block)

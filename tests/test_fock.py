@@ -18,6 +18,7 @@ from ptdimer import (
     thermal_truncation_dim,
     truncation_dim,
 )
+from ptdimer.fock import HOP, _move
 from ptdimer.lindblad import liouville_block
 from conftest import GAMMA_A, GAMMA_B, OMEGA_B, ROOM_T, make_params
 
@@ -418,3 +419,11 @@ class TestLadder:
             assert np.array_equal(ladder(space, move), op), move
             assert np.array_equal(ladder(space, move, squared=True),
                                   op.conj().T @ op), move
+
+    def test_move_tables_are_shared_and_read_only(self):
+        # every engine and recorder of a run reads one table per move
+        tables = _move(FockSpace(5, 4), HOP)
+        assert _move(FockSpace(5, 4), HOP) is tables
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
