@@ -186,7 +186,7 @@ def _pade13(a: np.ndarray):
     s is the least that brings the 1-norm to at most theta_13 (Higham 2005).
     Raises FloatingPointError for a matrix with a non-finite entry.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     norm = np.abs(a).sum(axis=0).max(initial=0.0)
     if not np.isfinite(norm):
         raise FloatingPointError("matrix exponential of a non-finite matrix")
@@ -256,18 +256,16 @@ def _fill(p: np.ndarray, near: bool, rows: np.ndarray) -> None:
 def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
                y: np.ndarray) -> Trajectory:
     """Exact samples of y' = L y. L is probed column by column, one rhs call
-    per unit vector; the copy keeps an rhs that returns its argument from
-    aliasing the probe. Each run of sample steps within ``_SAME_STEP_RTOL``
-    of its first step h takes one exponential of L h and fills its rows by
-    doubling (``_fill``)."""
+    per unit vector, each written straight into L. Each run of sample steps
+    within ``_SAME_STEP_RTOL`` of its first step h takes one exponential of
+    L h and fills its rows by doubling (``_fill``)."""
     stats = IntegratorStats(rhs_evaluations=y.size, dimension=y.size)
-    unit = np.zeros(y.size, dtype=complex)
-    columns = []
+    unit = np.zeros(y.size, dtype=y.dtype)
+    generator = np.empty((y.size, y.size), dtype=y.dtype)
     for j in range(y.size):
         unit[j] = 1.0
-        columns.append(np.array(problem.rhs(t0, unit)))
+        generator[:, j] = problem.rhs(t0, unit)
         unit[j] = 0.0
-    generator = np.stack(columns, axis=1)
     steps = np.diff(samples, prepend=t0)
     # row 0 holds y and row r + 1 the sample r; only a first sample at t0
     # has no step, and keeps y. Each run fills rows start..end.
@@ -285,7 +283,7 @@ def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
         # the rows are allocated after the first power, so they are never
         # held together with its Pade temporaries
         power = _power(generator * steps[runs[0][0]]) if runs else None
-        rows = np.empty((samples.size + 1, y.size), dtype=complex)
+        rows = np.empty((samples.size + 1, y.size), dtype=y.dtype)
         rows[:2] = y
         for k, (start, end) in enumerate(runs):
             if k:
@@ -326,12 +324,12 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
     if samples[0] < t0 or samples[-1] > t1:
         raise ValueError("sample_times must lie within t_span")
 
-    y = np.ascontiguousarray(problem.y0, dtype=complex).copy()
+    y = np.array(problem.y0, dtype=np.result_type(problem.y0, 1.0))
     if problem.linear and y.size <= EXACT_MAX_ENTRIES:
         return _propagate(problem, t0, samples, y)
     rhs = problem.rhs
     stats = IntegratorStats(dimension=y.size)
-    states = np.empty((samples.size, y.size), dtype=complex)
+    states = np.empty((samples.size, y.size), dtype=y.dtype)
 
     f = rhs(t0, y)
     stats.rhs_evaluations += 1
