@@ -14,7 +14,13 @@ the entries the initial state reaches (for |5,0> at zero temperature the 91
 entries of the Delta N = 0 blocks of N <= 5) and writes each one's generator
 row as a gather of at most nine entries; it alone chooses the evolved
 entries, and ``ode.integrate_adaptive`` evolves every one of them, exactly up
-to ``ode.EXACT_MAX_ENTRIES`` entries. At zero temperature H_eff is the lossy
+to ``ode.EXACT_MAX_ENTRIES`` entries. The generator keeps rho Hermitian, so a
+density block of m entries is evolved as m real coordinates, in the block's
+entry order: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c
+(``observables.hermitian_coordinates``). Each complex term of a row splits
+into a real and an imaginary part, a real gather of at most 18 terms; in the
+rotating frame every weight is real or imaginary, so one of each pair is
+zero and dropped. At zero temperature H_eff is the lossy
 Hamiltonian H_L, and the non-Hermitian engine is the same builder without
 jumps, which also takes the zero-temperature channels.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
@@ -32,7 +38,7 @@ from .fock import HOP, QuantumState, _move
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual
+    derivative_residual, hermitian_coordinates, hermitian_values, transposed
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -87,6 +93,9 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     truncation appears. Each entry's row of the generator is its K diagonal
     term plus one (source, weight) term per move; a source the state never
     reaches gets weight 0.
+    A density matrix's block is closed under transposition, and y0 and the
+    RHS are real: they hold the block's coordinates (module docstring), read
+    from the upper triangle of the state. A vector stays complex.
     With ``jumps`` off, the generator is the no-jump evolution under H_L, the
     H_eff of the zero-temperature channels at any ``params.temperature``, and
     a pure state stays a vector, evolved by d psi/dt = K psi; otherwise a
@@ -99,7 +108,9 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     space, data = state.space, state.data
     vector = state.is_pure and not jumps
     if vector or not state.is_pure:
-        flat = np.flatnonzero(data)
+        # data.T is data for a vector; a density matrix starts from a
+        # support closed under transposition, as its coordinates need
+        flat = np.flatnonzero((data != 0) | (data.T != 0))
         values = data.ravel()[flat]
     else:
         idx = np.flatnonzero(data)
@@ -169,10 +180,41 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     sources, weights = np.stack(sources, axis=1), np.stack(weights, axis=1)
     y0 = np.zeros(block.size, dtype=complex)
     y0[np.searchsorted(block, flat)] = values
+    if not vector:
+        sources, weights = _coordinate_rows(entries, sources, weights)
+        y0 = hermitian_coordinates(y0, entries)
 
     def rhs(t, y):
         return (weights * y[sources]).sum(axis=1)
     return tuple(entries), y0, rhs
+
+
+def _coordinate_rows(entries, sources, weights):
+    """Gather rows of the real coordinates x (``hermitian_coordinates``) from
+    the complex rows (``sources``, ``weights``) of a generator that keeps rho
+    Hermitian.
+
+    Above the diagonal and on it x_rc = Re rho_rc, below it x_rc = Im rho_cr
+    = Re(i rho_rc); so each complex term w rho_s of a row adds
+    Re(w') Re(rho_s) - Im(w') Im(rho_s), with w' = w or i w, and each part of
+    rho_s is one coordinate, up to its sign. Of the two real terms a
+    complex one gives, the zero ones are dropped (in the rotating frame every
+    weight is real or imaginary, so one stays).
+    """
+    rows, cols = entries
+    at, mirror = np.arange(rows.size), transposed(entries)
+    upper = rows <= cols
+    real_at = np.where(upper, at, mirror)  # Re rho_s = x[real_at]
+    imag_at = np.where(upper, mirror, at)  # Im rho_s = sign x[imag_at]
+    sign = np.sign(cols - rows)
+    w = np.where(upper[:, None], weights, 1j * weights)
+    weights = np.concatenate([w.real, -sign[sources] * w.imag], axis=1)
+    sources = np.concatenate([real_at[sources], imag_at[sources]], axis=1)
+    # each row's nonzero terms first, as few columns as the longest row needs
+    keep = np.argsort(weights == 0.0, axis=1, kind="stable")[
+        :, :np.count_nonzero(weights, axis=1).max(initial=0)]
+    return (np.take_along_axis(sources, keep, axis=1),
+            np.take_along_axis(weights, keep, axis=1))
 
 
 def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
@@ -182,7 +224,7 @@ def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
     entries, y0, rhs = liouville_block(state, params)
     dim = state.space.dim
     out = np.zeros((dim, dim), dtype=complex)
-    out[entries] = rhs(0.0, y0)
+    out[entries] = hermitian_values(rhs(0.0, y0), entries)
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .fock import QuantumState, lossy_hamiltonian  # noqa: F401
 from .lindblad import liouville_block
 from .observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual, renormalized_ratios
+    derivative_residual, hermitian_coordinates, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -74,10 +74,12 @@ def renormalized_observables(state: QuantumState) -> tuple[float, float, complex
     Raises ValueError for states with zero total occupation (vacuum), where
     the ratios are undefined. Invariant: n_a + n_b = 1.
     """
-    entries = np.nonzero(state.data)
+    data = state.data
+    entries = np.nonzero((data != 0) | (data.T != 0))
     ops = ObservableOps(state.space, entries)
-    record = ops.record_from_pure if state.is_pure else ops.record_from_nh_density
-    cols = record(state.data[entries][np.newaxis])
+    values = data[entries][np.newaxis]
+    cols = ops.record_from_pure(values) if state.is_pure else \
+        ops.record_from_nh_density(hermitian_coordinates(values, entries))
     n_a, n_b, g1 = renormalized_ratios(cols["n_a_raw"], cols["n_b_raw"],
                                        cols["coherence"])
     if np.isnan(n_a[0]):

@@ -70,12 +70,35 @@ class ObservableTrajectory:
                                      f"t={self.times[hits[0]]:.6e}")
 
 
-def _require_real(imag: np.ndarray, tol: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(np.abs(imag) > tol)
-    if bad.size:
-        i = bad[0]
-        raise FloatingPointError(f"{what} has imaginary part {imag[i]:.3e} "
-                                 f"beyond tolerance {tol[i]:.1e}")
+def transposed(entries) -> np.ndarray:
+    """Position of the entry (c, r) for each density-matrix entry (r, c) of
+    ``entries``, which are sorted row-major and closed under transposition."""
+    rows, cols = entries
+    at = np.lexsort((rows, cols))
+    assert np.array_equal(rows[at], cols) and np.array_equal(cols[at], rows), \
+        "density-matrix entries not closed under transposition"
+    return at
+
+
+def hermitian_coordinates(values: np.ndarray, entries) -> np.ndarray:
+    """Real coordinates x (..., m) of a Hermitian rho from its ``values`` at
+    ``entries``: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c, so a
+    block of m entries holds m reals. Only the upper triangle is read."""
+    rows, cols = entries
+    return np.where(rows <= cols, values.real,
+                    values[..., transposed(entries)].imag)
+
+
+def hermitian_values(x: np.ndarray, entries) -> np.ndarray:
+    """rho at ``entries`` from its coordinates x (``hermitian_coordinates``):
+    rho_rc = x_rc + i x_cr above the diagonal, x_rr on it and the conjugates
+    below, so the result is exactly Hermitian."""
+    rows, cols = entries
+    mirror = x[..., transposed(entries)]
+    out = np.empty(x.shape, dtype=complex)
+    out.real = np.where(rows <= cols, x, mirror)
+    out.imag = np.where(rows < cols, mirror, np.where(rows > cols, -x, 0.0))
+    return out
 
 
 class ObservableOps:
@@ -84,7 +107,8 @@ class ObservableOps:
     ``entries`` names the entries each sample of a stack holds, as the
     engines evolve them: one full-space index array per axis of the state,
     (i,) for vectors or (row, col) for density matrices, sorted row-major.
-    Entries left out are 0.
+    Entries left out are 0. A density stack holds the real coordinates of
+    its entries (``hermitian_coordinates``).
     """
 
     def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
@@ -106,9 +130,10 @@ class ObservableOps:
         else:
             self._diag = np.flatnonzero(first == entries[1])
             source = np.flatnonzero(inside & (entries[1] == target))
-            # <c^dag d> = sum rho[source, target] factor
-            self._hop = (source,)
-        self._hop_data = factor[source].astype(complex)
+            # <c^dag d> = sum rho[source, target] factor, where every source
+            # lies above the diagonal: rho = x + i x at the transposed entry
+            self._hop = (source, transposed(entries)[source])
+        self._hop_data = factor[source]
         basis = first[self._diag]
         diag_a, diag_b = (n[basis] for n in space.number_diagonals())
         self._diag_a, self._diag_b = diag_a, diag_b
@@ -120,8 +145,10 @@ class ObservableOps:
 
     def embed(self, states: np.ndarray) -> np.ndarray:
         """Full-space stack (S, d) or (S, d, d), exactly zero outside the
-        entries."""
+        entries; density matrices are rebuilt from their coordinates."""
         shape = (len(states),) + (self._space.dim,) * len(self._entries)
+        if len(self._entries) == 2:
+            states = hermitian_values(states, self._entries)
         full = np.zeros(shape, dtype=states.dtype)
         full[(slice(None),) + tuple(self._entries)] = states
         return full
@@ -134,7 +161,7 @@ class ObservableOps:
         such population and the first time it occurs.
         """
         diag = states[:, self._diag]
-        pops = np.abs(diag) ** 2 if len(self._entries) == 1 else diag.real
+        pops = np.abs(diag) ** 2 if len(self._entries) == 1 else diag
         leaks = pops @ self._top
         if not leaks.size or leaks.max() <= 1e-6:
             return []
@@ -145,15 +172,10 @@ class ObservableOps:
     # -- stack recorders ---------------------------------------------------
 
     def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns of a Lindblad density stack; no quartics."""
-        diag = rhos[:, self._diag]
-        scale = np.maximum(1.0, np.abs(diag.real).sum(axis=1))
-        tol = 1e-10 * scale
-        _require_real(diag.imag @ self._diag_a, tol, "<c^dag c>")
-        _require_real(diag.imag @ self._diag_b, tol, "<d^dag d>")
-        _require_real(diag.imag.sum(axis=1), tol, "trace")
-        return self._columns(diag.real, scale, rhos[:, self._hop[0]]
-                             @ self._hop_data, diag.real.sum(axis=1),
+        """Columns of a Lindblad density stack (coordinates); no quartics."""
+        pops = rhos[:, self._diag]
+        return self._columns(pops, np.maximum(1.0, np.abs(pops).sum(axis=1)),
+                             self._coherence(rhos), pops.sum(axis=1),
                              quartics=False)
 
     def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
@@ -165,11 +187,21 @@ class ObservableOps:
         return self._columns(pops, np.maximum(1.0, weight), hop, weight)
 
     def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
-        """Columns of a non-Hermitian density stack, with quartics."""
-        pops = rhos[:, self._diag].real
+        """Columns of a non-Hermitian density stack (coordinates), with
+        quartics."""
+        pops = rhos[:, self._diag]
         weight = pops.sum(axis=1)
         return self._columns(pops, np.maximum(1.0, np.abs(weight)),
-                             rhos[:, self._hop[0]] @ self._hop_data, weight)
+                             self._coherence(rhos), weight)
+
+    def _coherence(self, rhos: np.ndarray) -> np.ndarray:
+        """<c^dag d> of a density stack, read from the two coordinates of
+        each hop entry."""
+        real, imag = self._hop
+        out = np.empty(len(rhos), dtype=complex)
+        out.real = rhos[:, real] @ self._hop_data
+        out.imag = rhos[:, imag] @ self._hop_data
+        return out
 
     def _columns(self, pops, scale, coherence, weight,
                  quartics: bool = True) -> dict[str, np.ndarray]:

@@ -1,17 +1,19 @@
-"""Integrator for flat complex state vectors: exact for linear problems,
-adaptive Dormand-Prince 5(4) otherwise.
+"""Integrator for flat real or complex state vectors: exact for linear
+problems, adaptive Dormand-Prince 5(4) otherwise.
 
-A problem declared ``linear`` (y' = L y with a constant L) is propagated
-exactly: L is assembled by applying the problem's own RHS to one unit vector
-per entry of y. Each run of equal sample steps dt takes one exponential of
-L dt (scaling and squaring with a Pade-13 approximant, Higham, SIAM J. Matrix
-Anal. Appl. 26, 1179, 2005) and fills its samples by doubling: the next k
-samples are exp(k L dt) applied to the last k in one matrix product
-(``_fill``). Which entries a state holds is the caller's choice; both paths
-evolve all of them. A problem whose state has more than
-``EXACT_MAX_ENTRIES`` entries, or that is not linear, takes the adaptive
-path, whose error norm is a scaled RMS over the real and imaginary parts of
-the state and whose steps are clamped onto every sample time.
+A state keeps the dtype of its initial value, float64 or complex128, on both
+paths. A problem declared ``linear`` (y' = L y with a constant L) is
+propagated exactly: L is assembled by applying the problem's own RHS to one
+unit vector per entry of y. Each run of equal sample steps dt takes one
+exponential of L dt (scaling and squaring with a Pade-13 approximant, Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179, 2005, in L's own dtype) and fills its
+samples by doubling: the next k samples are exp(k L dt) applied to the last k
+in one matrix product (``_fill``). Which entries a state holds is the
+caller's choice; both paths evolve all of them. A problem whose state has
+more than ``EXACT_MAX_ENTRIES`` entries, or that is not linear, takes the
+adaptive path, whose error norm is a scaled RMS over the real components of
+the state (real and imaginary parts of a complex one) and whose steps are
+clamped onto every sample time.
 
 Deterministic by construction: no randomness and no threading of our own, so
 identical inputs give bitwise identical trajectories.
@@ -92,7 +94,8 @@ class OdeProblem:
 
     ``linear`` declares rhs(t, y) = L y with a constant matrix L, which lets
     ``integrate_adaptive`` propagate exactly; rtol and atol then only matter
-    above ``EXACT_MAX_ENTRIES``.
+    above ``EXACT_MAX_ENTRIES``. A real y0 makes a real state, so its rhs
+    must return real values.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]

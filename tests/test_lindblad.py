@@ -22,6 +22,7 @@ from ptdimer import (
     mode_number,
     moment_closure_residual,
     moment_rhs,
+    noon_state,
     thermal_channels,
     thermal_density_matrix,
     thermal_occupation,
@@ -29,7 +30,8 @@ from ptdimer import (
     truncation_dim,
 )
 from ptdimer.lindblad import liouville_block
-from ptdimer.observables import ObservableOps
+from ptdimer.observables import ObservableOps, hermitian_coordinates, \
+    hermitian_values
 from ptdimer.scenarios import catalog_config, parse_config, run_engine
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
     random_density
@@ -174,7 +176,8 @@ class TestGeneratorIdentity:
                 entries, y0, rhs_no_jump = liouville_block(
                     QuantumState(space, rho), p, jumps=False)
                 no_jump = np.zeros_like(rho)
-                no_jump[entries] = rhs_no_jump(0.0, y0)
+                no_jump[entries] = hermitian_values(rhs_no_jump(0.0, y0),
+                                                    entries)
                 jumps = sum(rate * (a @ rho @ a.conj().T) for rate, a in ops)
                 assert np.abs(no_jump + 1j * (h_l @ rho - rho @ h_l.conj().T)
                               ).max() < 1e-12 * scale
@@ -266,8 +269,8 @@ class TestReachableSubspace:
             rhs, state.density().ravel(), (0.0, self.times[-1]), self.times))
         # every entry of the whole space, row-major
         whole = np.divmod(np.arange(dim * dim), dim)
-        ref = ObservableOps(self.space, whole, GAMMA_A,
-                            GAMMA_B).record_from_density(sol.states)
+        ref = ObservableOps(self.space, whole, GAMMA_A, GAMMA_B) \
+            .record_from_density(hermitian_coordinates(sol.states, whole))
         assert set(ref) == {"n_a_raw", "n_b_raw", "coherence", "weight"}
         for name, col in ref.items():
             assert np.abs(getattr(traj, name) - col).max() < 1e-12, name
@@ -425,6 +428,95 @@ class TestExactPropagation:
         assert traj.stats.exponentials == 0
         assert traj.stats.dimension == 670
         assert traj.stats.steps > 0
+
+
+class TestRealCoordinates:
+    """A density block evolves as the real coordinates x_rc = Re rho_rc
+    (r <= c) and x_rc = Im rho_cr (r > c) of its entries."""
+
+    @pytest.mark.parametrize("temperature, jumps", [
+        (0.0, True), (ROOM_T, True), (ROOM_T, False)],
+        ids=["zero", "room", "no-jump"])
+    def test_generator_is_the_complex_one_in_coordinates(self, temperature,
+                                                        jumps):
+        # x -> rho -> L rho -> x, with L the textbook generator on each
+        # entry's unit matrix; unequal mode dims catch a row/column swap
+        space = FockSpace(3, 4)
+        p = make_params(temperature=temperature)
+        state = QuantumState(space, random_density(np.random.default_rng(36),
+                                                   space.dim))
+        entries, x0, rhs = liouville_block(state, p, jumps=jumps)
+        h = beam_splitter_hamiltonian(0.0, p.g, space)
+        h_l = lossy_hamiltonian(p, space, omega_b=0.0)
+        ops = [(ch.rate, ladder(space, ch.move)) for ch in thermal_channels(p)]
+
+        def textbook(rho):
+            if not jumps:
+                return -1j * (h_l @ rho - rho @ h_l.conj().T)
+            return 1j * (rho @ h - h @ rho) + sum(
+                rate * dissipator_apply(a, rho) for rate, a in ops)
+
+        m = x0.size
+        assert x0.dtype == np.float64 and m == space.dim**2
+        block = np.empty((m, m), dtype=complex)
+        for j, (r, c) in enumerate(zip(*entries)):
+            unit = np.zeros((space.dim, space.dim), dtype=complex)
+            unit[r, c] = 1.0
+            block[:, j] = textbook(unit)[entries]
+        # row j: the entries of the rho whose coordinates are unit vector j
+        to_rho = hermitian_values(np.eye(m), entries)
+        expected = hermitian_coordinates(to_rho @ block.T, entries).T
+        got = np.stack([rhs(0.0, unit) for unit in np.eye(m)], axis=1)
+        assert got.dtype == np.float64
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(x0, hermitian_coordinates(state.data[entries],
+                                                        entries))
+
+    def test_snapshots_are_exactly_hermitian_and_zero_outside_the_block(self):
+        space = FockSpace(7, 7)
+        mixed = np.zeros((space.dim, space.dim), dtype=complex)
+        mixed[space.index(1, 0), space.index(1, 0)] = 0.25
+        mixed[space.index(2, 0), space.index(2, 0)] = 0.75
+        times = np.linspace(0.0, 0.3 / GAMMA_A, 20)
+        for evolve, state, jumps in (
+                (evolve_density, fock_product_state(3, 2, space), True),
+                (evolve_nonhermitian, QuantumState(space, mixed), False)):
+            traj = evolve(state, make_params(), times, keep_states=True)
+            entries = liouville_block(state, make_params(), jumps=jumps)[0]
+            inside = np.zeros((space.dim, space.dim), dtype=bool)
+            inside[entries] = True
+            rhos = traj.snapshots
+            assert np.array_equal(rhos, rhos.conj().transpose(0, 2, 1))
+            assert np.all(rhos[:, ~inside] == 0.0)
+            assert np.abs(rhos[-1][inside]).max() > 0.0
+
+    def test_catalog_run_matches_the_dense_liouvillian(self):
+        # fig4a (N00N 2, 16 levels) at 5 of its 2,000 samples against
+        # rho(t) = expm(L t) rho0, with L the row-major superoperator of the
+        # textbook generator on the whole space, vec(A rho B) =
+        # (A kron B^T) vec(rho)
+        cfg = catalog_config("fig4a")
+        p = cfg.system_params()
+        space = FockSpace(*cfg.mode_dims())
+        traj = run_engine("lindblad", cfg)
+        eye = np.eye(space.dim)
+        h = beam_splitter_hamiltonian(0.0, p.g, space)
+        liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for ch in thermal_channels(p):
+            a = ladder(space, ch.move)
+            ada = a.conj().T @ a
+            liouvillian += ch.rate * (np.kron(a, a.conj()) - 0.5 * (
+                np.kron(ada, eye) + np.kron(eye, ada.T)))
+        rho0 = noon_state(2, space).density().ravel()
+        c, d = mode_annihilator("a", space), mode_annihilator("b", space)
+        for k in range(0, len(traj.times), 499):
+            rho = (expm(liouvillian * traj.times[k]) @ rho0).reshape(
+                space.dim, space.dim)
+            for got, op in ((traj.n_a_raw, c.conj().T @ c),
+                            (traj.n_b_raw, d.conj().T @ d),
+                            (traj.coherence, c.conj().T @ d),
+                            (traj.weight, eye)):
+                assert abs(got[k] - np.trace(op @ rho)) <= 1e-12, k
 
 
 class TestEvolvedBasisMemory:
