@@ -17,7 +17,7 @@ entries, and ``ode.integrate_adaptive`` evolves every one of them, exactly up
 to ``ode.EXACT_MAX_ENTRIES`` entries. The generator keeps rho Hermitian, so a
 density block of m entries is evolved as m real coordinates, in the block's
 entry order: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c
-(``observables.hermitian_coordinates``). Each complex term of a row splits
+(``observables.coordinate_map``). Each complex term of a row splits
 into a real and an imaginary part, a real gather of at most 18 terms; in the
 rotating frame every weight is real or imaginary, so one of each pair is
 zero and dropped. At zero temperature H_eff is the lossy
@@ -38,7 +38,8 @@ from .fock import HOP, QuantumState, _move
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual, hermitian_coordinates, hermitian_values, transposed
+    coordinate_map, derivative_residual, hermitian_coordinates, \
+    hermitian_values
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -94,8 +95,8 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     term plus one (source, weight) term per move; a source the state never
     reaches gets weight 0.
     A density matrix's block is closed under transposition, and y0 and the
-    RHS are real: they hold the block's coordinates (module docstring), read
-    from the upper triangle of the state. A vector stays complex.
+    RHS are real: they hold the block's coordinates (module docstring). A
+    vector stays complex.
     With ``jumps`` off, the generator is the no-jump evolution under H_L, the
     H_eff of the zero-temperature channels at any ``params.temperature``, and
     a pure state stays a vector, evolved by d psi/dt = K psi; otherwise a
@@ -190,24 +191,17 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
 
 
 def _coordinate_rows(entries, sources, weights):
-    """Gather rows of the real coordinates x (``hermitian_coordinates``) from
-    the complex rows (``sources``, ``weights``) of a generator that keeps rho
-    Hermitian.
+    """Gather rows of the real coordinates x = Re(unit rho)
+    (``observables.coordinate_map``) from the complex rows (``sources``,
+    ``weights``) of a generator that keeps rho Hermitian.
 
-    Above the diagonal and on it x_rc = Re rho_rc, below it x_rc = Im rho_cr
-    = Re(i rho_rc); so each complex term w rho_s of a row adds
-    Re(w') Re(rho_s) - Im(w') Im(rho_s), with w' = w or i w, and each part of
-    rho_s is one coordinate, up to its sign. Of the two real terms a
-    complex one gives, the zero ones are dropped (in the rotating frame every
-    weight is real or imaginary, so one stays).
+    Each term w rho_s of row k adds Re(unit_k w) Re(rho_s) - Im(unit_k w)
+    Im(rho_s) to x_k, and each part of rho_s is one coordinate. Of the two
+    real terms a complex one gives, the zero ones are dropped: in the
+    rotating frame every weight is real or imaginary, so one stays.
     """
-    rows, cols = entries
-    at, mirror = np.arange(rows.size), transposed(entries)
-    upper = rows <= cols
-    real_at = np.where(upper, at, mirror)  # Re rho_s = x[real_at]
-    imag_at = np.where(upper, mirror, at)  # Im rho_s = sign x[imag_at]
-    sign = np.sign(cols - rows)
-    w = np.where(upper[:, None], weights, 1j * weights)
+    unit, real_at, imag_at, sign = coordinate_map(entries)
+    w = unit[:, None] * weights
     weights = np.concatenate([w.real, -sign[sources] * w.imag], axis=1)
     sources = np.concatenate([real_at[sources], imag_at[sources]], axis=1)
     # each row's nonzero terms first, as few columns as the longest row needs

@@ -70,34 +70,39 @@ class ObservableTrajectory:
                                      f"t={self.times[hits[0]]:.6e}")
 
 
-def transposed(entries) -> np.ndarray:
-    """Position of the entry (c, r) for each density-matrix entry (r, c) of
-    ``entries``, which are sorted row-major and closed under transposition."""
+def coordinate_map(entries):
+    """How a Hermitian rho at the density-matrix ``entries`` (sorted
+    row-major, closed under transposition) maps to its real coordinates, one
+    per entry, and back.
+
+    x = Re(unit rho), with unit 1 on and above the diagonal and i below it:
+    x_rc = Re rho_rc for r <= c and Im rho_cr for r > c. Back, Re rho =
+    x[real_at] and Im rho = sign x[imag_at]. Returns (unit, real_at, imag_at,
+    sign).
+    """
     rows, cols = entries
-    at = np.lexsort((rows, cols))
-    assert np.array_equal(rows[at], cols) and np.array_equal(cols[at], rows), \
+    at, mirror = np.arange(rows.size), np.lexsort((rows, cols))
+    assert np.array_equal(rows[mirror], cols) \
+        and np.array_equal(cols[mirror], rows), \
         "density-matrix entries not closed under transposition"
-    return at
+    upper = rows <= cols
+    return (np.where(upper, 1.0, 1j), np.where(upper, at, mirror),
+            np.where(upper, mirror, at), np.sign(cols - rows))
 
 
 def hermitian_coordinates(values: np.ndarray, entries) -> np.ndarray:
-    """Real coordinates x (..., m) of a Hermitian rho from its ``values`` at
-    ``entries``: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c, so a
-    block of m entries holds m reals. Only the upper triangle is read."""
-    rows, cols = entries
-    return np.where(rows <= cols, values.real,
-                    values[..., transposed(entries)].imag)
+    """Real coordinates (``coordinate_map``) of rho from its ``values``
+    (..., m) at ``entries``."""
+    return (coordinate_map(entries)[0] * values).real
 
 
 def hermitian_values(x: np.ndarray, entries) -> np.ndarray:
-    """rho at ``entries`` from its coordinates x (``hermitian_coordinates``):
-    rho_rc = x_rc + i x_cr above the diagonal, x_rr on it and the conjugates
-    below, so the result is exactly Hermitian."""
-    rows, cols = entries
-    mirror = x[..., transposed(entries)]
+    """rho at ``entries`` from its real coordinates x (..., m); exactly
+    Hermitian, with a real diagonal."""
+    _, real_at, imag_at, sign = coordinate_map(entries)
     out = np.empty(x.shape, dtype=complex)
-    out.real = np.where(rows <= cols, x, mirror)
-    out.imag = np.where(rows < cols, mirror, np.where(rows > cols, -x, 0.0))
+    out.real = x[..., real_at]
+    out.imag = sign * x[..., imag_at]
     return out
 
 
@@ -108,7 +113,7 @@ class ObservableOps:
     engines evolve them: one full-space index array per axis of the state,
     (i,) for vectors or (row, col) for density matrices, sorted row-major.
     Entries left out are 0. A density stack holds the real coordinates of
-    its entries (``hermitian_coordinates``).
+    its entries (``coordinate_map``).
     """
 
     def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
@@ -130,9 +135,10 @@ class ObservableOps:
         else:
             self._diag = np.flatnonzero(first == entries[1])
             source = np.flatnonzero(inside & (entries[1] == target))
-            # <c^dag d> = sum rho[source, target] factor, where every source
-            # lies above the diagonal: rho = x + i x at the transposed entry
-            self._hop = (source, transposed(entries)[source])
+            # <c^dag d> = sum rho[source, target] factor, with every source
+            # above the diagonal (sign 1)
+            _, real_at, imag_at, _ = coordinate_map(entries)
+            self._hop = (real_at[source], imag_at[source])
         self._hop_data = factor[source]
         basis = first[self._diag]
         diag_a, diag_b = (n[basis] for n in space.number_diagonals())
