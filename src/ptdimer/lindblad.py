@@ -17,10 +17,8 @@ entries, and ``ode.integrate_adaptive`` evolves every one of them, exactly up
 to ``ode.EXACT_MAX_ENTRIES`` entries. The generator keeps rho Hermitian, so a
 density block of m entries is evolved as m real coordinates, in the block's
 entry order: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c
-(``observables.coordinate_map``). Each complex term of a row splits
-into a real and an imaginary part, a real gather of at most 18 terms; in the
-rotating frame every weight is real or imaginary, so one of each pair is
-zero and dropped. At zero temperature H_eff is the lossy
+(``observables.coordinate_map``), each row a real gather of at most 18 terms
+(``_coordinate_rows``). At zero temperature H_eff is the lossy
 Hamiltonian H_L, and the non-Hermitian engine is the same builder without
 jumps, which also takes the zero-temperature channels.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
@@ -31,6 +29,7 @@ coherence) and its finite-difference consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .fock import HOP, QuantumState, _move

@@ -6,7 +6,8 @@ states follow d|psi>/dt = -i H_L |psi> and mixed states
 d rho/dt = -i(H_L rho - rho H_L^dag), both written by
 ``lindblad.liouville_block`` without jump terms (which takes the
 zero-temperature channels), on the entries H_L connects to the initial state,
-i.e. its own excitation-number blocks. Both are linear, so
+i.e. its own excitation-number blocks; a mixed state evolves as the real
+coordinates of its block (``observables.coordinate_map``). Both are linear, so
 ``ode.integrate_adaptive`` propagates them exactly on those entries (the 6 of
 |5,0>'s N = 5 block for a pure state). The squared norm / trace decays
 monotonically and observables are reported both raw (unnormalized) and

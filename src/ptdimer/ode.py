@@ -327,7 +327,8 @@ def integrate_adaptive(problem: OdeProblem) -> Trajectory:
     if samples[0] < t0 or samples[-1] > t1:
         raise ValueError("sample_times must lie within t_span")
 
-    y = np.array(problem.y0, dtype=np.result_type(problem.y0, 1.0))
+    y = np.array(problem.y0,
+                 dtype=complex if np.iscomplexobj(problem.y0) else float)
     if problem.linear and y.size <= EXACT_MAX_ENTRIES:
         return _propagate(problem, t0, samples, y)
     rhs = problem.rhs

@@ -397,6 +397,22 @@ class TestExactPath:
         assert exc.value.t_reached == 1.0
 
 
+class TestStateDtype:
+    @pytest.mark.parametrize("linear", [True, False],
+                             ids=["exact", "adaptive"])
+    @pytest.mark.parametrize("y0, dtype", [
+        ([1.0], np.float64), ([1.0 + 0j], np.complex128),
+        (np.array([1], dtype=np.int64), np.float64),
+        (np.array([1], dtype=np.complex64), np.complex128)],
+        ids=["real-list", "complex-list", "int", "complex64"])
+    def test_state_keeps_the_dtype_of_y0(self, linear, y0, dtype):
+        # a density block's real coordinates stay real on both paths
+        traj = integrate_adaptive(OdeProblem(
+            _decay, y0, (0.0, 1.0), np.linspace(0.0, 1.0, 3), linear=linear))
+        assert traj.states.dtype == dtype
+        assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-8
+
+
 class TestValidation:
     """Input from outside the program is checked where it enters."""
 
