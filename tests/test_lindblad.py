@@ -375,23 +375,29 @@ class TestExactPropagation:
 
     def test_snapshots_are_zero_off_the_evolved_entries(self):
         # both engines evolve only the entries between equal excitation
-        # numbers; every other entry, inside the kept basis too, stays 0
+        # numbers; every other entry, inside the kept basis too, stays 0.
+        # Rebuilt from real coordinates, each snapshot is exactly Hermitian
+        # and zero outside the evolved block
         n_a, n_b = self.space.number_diagonals()
         n = n_a + n_b
         mixed = np.zeros((self.space.dim, self.space.dim), dtype=complex)
         for level, weight in ((1, 0.25), (2, 0.75)):
             idx = np.flatnonzero((n_a == level) & (n_b == 0))
             mixed[idx, idx] = weight
-        for evolve, state in ((evolve_density,
-                               fock_product_state(3, 2, self.space)),
-                              (evolve_nonhermitian,
-                               QuantumState(self.space, mixed))):
+        for evolve, state, jumps in (
+                (evolve_density, fock_product_state(3, 2, self.space), True),
+                (evolve_nonhermitian, QuantumState(self.space, mixed), False)):
             traj = evolve(state, make_params(),
                           np.linspace(0.0, 0.3 / GAMMA_A, 20), keep_states=True)
+            rhos = traj.snapshots
             off = n[:, None] != n[None, :]
-            assert traj.snapshots.shape == (20, 49, 49)
-            assert np.all(traj.snapshots[:, off] == 0.0)
-            assert np.abs(traj.snapshots[-1][~off]).max() > 0.0
+            assert rhos.shape == (20, 49, 49)
+            assert np.all(rhos[:, off] == 0.0)
+            assert np.abs(rhos[-1][~off]).max() > 0.0
+            assert np.array_equal(rhos, rhos.conj().transpose(0, 2, 1))
+            inside = np.zeros(off.shape, dtype=bool)
+            inside[liouville_block(state, make_params(), jumps=jumps)[0]] = True
+            assert np.all(rhos[:, ~inside] == 0.0)
 
     @engines
     def test_bitwise_deterministic(self, evolve):
@@ -471,24 +477,6 @@ class TestRealCoordinates:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.array_equal(x0, hermitian_coordinates(state.data[entries],
                                                         entries))
-
-    def test_snapshots_are_exactly_hermitian_and_zero_outside_the_block(self):
-        space = FockSpace(7, 7)
-        mixed = np.zeros((space.dim, space.dim), dtype=complex)
-        mixed[space.index(1, 0), space.index(1, 0)] = 0.25
-        mixed[space.index(2, 0), space.index(2, 0)] = 0.75
-        times = np.linspace(0.0, 0.3 / GAMMA_A, 20)
-        for evolve, state, jumps in (
-                (evolve_density, fock_product_state(3, 2, space), True),
-                (evolve_nonhermitian, QuantumState(space, mixed), False)):
-            traj = evolve(state, make_params(), times, keep_states=True)
-            entries = liouville_block(state, make_params(), jumps=jumps)[0]
-            inside = np.zeros((space.dim, space.dim), dtype=bool)
-            inside[entries] = True
-            rhos = traj.snapshots
-            assert np.array_equal(rhos, rhos.conj().transpose(0, 2, 1))
-            assert np.all(rhos[:, ~inside] == 0.0)
-            assert np.abs(rhos[-1][inside]).max() > 0.0
 
     def test_catalog_run_matches_the_dense_liouvillian(self):
         # fig4a (N00N 2, 16 levels) at 5 of its 2,000 samples against
