@@ -10,7 +10,7 @@ contrast.
 
 from .fock import FockSpace, QuantumState, TruncationError, \
     beam_splitter_hamiltonian, fock_product_state, ladder, lossy_hamiltonian, \
-    mode_annihilator, mode_number, noon_state, thermal_density_matrix, \
+    mode_annihilator, noon_state, thermal_density_matrix, \
     thermal_truncation_dim, truncation_dim
 from .gaussian import count_prominent_extrema, diffusion_matrix, drift_matrix, \
     evolve_moments, fit_decay_rate, moment_flow_rhs, steady_state_moments, \
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FockSpace", "QuantumState", "TruncationError",
     "beam_splitter_hamiltonian", "fock_product_state", "ladder",
-    "lossy_hamiltonian", "mode_annihilator", "mode_number", "noon_state",
+    "lossy_hamiltonian", "mode_annihilator", "noon_state",
     "thermal_density_matrix", "thermal_truncation_dim", "truncation_dim",
     "count_prominent_extrema", "diffusion_matrix", "drift_matrix",
     "evolve_moments", "fit_decay_rate", "moment_flow_rhs",

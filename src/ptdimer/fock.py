@@ -2,11 +2,12 @@
 
 Joint basis ordering is mode-a major: |n_a, n_b> sits at index n_a*dim_b + n_b.
 Every operator of the model is one ladder move with its sqrt(n) factors (c,
-c^dag, d, d^dag, the hop c^dag d) or the diagonal A^dag A of one. ``_move``
-applies a move to every basis index by index arithmetic; the engines build
-their generator from it, entry by entry (``lindblad.liouville_block``), and
-``ladder`` writes a move as a dense matrix on the product space for tests and
-direct callers.
+c^dag, d, d^dag, the hop c^dag d) or a number diagonal
+(``FockSpace.number_diagonals``). ``_move`` applies a move to every basis
+index by index arithmetic; the engines build their generator from it, entry by
+entry (``lindblad.liouville_block``), and ``ladder`` writes a move as a dense
+matrix on the product space for tests and direct callers. The dense
+Hamiltonians are in the frame rotating at omega_b, like every engine.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from functools import cache
 import numpy as np
 
 from .params import SystemParams
+
+
+# the largest thermal tail weight a truncation discards, and the largest
+# population the top Fock level of a mode may hold before a run warns of
+# truncation leakage (``observables.ObservableOps.leakage_warnings``)
+TAIL_TOL = 1e-6
 
 
 class TruncationError(ValueError):
@@ -34,26 +41,24 @@ def truncation_dim(max_total: int) -> int:
     return max_total + 2
 
 
-def thermal_truncation_dim(nbar: float, tail_tol: float = 1e-6) -> int:
-    """Smallest per-mode dimension whose thermal tail weight is below tail_tol
-    and whose top level starts with at most tail_tol.
+def thermal_truncation_dim(nbar: float) -> int:
+    """Smallest per-mode dimension whose thermal tail weight is below
+    ``TAIL_TOL`` and whose top level starts with at most ``TAIL_TOL``.
 
     With r = nbar/(1+nbar), the discarded weight of a Bose-Einstein
     distribution truncated at dim levels is r**dim and its top level holds
     (1-r) r**(dim-1), which is the larger for r < 1/2. The second bound keeps
-    a run's truncation-leakage check (top level above 1e-6) quiet at t = 0.
+    a run's truncation-leakage check quiet at t = 0.
     """
     if nbar < 0:
         raise ValueError("thermal occupation must be nonnegative")
-    if not 0 < tail_tol < 1:
-        raise ValueError("tail tolerance must lie in (0, 1)")
     if nbar == 0:
         return 2
     ratio = nbar / (1.0 + nbar)
-    # start from the smallest dim with ratio**dim < tail_tol (the float log
+    # start from the smallest dim with ratio**dim < TAIL_TOL (the float log
     # may land one short); the top-level bound adds at most one level
-    dim = int(np.ceil(np.log(tail_tol) / np.log(ratio)))
-    while ratio**dim >= tail_tol or (1.0 - ratio) * ratio**(dim - 1) > tail_tol:
+    dim = int(np.ceil(np.log(TAIL_TOL) / np.log(ratio)))
+    while ratio**dim >= TAIL_TOL or (1.0 - ratio) * ratio**(dim - 1) > TAIL_TOL:
         dim += 1
     return max(dim, 2)
 
@@ -152,67 +157,45 @@ def _move(space: FockSpace, move: tuple[int, int]):
     return tables
 
 
-def ladder(space: FockSpace, move: tuple[int, int], *,
-           squared: bool = False) -> np.ndarray:
+def ladder(space: FockSpace, move: tuple[int, int]) -> np.ndarray:
     """Dense matrix of one ladder move on the product space.
 
     ``move = (da, db)``, each step -1, 0 or +1, maps |n_a, n_b> to
     |n_a + da, n_b + db> with a factor sqrt(n) for each lowered mode and
     sqrt(n + 1) for each raised one: (-1, 0) is c, (0, 1) is d^dag and
-    (1, -1) is c^dag d. Moves out of the truncation give zero. With
-    ``squared`` the diagonal A^dag A of the move is returned instead.
+    (1, -1) is c^dag d. Moves out of the truncation give zero.
     """
     target, factor, inside = _move(space, move)
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    if squared:
-        np.fill_diagonal(out, np.where(inside, factor * factor, 0.0))
-    else:
-        source = np.flatnonzero(inside)
-        out[target[source], source] = factor[source]
+    source = np.flatnonzero(inside)
+    out[target[source], source] = factor[source]
     return out
-
-
-def _lowering(mode: str) -> tuple[int, int]:
-    if mode not in _LOWER:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return _LOWER[mode]
 
 
 def mode_annihilator(mode: str, space: FockSpace) -> np.ndarray:
     """c (mode "a") or d (mode "b")."""
-    return ladder(space, _lowering(mode))
+    if mode not in _LOWER:
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    return ladder(space, _LOWER[mode])
 
 
-def mode_number(mode: str, space: FockSpace) -> np.ndarray:
-    """n_a or n_b; entries sqrt(n)*sqrt(n)."""
-    return ladder(space, _lowering(mode), squared=True)
+def beam_splitter_hamiltonian(g: float, space: FockSpace) -> np.ndarray:
+    """H = g*(c^dag d + c d^dag) in the frame rotating at omega_b, energy in
+    rad/s units.
 
-
-def beam_splitter_hamiltonian(omega_b: float, g: float,
-                              space: FockSpace) -> np.ndarray:
-    """H = omega_b*(n_a + n_b) + g*(c^dag d + c d^dag), energy in rad/s units.
-
-    Passing omega_b = 0 gives the interaction-picture Hamiltonian. The hopping
-    term conserves total excitation number exactly, also on the truncated
-    space.
+    The hopping term conserves total excitation number exactly, also on the
+    truncated space.
     """
     hop = ladder(space, HOP)
-    return omega_b * (mode_number("a", space) + mode_number("b", space)) \
-        + g * (hop + hop.conj().T)
+    return g * (hop + hop.conj().T)
 
 
-def lossy_hamiltonian(params: SystemParams, space: FockSpace,
-                      omega_b: float | None = None) -> np.ndarray:
-    """Non-Hermitian H_L = H - i(gamma_a n_a + gamma_b n_b)/2.
-
-    ``omega_b`` overrides the mode frequency (0 for the interaction picture);
-    by default it is taken from ``params``.
-    """
-    omega = params.omega_b if omega_b is None else omega_b
-    h = beam_splitter_hamiltonian(omega, params.g, space)
-    loss = params.gamma_a * mode_number("a", space) \
-        + params.gamma_b * mode_number("b", space)
-    return h - 0.5j * loss
+def lossy_hamiltonian(params: SystemParams, space: FockSpace) -> np.ndarray:
+    """Non-Hermitian H_L = H - i(gamma_a n_a + gamma_b n_b)/2, in the frame
+    rotating at omega_b."""
+    n_a, n_b = space.number_diagonals()
+    loss = params.gamma_a * n_a + params.gamma_b * n_b
+    return beam_splitter_hamiltonian(params.g, space) - 0.5j * np.diag(loss)
 
 
 def fock_product_state(n_a: int, n_b: int, space: FockSpace) -> QuantumState:
@@ -241,7 +224,7 @@ def noon_state(n: int, space: FockSpace) -> QuantumState:
     return QuantumState(space, vec)
 
 
-def _thermal_weights(nbar: float, dim: int, tail_tol: float) -> np.ndarray:
+def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     if nbar < 0:
         raise ValueError("thermal occupation must be nonnegative")
     if nbar == 0:
@@ -249,23 +232,23 @@ def _thermal_weights(nbar: float, dim: int, tail_tol: float) -> np.ndarray:
         w[0] = 1.0
         return w
     ratio = nbar / (1.0 + nbar)
-    if ratio**dim >= tail_tol:
+    if ratio**dim >= TAIL_TOL:
         raise TruncationError(
             f"thermal tail weight {ratio**dim:.3g} at dim={dim} exceeds "
-            f"{tail_tol:.3g}; need dim >= {thermal_truncation_dim(nbar, tail_tol)}")
+            f"{TAIL_TOL:.3g}; need dim >= {thermal_truncation_dim(nbar)}")
     w = ratio ** np.arange(dim) / (1.0 + nbar)
     return w / w.sum()  # renormalize over the truncated ladder
 
 
-def thermal_density_matrix(nbar_a: float, nbar_b: float, space: FockSpace,
-                           tail_tol: float = 1e-6) -> QuantumState:
+def thermal_density_matrix(nbar_a: float, nbar_b: float,
+                           space: FockSpace) -> QuantumState:
     """Product of single-mode thermal states, renormalized on the truncation.
 
-    Raises TruncationError when either mode's discarded tail weight exceeds
-    ``tail_tol``.
+    Raises TruncationError when either mode's discarded tail weight reaches
+    ``TAIL_TOL``.
     """
-    wa = _thermal_weights(nbar_a, space.dim_a, tail_tol)
-    wb = _thermal_weights(nbar_b, space.dim_b, tail_tol)
+    wa = _thermal_weights(nbar_a, space.dim_a)
+    wb = _thermal_weights(nbar_b, space.dim_b)
     rho = np.diag(np.kron(wa, wb).astype(complex))
     return QuantumState(space, rho)
 

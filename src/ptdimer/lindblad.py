@@ -222,16 +222,15 @@ def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
 
 
 def evolve_density(state0: QuantumState, params: SystemParams,
-                   sample_times, *, rtol: float = 1e-9, atol: float = 1e-12,
-                   keep_states: bool = False) -> ObservableTrajectory:
+                   sample_times, *, rtol: float = 1e-9,
+                   atol: float = 1e-12) -> ObservableTrajectory:
     """Evolve a density matrix and record observables at the sample times.
 
     A pure ``state0`` is promoted to its projector; only the entries it
     reaches on its space are evolved, in the frame rotating at omega_b (see
     the module docstring), which no recorded observable depends on. A
     warning is attached when the top Fock level of either mode accumulates
-    more than 1e-6 population. With ``keep_states`` the ``snapshots`` are the
-    full (S, d, d) sampled states, exactly zero outside the evolved entries.
+    more than ``fock.TAIL_TOL`` population.
     """
     entries, y0, rhs = liouville_block(state0, params)
 
@@ -244,8 +243,7 @@ def evolve_density(state0: QuantumState, params: SystemParams,
     return ObservableTrajectory(
         "lindblad", params.omega_b, sol.times,
         **ops.record_from_density(sol.states), stats=sol.stats,
-        warnings=ops.leakage_warnings(sol.times, sol.states),
-        snapshots=ops.embed(sol.states) if keep_states else None, atol=atol)
+        warnings=ops.leakage_warnings(sol.times, sol.states), atol=atol)
 
 
 def moment_rhs(m, params: SystemParams):

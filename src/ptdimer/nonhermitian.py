@@ -34,16 +34,14 @@ _NORM_FLOOR = 1e-300
 
 def evolve_nonhermitian(state0: QuantumState, params: SystemParams,
                         sample_times, *, rtol: float = 1e-9,
-                        atol: float = 1e-12,
-                        keep_states: bool = False) -> ObservableTrajectory:
+                        atol: float = 1e-12) -> ObservableTrajectory:
     """Evolve a state under H_L and record observables at the sample times.
 
     A pure ``state0`` is evolved as a vector and a mixed one two-sided, on
     the excitation-number blocks of its space that it starts in. H_L holds
     the zero-temperature losses at any ``params.temperature``. If the squared
     norm underflows below 1e-300 the trajectory is truncated there with a
-    warning. With ``keep_states`` the ``snapshots`` are the full sampled
-    states, exactly zero outside the evolved blocks.
+    warning.
     """
     entries, y0, rhs = liouville_block(state0, params, jumps=False)
 
@@ -60,13 +58,11 @@ def evolve_nonhermitian(state0: QuantumState, params: SystemParams,
     kept = under[0] if under.size else len(sol.times)
     warnings = [f"norm underflow at t={sol.times[kept]:.6e}; trajectory "
                 f"truncated"] if under.size else []
-    states = sol.states[:kept]
-    warnings += ops.leakage_warnings(sol.times[:kept], states)
+    warnings += ops.leakage_warnings(sol.times[:kept], sol.states[:kept])
     return ObservableTrajectory(
         "nonhermitian", params.omega_b, sol.times[:kept],
         **{name: col[:kept] for name, col in cols.items()}, stats=sol.stats,
-        warnings=warnings, snapshots=ops.embed(states) if keep_states else None,
-        atol=atol)
+        warnings=warnings, atol=atol)
 
 
 def renormalized_observables(state: QuantumState) -> tuple[float, float, complex]:

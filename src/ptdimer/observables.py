@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import HOP, TAIL_TOL, FockSpace, _move
 # mode_annihilator is unused here but stays importable: perfbench/tracing.py
 # times it as a site of this module
-from .fock import HOP, FockSpace, _move, mode_annihilator  # noqa: F401
+from .fock import mode_annihilator  # noqa: F401
 from .ode import IntegratorStats
 
 
@@ -49,7 +50,6 @@ class ObservableTrajectory:
     quartic_b: np.ndarray | None = None
     stats: IntegratorStats | None = None
     warnings: list[str] = field(default_factory=list)
-    snapshots: np.ndarray | None = None
     atol: float = 0.0  # integrator atol: positive <N> below it is flagged
     n_a: np.ndarray = field(init=False, repr=False)
     n_b: np.ndarray = field(init=False, repr=False)
@@ -118,7 +118,6 @@ class ObservableOps:
 
     def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
                  gamma_b: float = 0.0) -> None:
-        self._space = space
         self._entries = entries
         # positions of the diagonal entries with their number data, and of
         # the hop pairs with their sqrt(n) factors, ordered by hop target
@@ -149,27 +148,17 @@ class ObservableOps:
         self._top = ((diag_a == space.dim_a - 1)
                      | (diag_b == space.dim_b - 1)).astype(float)
 
-    def embed(self, states: np.ndarray) -> np.ndarray:
-        """Full-space stack (S, d) or (S, d, d), exactly zero outside the
-        entries; density matrices are rebuilt from their coordinates."""
-        shape = (len(states),) + (self._space.dim,) * len(self._entries)
-        if len(self._entries) == 2:
-            states = hermitian_values(states, self._entries)
-        full = np.zeros(shape, dtype=states.dtype)
-        full[(slice(None),) + tuple(self._entries)] = states
-        return full
-
     def leakage_warnings(self, times, states) -> list[str]:
         """Truncation-leakage warning of a run, if any.
 
         ``states`` is the stack of states sampled at ``times``. Warns once the
-        top Fock level of either mode holds more than 1e-6, naming the largest
-        such population and the first time it occurs.
+        top Fock level of either mode holds more than ``TAIL_TOL``, naming the
+        largest such population and the first time it occurs.
         """
         diag = states[:, self._diag]
         pops = np.abs(diag) ** 2 if len(self._entries) == 1 else diag
         leaks = pops @ self._top
-        if not leaks.size or leaks.max() <= 1e-6:
+        if not leaks.size or leaks.max() <= TAIL_TOL:
             return []
         k = int(np.argmax(leaks))
         return [f"truncation leakage: top-level population "

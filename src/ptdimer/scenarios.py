@@ -598,18 +598,20 @@ def run_scenario(cfg: ScenarioConfig) -> list[Path]:
     when two or more engines ran, and optionally an SVG overlay.
 
     On an engine failure a ``<scenario>.partial`` marker naming the failed
-    engine is written next to any completed outputs and the error re-raised.
+    engine is written next to any completed outputs and the error re-raised;
+    a marker left by an earlier run is removed before the first engine.
     """
     params = cfg.system_params()
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
+    marker = outdir / f"{cfg.scenario}.partial"
+    marker.unlink(missing_ok=True)
     written: list[Path] = []
     trajs: list[ObservableTrajectory] = []
     for engine in cfg.engines:
         try:
             traj = run_engine(engine, cfg)
         except NUMERICAL_FAILURES as exc:
-            marker = outdir / f"{cfg.scenario}.partial"
             marker.write_text(f"engine {engine} failed: {exc}\n")
             raise
         trajs.append(traj)

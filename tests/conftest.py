@@ -7,7 +7,9 @@ and 3.00e2, probed at three couplings (strong, balanced-loss, weak).
 import numpy as np
 import pytest
 
-from ptdimer import SystemParams
+from ptdimer import OdeProblem, SystemParams, integrate_adaptive
+from ptdimer.lindblad import liouville_block
+from ptdimer.observables import hermitian_values
 
 OMEGA_A = 1.02e10
 OMEGA_B = 1.59e7
@@ -26,6 +28,25 @@ def make_params(g=G_STRONG, temperature=0.0, **overrides):
                   gamma_b=GAMMA_B, g=g, temperature=temperature)
     kwargs.update(overrides)
     return SystemParams(**kwargs)
+
+
+def sampled_states(state, params, times, *, jumps=True, rtol=1e-9,
+                   atol=1e-12):
+    """The entries a Fock engine evolves from ``state`` and the state's
+    values there at ``times``, as (entries, values (S, m)).
+
+    Makes the engines' two calls, ``liouville_block`` and then
+    ``integrate_adaptive`` on the linear problem; a density block's real
+    coordinates come back as its complex entries (``hermitian_values``).
+    """
+    entries, y0, rhs = liouville_block(state, params, jumps=jumps)
+    times = np.asarray(times, dtype=float)
+    sol = integrate_adaptive(OdeProblem(rhs, y0, (0.0, float(times[-1])),
+                                        times, rtol=rtol, atol=atol,
+                                        linear=True))
+    if len(entries) == 1:
+        return entries, sol.states
+    return entries, hermitian_values(sol.states, entries)
 
 
 def random_density(rng, dim):

@@ -2,8 +2,8 @@
 
 Each test prints one ``ACCEPTANCE <n> <description>: PASS|FAIL`` line so the
 suite output doubles as a checklist. Catalog trajectories are cached and
-shared between criteria; the conservation sweep streams and discards its
-state snapshots to bound memory.
+shared between criteria; the conservation sweep checks each Lindblad run's
+density matrices on their evolved block only.
 """
 import subprocess
 import sys
@@ -33,7 +33,7 @@ from ptdimer import (
 from ptdimer.gaussian import diffusion_matrix, drift_matrix, moment_flow_rhs
 from ptdimer.scenarios import run_engine
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_A, \
-    OMEGA_B, ROOM_T, make_params
+    OMEGA_B, ROOM_T, make_params, sampled_states
 
 _RUNS: dict = {}
 
@@ -211,21 +211,21 @@ def test_criterion_08_conservation_sweep_over_catalog(criterion):
                                            FockSpace(*run_cfg.mode_dims()))
                     times = run_cfg.sample_times()
                     if engine == "lindblad":
-                        traj = evolve_density(state, params, times,
-                                              keep_states=True)
-                        rhos = traj.snapshots
-                        trace = np.trace(rhos, axis1=1, axis2=2).real
-                        assert np.abs(trace - 1.0).max() < 1e-8, sid
-                        assert np.abs(rhos - rhos.conj().transpose(0, 2, 1)) \
-                            .max() < 1e-10, sid
-                        # rho is zero off its live rows and columns, so its
-                        # spectrum is the live block's plus zeros
-                        nonzero = rhos != 0.0
-                        live = np.flatnonzero(nonzero.any(axis=(0, 1))
-                                              | nonzero.any(axis=(0, 2)))
-                        block = rhos[:, live[:, None], live]
+                        traj = evolve_density(state, params, times)
+                        assert np.abs(traj.weight - 1.0).max() < 1e-8, sid
+                        # rho is zero off the rows and columns of its
+                        # evolved entries, so its spectrum is that block's
+                        # plus zeros
+                        (rows, cols), values = sampled_states(state, params,
+                                                              times)
+                        live = np.unique(rows)
+                        block = np.zeros((len(times), live.size, live.size),
+                                         dtype=complex)
+                        block[:, np.searchsorted(live, rows),
+                              np.searchsorted(live, cols)] = values
+                        assert np.array_equal(
+                            block, block.conj().transpose(0, 2, 1)), sid
                         assert np.linalg.eigvalsh(block).min() > -1e-8, sid
-                        traj.snapshots = rhos = None
                     else:
                         from ptdimer import evolve_nonhermitian
                         traj = evolve_nonhermitian(state, params, times)

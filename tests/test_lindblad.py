@@ -19,7 +19,6 @@ from ptdimer import (
     lindblad_rhs,
     lossy_hamiltonian,
     mode_annihilator,
-    mode_number,
     moment_closure_residual,
     moment_rhs,
     noon_state,
@@ -34,7 +33,7 @@ from ptdimer.observables import ObservableOps, hermitian_coordinates, \
     hermitian_values
 from ptdimer.scenarios import catalog_config, parse_config, run_engine
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
-    random_density
+    random_density, sampled_states
 
 
 class TestThermalChannels:
@@ -96,7 +95,7 @@ class TestLindbladRhs:
     def test_unitary_limit_matches_conjugation_derivative(self):
         space = FockSpace(3, 3)
         p = make_params(g=0.4, gamma_a=0.0, gamma_b=0.0)
-        h = beam_splitter_hamiltonian(0.0, p.g, space)
+        h = beam_splitter_hamiltonian(p.g, space)
         rng = np.random.default_rng(5)
         rho0 = random_density(rng, space.dim)
         hd = h
@@ -125,8 +124,7 @@ class TestLindbladRhs:
         # level of each mode empty
         space = FockSpace(4, 4)
         p = make_params()
-        num_a = mode_number("a", space)
-        num_b = mode_number("b", space)
+        num_a, num_b = (np.diag(n) for n in space.number_diagonals())
         hop = mode_annihilator("a", space).conj().T @ mode_annihilator("b", space)
         lower = [space.index(na, nb) for na in range(3) for nb in range(3)]
         rng = np.random.default_rng(8)
@@ -159,10 +157,10 @@ class TestGeneratorIdentity:
         # evolution under the lossy Hamiltonian H_L
         space = FockSpace(4, 4)
         p = make_params(temperature=temperature)
-        h = beam_splitter_hamiltonian(0.0, p.g, space)
+        h = beam_splitter_hamiltonian(p.g, space)
         chans = thermal_channels(p)
         ops = [(ch.rate, ladder(space, ch.move)) for ch in chans]
-        h_l = lossy_hamiltonian(p, space, omega_b=0.0)
+        h_l = lossy_hamiltonian(p, space)
         rng = np.random.default_rng(34)
         for _ in range(20):
             rho = random_density(rng, space.dim)
@@ -234,16 +232,6 @@ class TestEvolveDensity:
         traj = evolve_density(fock_product_state(1, 1, space), p, times)
         assert any("leak" in w for w in traj.warnings)
 
-    def test_keep_states(self):
-        space = FockSpace(3, 3)
-        p = make_params()
-        times = np.linspace(0.0, 1.0 / GAMMA_A, 7)
-        traj = evolve_density(fock_product_state(1, 0, space), p, times,
-                              keep_states=True)
-        assert len(traj.snapshots) == 7
-        for rho in traj.snapshots:
-            assert np.abs(rho - rho.conj().T).max() < 1e-12
-
 
 class TestReachableSubspace:
     """|3,2> on the dimension-49 space evolves only its 21 indices N <= 5."""
@@ -256,7 +244,7 @@ class TestReachableSubspace:
         state = fock_product_state(3, 2, self.space)
         traj = evolve_density(state, p, self.times)
         # the textbook generator on the whole product space
-        h = beam_splitter_hamiltonian(0.0, p.g, self.space)
+        h = beam_splitter_hamiltonian(p.g, self.space)
         ops = [(ch.rate, ladder(self.space, ch.move))
                for ch in thermal_channels(p)]
         dim = self.space.dim
@@ -276,24 +264,20 @@ class TestReachableSubspace:
             assert np.abs(getattr(traj, name) - col).max() < 1e-12, name
 
     def test_snapshots_are_full_and_zero_outside(self):
+        # every evolved entry joins two of the 21 indices N <= 5
         n_a, n_b = self.space.number_diagonals()
-        keep = np.flatnonzero(n_a + n_b <= 5)
-        outside = np.ones((self.space.dim, self.space.dim), dtype=bool)
-        outside[np.ix_(keep, keep)] = False
-        traj = evolve_density(fock_product_state(3, 2, self.space),
-                              make_params(), self.times[:20],
-                              keep_states=True)
-        assert traj.snapshots.shape == (20, 49, 49)
-        assert np.all(traj.snapshots[:, outside] == 0.0)
-        assert np.abs(traj.snapshots[-1][np.ix_(keep, keep)]).max() > 0.0
+        keep = n_a + n_b <= 5
+        (rows, cols), rhos = sampled_states(
+            fock_product_state(3, 2, self.space), make_params(),
+            self.times[:20])
+        assert np.all(keep[rows] & keep[cols])
+        assert np.abs(rhos[-1]).max() > 0.0
 
     def test_nonhermitian_snapshots_stay_in_the_initial_block(self):
-        p = make_params()
-        traj = evolve_nonhermitian(fock_product_state(3, 2, self.space), p,
-                                   self.times[:20], keep_states=True)
+        (idx,), _, _ = liouville_block(fock_product_state(3, 2, self.space),
+                                       make_params(), jumps=False)
         n_a, n_b = self.space.number_diagonals()
-        assert traj.snapshots.shape == (20, 49)
-        assert np.all(traj.snapshots[:, n_a + n_b != 5] == 0.0)
+        assert np.all(n_a[idx] + n_b[idx] == 5)
 
 
 class TestExactPropagation:
@@ -376,37 +360,37 @@ class TestExactPropagation:
     def test_snapshots_are_zero_off_the_evolved_entries(self):
         # both engines evolve only the entries between equal excitation
         # numbers; every other entry, inside the kept basis too, stays 0.
-        # Rebuilt from real coordinates, each snapshot is exactly Hermitian
-        # and zero outside the evolved block
+        # Rebuilt from real coordinates, each sampled rho is exactly
+        # Hermitian
         n_a, n_b = self.space.number_diagonals()
         n = n_a + n_b
         mixed = np.zeros((self.space.dim, self.space.dim), dtype=complex)
         for level, weight in ((1, 0.25), (2, 0.75)):
             idx = np.flatnonzero((n_a == level) & (n_b == 0))
             mixed[idx, idx] = weight
-        for evolve, state, jumps in (
-                (evolve_density, fock_product_state(3, 2, self.space), True),
-                (evolve_nonhermitian, QuantumState(self.space, mixed), False)):
-            traj = evolve(state, make_params(),
-                          np.linspace(0.0, 0.3 / GAMMA_A, 20), keep_states=True)
-            rhos = traj.snapshots
-            off = n[:, None] != n[None, :]
-            assert rhos.shape == (20, 49, 49)
-            assert np.all(rhos[:, off] == 0.0)
-            assert np.abs(rhos[-1][~off]).max() > 0.0
+        for state, jumps in ((fock_product_state(3, 2, self.space), True),
+                             (QuantumState(self.space, mixed), False)):
+            (rows, cols), values = sampled_states(
+                state, make_params(), np.linspace(0.0, 0.3 / GAMMA_A, 20),
+                jumps=jumps)
+            assert np.all(n[rows] == n[cols])
+            assert np.abs(values[-1]).max() > 0.0
+            rhos = np.zeros((20, self.space.dim, self.space.dim),
+                            dtype=complex)
+            rhos[:, rows, cols] = values
             assert np.array_equal(rhos, rhos.conj().transpose(0, 2, 1))
-            inside = np.zeros(off.shape, dtype=bool)
-            inside[liouville_block(state, make_params(), jumps=jumps)[0]] = True
-            assert np.all(rhos[:, ~inside] == 0.0)
 
     @engines
     def test_bitwise_deterministic(self, evolve):
         state = fock_product_state(3, 2, self.space)
         times = np.linspace(0.0, 3.0 / GAMMA_A, 200)
-        t1, t2 = (evolve(state, make_params(), times, keep_states=True)
-                  for _ in range(2))
-        for name in (*self.columns, "snapshots"):
+        t1, t2 = (evolve(state, make_params(), times) for _ in range(2))
+        for name in self.columns:
             assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+        jumps = evolve is evolve_density
+        s1, s2 = (sampled_states(state, make_params(), times, jumps=jumps)[1]
+                  for _ in range(2))
+        assert np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("text, dimension", [
         ("state = thermal 6e-5\ntemperature = 6e-5\nengines = lindblad\n"
@@ -428,7 +412,7 @@ class TestExactPropagation:
         temp = 6e-5
         space = FockSpace(10, 10)
         rho0 = thermal_density_matrix(0.0, thermal_occupation(OMEGA_B, temp),
-                                      space, tail_tol=1e-3)
+                                      space)
         traj = evolve_density(rho0, make_params(temperature=temp),
                               np.linspace(0.0, 0.1 / GAMMA_A, 5))
         assert traj.stats.exponentials == 0
@@ -452,8 +436,8 @@ class TestRealCoordinates:
         state = QuantumState(space, random_density(np.random.default_rng(36),
                                                    space.dim))
         entries, x0, rhs = liouville_block(state, p, jumps=jumps)
-        h = beam_splitter_hamiltonian(0.0, p.g, space)
-        h_l = lossy_hamiltonian(p, space, omega_b=0.0)
+        h = beam_splitter_hamiltonian(p.g, space)
+        h_l = lossy_hamiltonian(p, space)
         ops = [(ch.rate, ladder(space, ch.move)) for ch in thermal_channels(p)]
 
         def textbook(rho):
@@ -488,7 +472,7 @@ class TestRealCoordinates:
         space = FockSpace(*cfg.mode_dims())
         traj = run_engine("lindblad", cfg)
         eye = np.eye(space.dim)
-        h = beam_splitter_hamiltonian(0.0, p.g, space)
+        h = beam_splitter_hamiltonian(p.g, space)
         liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         for ch in thermal_channels(p):
             a = ladder(space, ch.move)

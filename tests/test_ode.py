@@ -189,6 +189,23 @@ class TestAdaptive:
         with pytest.raises(IntegrationFailure):
             integrate_adaptive(prob)
 
+    def test_nonfinite_rhs_after_the_start_underflows(self):
+        # the step-size probe past t0 already reads nan, so the first guess
+        # is kept and every trial step is rejected
+        def rhs(t, y):
+            return -y if t == 0.0 else y * np.nan
+        prob = OdeProblem(rhs, np.array([1.0 + 0j]), (0.0, 1.0),
+                          np.array([1.0]), linear=False)
+        with pytest.raises(IntegrationFailure, match="step size underflow"):
+            integrate_adaptive(prob)
+
+    def test_zero_flow_from_zero_stays_zero(self):
+        # y' = 0 from y0 = 0: both step-size probes read zero
+        prob = OdeProblem(lambda t, y: np.zeros_like(y), np.zeros(3),
+                          (0.0, 1.0), np.array([0.5, 1.0]), linear=False)
+        traj = integrate_adaptive(prob)
+        assert np.array_equal(traj.states, np.zeros((2, 3)))
+
 
 class TestFixedStep:
     def test_global_order_five(self):

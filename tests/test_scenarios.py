@@ -216,6 +216,9 @@ class TestConfigSemantics:
         text = "state = thermal 0\nengines = lindblad, gaussian\n"
         with pytest.raises(ConfigError, match="allow_lindblad_thermal"):
             parse_config(text)
+        for off in ("false", "no", "off", "0"):
+            with pytest.raises(ConfigError, match="allow_lindblad_thermal"):
+                parse_config(text + f"allow_lindblad_thermal = {off}\n")
         cfg = parse_config(text + "allow_lindblad_thermal = true\n")
         assert cfg.engines == ("lindblad", "gaussian")
 
@@ -690,6 +693,16 @@ class TestRunScenario:
         assert marker.exists()
         assert "lindblad" in marker.read_text()
         assert "diverged" in marker.read_text()
+
+    def test_successful_rerun_removes_a_stale_marker(self, tmp_path):
+        marker = tmp_path / "fig1a.partial"
+        marker.write_text("engine lindblad failed: diverged\n")
+        cfg = replace(catalog_config("fig1a"), samples=60,
+                      directory=str(tmp_path))
+        run_scenario(cfg)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig1a_comparison.csv", "fig1a_lindblad.csv",
+            "fig1a_nonhermitian.csv"]
 
 
     def test_non_finite_generator_exits_3_without_nan_rows(self, tmp_path,
