@@ -159,12 +159,16 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
         frontier = np.fromiter(found, dtype=int, count=len(found))
     block = np.array(sorted(block), dtype=int)
 
-    # K's diagonal on the basis: each A^dag A is the square of A's sqrt(n)
-    # factor
+    # K's diagonal on the basis: each A^dag A is the exact occupation number,
+    # n for a lowering move and n + 1 for a raising one (0 where A leaves the
+    # truncation), not the square of its rounded sqrt(n) factor
+    numbers = space.number_diagonals()
     h_eff = np.zeros(space.dim, dtype=complex)
     for ch in channels:
-        _, f, ok = _move(space, ch.move)
-        h_eff = h_eff - 0.5j * ch.rate * np.where(ok, f * f, 0.0)
+        _, _, ok = _move(space, ch.move)
+        axis = 0 if ch.move[0] else 1
+        n = numbers[axis] + (ch.move[axis] > 0)
+        h_eff = h_eff - 0.5j * ch.rate * np.where(ok, n, 0.0)
     k = -1j * h_eff
     entries = split(block)
     sources = [np.arange(block.size)]

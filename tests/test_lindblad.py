@@ -181,6 +181,20 @@ class TestGeneratorIdentity:
                               ).max() < 1e-12 * scale
                 assert np.abs(rhs - jumps - no_jump).max() < 1e-12 * scale
 
+    def test_loss_diagonal_holds_the_exact_occupation_numbers(self):
+        # A^dag A of a lowering channel is n, not the square of the rounded
+        # sqrt(n) factor (sqrt(2)**2 == 2.0000000000000004): with unit rates
+        # and no coupling, each population of the no-jump block decays at
+        # exactly n_a + n_b
+        space = FockSpace(7, 7)
+        p = make_params(g=0.0, gamma_a=1.0, gamma_b=1.0)
+        weights = np.arange(1.0, space.dim + 1.0)
+        state = QuantumState(space, np.diag(weights / weights.sum()))
+        (rows, cols), x0, rhs = liouville_block(state, p, jumps=False)
+        assert np.array_equal(rows, cols) and rows.size == space.dim
+        n_a, n_b = space.number_diagonals()
+        assert np.array_equal(rhs(0.0, x0), -(n_a + n_b)[rows] * x0)
+
     @pytest.mark.parametrize("pure", [True, False], ids=["vector", "density"])
     def test_no_jump_block_takes_the_zero_temperature_losses(self, pure):
         # H_L holds the zero-temperature channels whatever the bath: without
