@@ -15,11 +15,13 @@ done
 printf '%s\n' 'g = 0' 'state = thermal 293' 'engines = gaussian' \
   > "$dir/uncoupled-thermal.conf"
 printf '%s\n' 'g = 0' 'state = fock 3 2' > "$dir/uncoupled-fock.conf"
-# the T > 0 jump path: a 344-entry block, propagated exactly
+# the T > 0 jump path: a block of 204 reached coordinates, propagated
+# exactly
 printf '%s\n' 'state = thermal 6e-5' 'temperature = 6e-5' \
   'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
   'samples = 200' > "$dir/cold.conf"
-# and a 1,469-entry block, above the exact bound: stepped adaptively
+# and a block of 819 reached coordinates, above the exact bound: stepped
+# adaptively
 printf '%s\n' 'state = thermal 1e-4' 'temperature = 1e-4' \
   'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
   'samples = 200' > "$dir/adaptive.conf"

@@ -12,15 +12,19 @@ column of a density-matrix entry, the rest of H_eff is diagonal, and a jump
 moves both by the same step. So ``liouville_block`` finds by index arithmetic
 the entries the initial state reaches (for |5,0> at zero temperature the 91
 entries of the Delta N = 0 blocks of N <= 5) and writes each one's generator
-row as a gather of at most nine entries; it alone chooses the evolved
-entries, and ``ode.integrate_adaptive`` evolves every one of them, exactly up
-to ``ode.EXACT_MAX_ENTRIES`` entries. The generator keeps rho Hermitian, so a
-density block of m entries is evolved as m real coordinates, in the block's
-entry order: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c
+row as a gather of at most nine entries. The generator keeps rho Hermitian,
+so a density block of m entries has m real coordinates, in the block's entry
+order: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c
 (``observables.coordinate_map``), each row a real gather of at most 18 terms
-(``_coordinate_rows``). At zero temperature H_eff is the lossy
-Hamiltonian H_L, and the non-Hermitian engine is the same builder without
-jumps, which also takes the zero-temperature channels.
+(``_coordinate_rows``). In this frame every hop weight is imaginary and every
+other weight real, so from a real rho0 whose entries share one parity class
+each coherence stays real or imaginary and one of its two coordinates is 0
+for all t. Only the coordinates rho0 reaches are kept (56 of |5,0>'s 91);
+``liouville_block`` alone chooses them, and ``ode.integrate_adaptive``
+evolves every one, exactly up to ``ode.EXACT_MAX_ENTRIES``. At zero
+temperature H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine
+is the same builder without jumps, which also takes the zero-temperature
+channels.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
 reference. Also hosts the closed first-moment system (occupations +
 coherence) and its finite-difference consistency check.
@@ -37,8 +41,7 @@ from .fock import HOP, QuantumState, _move
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
-    coordinate_map, derivative_residual, hermitian_coordinates, \
-    hermitian_values
+    coordinate_map, derivative_residual, hermitian_values
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -94,8 +97,9 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     term plus one (source, weight) term per move; a source the state never
     reaches gets weight 0.
     A density matrix's block is closed under transposition, and y0 and the
-    RHS are real: they hold the block's coordinates (module docstring). A
-    vector stays complex.
+    RHS are real: they hold the coordinates of the block that the state
+    reaches (module docstring), and ``entries`` names the entry of each, so
+    it may leave out an entry's mirror. A vector stays complex.
     With ``jumps`` off, the generator is the no-jump evolution under H_L, the
     H_eff of the zero-temperature channels at any ``params.temperature``, and
     a pure state stays a vector, evolved by d psi/dt = K psi; otherwise a
@@ -185,33 +189,54 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     y0 = np.zeros(block.size, dtype=complex)
     y0[np.searchsorted(block, flat)] = values
     if not vector:
-        sources, weights = _coordinate_rows(entries, sources, weights)
-        y0 = hermitian_coordinates(y0, entries)
+        live, sources, weights, y0 = _coordinate_rows(entries, sources,
+                                                      weights, y0)
+        entries = [axis[live] for axis in entries]
 
     def rhs(t, y):
         return (weights * y[sources]).sum(axis=1)
     return tuple(entries), y0, rhs
 
 
-def _coordinate_rows(entries, sources, weights):
+def _coordinate_rows(entries, sources, weights, y0):
     """Gather rows of the real coordinates x = Re(unit rho)
-    (``observables.coordinate_map``) from the complex rows (``sources``,
-    ``weights``) of a generator that keeps rho Hermitian.
+    (``observables.coordinate_map``) that rho0 reaches, from the complex
+    rows (``sources``, ``weights``) of a generator that keeps rho Hermitian
+    and from rho0's ``y0`` at the ``entries``, which are closed under
+    transposition.
 
     Each term w rho_s of row k adds Re(unit_k w) Re(rho_s) - Im(unit_k w)
     Im(rho_s) to x_k, and each part of rho_s is one coordinate. Of the two
     real terms a complex one gives, the zero ones are dropped: in the
-    rotating frame every weight is real or imaginary, so one stays.
+    rotating frame every weight is real or imaginary, so one stays. A
+    coordinate is reached if it starts nonzero or a reached one feeds it
+    through a nonzero weight; no reached coordinate feeds the others, so
+    they start and stay 0 and are dropped, with their terms in the reached
+    rows. Returns the mask of the reached coordinates, their rows, with the
+    sources numbered among them, and their initial values.
     """
-    unit, real_at, imag_at, sign = coordinate_map(entries)
+    # every mirror is held, so Re rho = x[real_at], Im rho = sign x[imag_at]
+    unit, real_at, imag_at, _, sign = coordinate_map(entries)
     w = unit[:, None] * weights
     weights = np.concatenate([w.real, -sign[sources] * w.imag], axis=1)
     sources = np.concatenate([real_at[sources], imag_at[sources]], axis=1)
-    # each row's nonzero terms first, as few columns as the longest row needs
-    keep = np.argsort(weights == 0.0, axis=1, kind="stable")[
-        :, :np.count_nonzero(weights, axis=1).max(initial=0)]
-    return (np.take_along_axis(sources, keep, axis=1),
-            np.take_along_axis(weights, keep, axis=1))
+    x0 = (unit * y0).real
+    feeds = weights != 0.0
+    live = x0 != 0.0
+    while True:
+        reached = live | (feeds & live[sources]).any(axis=1)
+        if np.array_equal(reached, live):
+            break
+        live = reached
+    sources, feeds = sources[live], feeds[live]
+    feeds &= live[sources]
+    sources = (np.cumsum(live) - 1)[sources]
+    # each row's terms first, as few columns as the longest row needs
+    keep = np.argsort(~feeds, axis=1, kind="stable")[
+        :, :np.count_nonzero(feeds, axis=1).max(initial=0)]
+    return (live, np.take_along_axis(sources, keep, axis=1),
+            np.take_along_axis(np.where(feeds, weights[live], 0.0), keep,
+                               axis=1), x0[live])
 
 
 def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
@@ -221,7 +246,9 @@ def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
     entries, y0, rhs = liouville_block(state, params)
     dim = state.space.dim
     out = np.zeros((dim, dim), dtype=complex)
-    out[entries] = hermitian_values(rhs(0.0, y0), entries)
+    values = hermitian_values(rhs(0.0, y0), entries)
+    out[entries] = values
+    out[entries[::-1]] = values.conj()  # the mirrors the block leaves out
     return out
 
 

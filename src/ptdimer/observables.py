@@ -72,22 +72,27 @@ class ObservableTrajectory:
 
 def coordinate_map(entries):
     """How a Hermitian rho at the density-matrix ``entries`` (sorted
-    row-major, closed under transposition) maps to its real coordinates, one
-    per entry, and back.
+    row-major) maps to its real coordinates, one per entry, and back.
 
     x = Re(unit rho), with unit 1 on and above the diagonal and i below it:
     x_rc = Re rho_rc for r <= c and Im rho_cr for r > c. Back, Re rho =
-    x[real_at] and Im rho = sign x[imag_at]. Returns (unit, real_at, imag_at,
-    sign).
+    re x[real_at] and Im rho = im x[imag_at]. A coordinate held at a mirror
+    entry that ``entries`` leave out is 0, and its factor re or im is 0.
+    Returns (unit, real_at, imag_at, re, im).
     """
     rows, cols = entries
-    at, mirror = np.arange(rows.size), np.lexsort((rows, cols))
-    assert np.array_equal(rows[mirror], cols) \
-        and np.array_equal(cols[mirror], rows), \
-        "density-matrix entries not closed under transposition"
+    at = np.arange(rows.size)
+    # keys r n + c are sorted with the entries; the mirror of (r, c) is
+    # (c, r), held where its key is found
+    n = 1 + max(rows.max(initial=0), cols.max(initial=0))
+    key, mirror_key = rows * n + cols, cols * n + rows
+    mirror = np.minimum(np.searchsorted(key, mirror_key), max(at.size - 1, 0))
+    held = key[mirror] == mirror_key
+    mirror = np.where(held, mirror, at)
     upper = rows <= cols
     return (np.where(upper, 1.0, 1j), np.where(upper, at, mirror),
-            np.where(upper, mirror, at), np.sign(cols - rows))
+            np.where(upper, mirror, at), np.where(upper | held, 1.0, 0.0),
+            np.where(upper & ~held, 0.0, np.sign(cols - rows)))
 
 
 def hermitian_coordinates(values: np.ndarray, entries) -> np.ndarray:
@@ -97,12 +102,13 @@ def hermitian_coordinates(values: np.ndarray, entries) -> np.ndarray:
 
 
 def hermitian_values(x: np.ndarray, entries) -> np.ndarray:
-    """rho at ``entries`` from its real coordinates x (..., m); exactly
-    Hermitian, with a real diagonal."""
-    _, real_at, imag_at, sign = coordinate_map(entries)
+    """rho at ``entries`` from its real coordinates x (..., m), a coordinate
+    not held being 0; exactly Hermitian where an entry and its mirror are
+    both held, with a real diagonal."""
+    _, real_at, imag_at, re, im = coordinate_map(entries)
     out = np.empty(x.shape, dtype=complex)
-    out.real = x[..., real_at]
-    out.imag = sign * x[..., imag_at]
+    out.real = re * x[..., real_at]
+    out.imag = im * x[..., imag_at]
     return out
 
 
@@ -113,7 +119,8 @@ class ObservableOps:
     engines evolve them: one full-space index array per axis of the state,
     (i,) for vectors or (row, col) for density matrices, sorted row-major.
     Entries left out are 0. A density stack holds the real coordinates of
-    its entries (``coordinate_map``).
+    its entries (``coordinate_map``), so a coordinate whose entry is left
+    out, such as one of an entry's mirror, is 0.
     """
 
     def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
@@ -122,23 +129,29 @@ class ObservableOps:
         # positions of the diagonal entries with their number data, and of
         # the hop pairs with their sqrt(n) factors, ordered by hop target
         first = entries[0]
-        # the hop target n + (1, -1) grows with n, so sources in entry order
-        # are also in target order
-        target, factor, inside = (a[first] for a in _move(space, HOP))
+        hop = _move(space, HOP)
         if len(entries) == 1:
+            # the hop target n + (1, -1) grows with n, so sources in entry
+            # order are also in target order
+            target, factor, inside = (a[first] for a in hop)
             self._diag = np.arange(first.size)
             at = np.minimum(np.searchsorted(first, target), first.size - 1)
             source = np.flatnonzero(inside & (first[at] == target))
             # <c^dag d> = sum conj(psi[target]) psi[source] factor
             self._hop = (at[source], source)
+            self._hop_data = factor[source]
         else:
-            self._diag = np.flatnonzero(first == entries[1])
-            source = np.flatnonzero(inside & (entries[1] == target))
-            # <c^dag d> = sum rho[source, target] factor, with every source
-            # above the diagonal (sign 1)
-            _, real_at, imag_at, _ = coordinate_map(entries)
-            self._hop = (real_at[source], imag_at[source])
-        self._hop_data = factor[source]
+            target, factor, inside = hop
+            rows, cols = entries
+            self._diag = np.flatnonzero(rows == cols)
+            # <c^dag d> = sum rho[s, t] factor over the hops t of s, each
+            # above the diagonal: its real part is read at the held entries
+            # (s, t) and its imaginary part at the held (t, s)
+            # (``coordinate_map``); a coordinate not held is 0
+            real = np.flatnonzero(inside[rows] & (target[rows] == cols))
+            imag = np.flatnonzero(inside[cols] & (target[cols] == rows))
+            self._hop = (real, imag)
+            self._hop_data = (factor[rows[real]], factor[cols[imag]])
         basis = first[self._diag]
         diag_a, diag_b = (n[basis] for n in space.number_diagonals())
         self._diag_a, self._diag_b = diag_a, diag_b
@@ -192,10 +205,10 @@ class ObservableOps:
     def _coherence(self, rhos: np.ndarray) -> np.ndarray:
         """<c^dag d> of a density stack, read from the two coordinates of
         each hop entry."""
-        real, imag = self._hop
+        (real, imag), (real_data, imag_data) = self._hop, self._hop_data
         out = np.empty(len(rhos), dtype=complex)
-        out.real = rhos[:, real] @ self._hop_data
-        out.imag = rhos[:, imag] @ self._hop_data
+        out.real = rhos[:, real] @ real_data
+        out.imag = rhos[:, imag] @ imag_data
         return out
 
     def _columns(self, pops, scale, coherence, weight,

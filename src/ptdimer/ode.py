@@ -50,9 +50,11 @@ _PI_BETA = 0.4 / 5.0
 _MAX_STEPS = 2_000_000
 
 # Largest state (in entries) propagated exactly. The exponential costs m^3
-# and each sample m^2 for m evolved entries: a random zero-temperature density
-# matrix takes 0.19 s exactly vs 0.29 s adaptively at 484 entries (50
-# samples, one core) but 0.30 vs 0.24 s at 576.
+# and each sample m^2 for m evolved entries, an adaptive step six RHS calls:
+# on the reached coordinates of a 6e-5 K thermal start (one BLAS thread, to
+# t = 5/gamma_a) exact vs adaptive takes 0.08 vs 0.04 s at 506 entries and
+# 0.27 vs 0.05 s at 819 for 50 samples, but 0.18 vs 0.40 s at 506 and 0.52
+# vs 0.54 s at 819 for 2,000, so the crossover lies between ~300 and ~800.
 EXACT_MAX_ENTRIES = 512
 _SAME_STEP_RTOL = 1e-12  # steps this close share one exponential
 

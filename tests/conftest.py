@@ -36,8 +36,11 @@ def sampled_states(state, params, times, *, jumps=True, rtol=1e-9,
     values there at ``times``, as (entries, values (S, m)).
 
     Makes the engines' two calls, ``liouville_block`` and then
-    ``integrate_adaptive`` on the linear problem; a density block's real
-    coordinates come back as its complex entries (``hermitian_values``).
+    ``integrate_adaptive`` on the linear problem. A density block holds the
+    real coordinates its start reaches, one per entry, and may leave out an
+    entry's mirror; it comes back as its complex entries on the transpose
+    closure of those entries, a left-out mirror's value being the conjugate
+    of its held entry's (``hermitian_values``).
     """
     entries, y0, rhs = liouville_block(state, params, jumps=jumps)
     times = np.asarray(times, dtype=float)
@@ -46,7 +49,16 @@ def sampled_states(state, params, times, *, jumps=True, rtol=1e-9,
                                         linear=True))
     if len(entries) == 1:
         return entries, sol.states
-    return entries, hermitian_values(sol.states, entries)
+    values = hermitian_values(sol.states, entries)
+    rows, cols = entries
+    dim = state.space.dim
+    key = rows * dim + cols
+    closure = np.union1d(key, cols * dim + rows)
+    rows, cols = np.divmod(closure, dim)
+    at = np.minimum(np.searchsorted(key, closure), key.size - 1)
+    mirror = np.minimum(np.searchsorted(key, cols * dim + rows), key.size - 1)
+    return (rows, cols), np.where(key[at] == closure, values[:, at],
+                                  values[:, mirror].conj())
 
 
 def random_density(rng, dim):

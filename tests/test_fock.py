@@ -342,7 +342,9 @@ class TestFockOperator:
 
 class TestReachableIndices:
     """The entry closure of ``liouville_block``: the density-matrix entries
-    (or vector entries) a state reaches under the generator's moves."""
+    (or vector entries) a state reaches under the generator's moves, of
+    which a density block keeps the entries of the real coordinates the
+    state reaches."""
 
     space = FockSpace(7, 7)
 
@@ -355,10 +357,12 @@ class TestReachableIndices:
         return liouville_block(state, params)[0]
 
     def test_zero_temperature_channels_keep_n_at_most_initial(self):
-        # the Delta N = 0 blocks of N <= 5: sum (N+1)^2 = 91 entries on the
-        # 21 basis indices with N <= 5
+        # the Delta N = 0 blocks of N <= 5, sum (N+1)^2 = 91 entries on the
+        # 21 basis indices with N <= 5; each coherence of the real start
+        # stays real or imaginary, so each mirrored pair keeps one
+        # coordinate: sum (N+1)(N+2)/2 = 56
         rows, cols = self._lindblad_entries(make_params())
-        assert rows.size == 91
+        assert rows.size == 56
         assert np.array_equal(self._total(rows), self._total(cols))
         expected = np.flatnonzero(self._total(np.arange(self.space.dim)) <= 5)
         assert expected.size == 21
@@ -374,15 +378,18 @@ class TestReachableIndices:
 
     def test_thermal_channels_reach_every_index(self):
         # the up-jumps reach every basis index, but every term keeps
-        # Delta N = N_row - N_col: 2 (1 + 4 + ... + 36) + 49 = 231 entries
+        # Delta N = N_row - N_col: 2 (1 + 4 + ... + 36) + 49 = 231 entries,
+        # one coordinate of each mirrored pair: 2 (1 + 3 + ... + 21) + 28
+        # = 140
         rows, cols = self._lindblad_entries(make_params(temperature=ROOM_T))
         assert np.array_equal(np.unique(rows), np.arange(self.space.dim))
         assert np.array_equal(self._total(rows), self._total(cols))
-        assert rows.size == 231
+        assert rows.size == 140
 
     def test_density_support_includes_coherences(self):
         # only an off-diagonal entry links |2,0> and |0,0>: the hops fill the
-        # coherences between the N = 2 and N = 0 blocks, in both orders
+        # coherences between the N = 2 and N = 0 blocks, in both orders, and
+        # of the 3 mirrored pairs each keeps its real or its imaginary part
         space = FockSpace(3, 3)
         rho = np.zeros((space.dim, space.dim), dtype=complex)
         rho[space.index(2, 0), space.index(0, 0)] = 1.0
@@ -392,7 +399,7 @@ class TestReachableIndices:
                                              jumps=False)
         total = np.add(*space.number_diagonals()).astype(int)
         assert set(zip(total[rows], total[cols])) == {(2, 0), (0, 2)}
-        assert rows.size == 6
+        assert rows.size == 3
 
 
 class TestLadder:

@@ -31,7 +31,8 @@ from ptdimer import (
 from ptdimer.lindblad import liouville_block
 from ptdimer.observables import ObservableOps, hermitian_coordinates, \
     hermitian_values
-from ptdimer.scenarios import catalog_config, parse_config, run_engine
+from ptdimer.scenarios import _initial_state, catalog_config, \
+    parse_config, run_engine
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
     random_density, sampled_states
 
@@ -247,6 +248,23 @@ class TestEvolveDensity:
         assert any("leak" in w for w in traj.warnings)
 
 
+def full_space_reference(state, params, times):
+    """rho(t) of the textbook generator on the whole product space, from an
+    adaptive run, as one row-major flattened state per sample."""
+    space = state.space
+    h = beam_splitter_hamiltonian(params.g, space)
+    ops = [(ch.rate, ladder(space, ch.move))
+           for ch in thermal_channels(params)]
+    dim = space.dim
+
+    def rhs(t, y):
+        rho = y.reshape(dim, dim)
+        return (1j * (rho @ h - h @ rho) + sum(
+            rate * dissipator_apply(a, rho) for rate, a in ops)).ravel()
+    return integrate_adaptive(OdeProblem(
+        rhs, state.density().ravel(), (0.0, times[-1]), times)).states
+
+
 class TestReachableSubspace:
     """|3,2> on the dimension-49 space evolves only its 21 indices N <= 5."""
 
@@ -257,25 +275,41 @@ class TestReachableSubspace:
         p = make_params()
         state = fock_product_state(3, 2, self.space)
         traj = evolve_density(state, p, self.times)
-        # the textbook generator on the whole product space
-        h = beam_splitter_hamiltonian(p.g, self.space)
-        ops = [(ch.rate, ladder(self.space, ch.move))
-               for ch in thermal_channels(p)]
-        dim = self.space.dim
-
-        def rhs(t, y):
-            rho = y.reshape(dim, dim)
-            return (1j * (rho @ h - h @ rho) + sum(
-                rate * dissipator_apply(a, rho) for rate, a in ops)).ravel()
-        sol = integrate_adaptive(OdeProblem(
-            rhs, state.density().ravel(), (0.0, self.times[-1]), self.times))
+        states = full_space_reference(state, p, self.times)
         # every entry of the whole space, row-major
+        dim = self.space.dim
         whole = np.divmod(np.arange(dim * dim), dim)
         ref = ObservableOps(self.space, whole, GAMMA_A, GAMMA_B) \
-            .record_from_density(hermitian_coordinates(sol.states, whole))
+            .record_from_density(hermitian_coordinates(states, whole))
         assert set(ref) == {"n_a_raw", "n_b_raw", "coherence", "weight"}
         for name, col in ref.items():
             assert np.abs(getattr(traj, name) - col).max() < 1e-12, name
+
+    @pytest.mark.parametrize("text, reached", [
+        ("state = fock 5 0", 56), ("state = noon 5", 91),
+        ("state = thermal 6e-5\ntemperature = 6e-5\nengines = lindblad\n"
+         "allow_lindblad_thermal = true", 204)],
+        ids=["five-zero", "noon-5", "cold-thermal"])
+    def test_dropped_coordinates_stay_zero(self, text, reached):
+        # in the rotating frame each coherence of a real start whose entries
+        # share one parity class stays real or imaginary, and the block
+        # drops the other coordinate (56 of |5,0>'s 91 entries are kept); a
+        # N00N state with odd N mixes both classes and keeps all 91. The
+        # cold thermal start keeps 204 of its 344.
+        cfg = parse_config(text)
+        p = cfg.system_params()
+        space = FockSpace(*cfg.mode_dims())
+        state = _initial_state(cfg, space)
+        (rows, cols), x0, _ = liouville_block(state, p)
+        assert x0.size == reached
+        dim = space.dim
+        whole = np.divmod(np.arange(dim * dim), dim)
+        times = np.linspace(0.0, 1.0 / p.gamma_a, 20)
+        states = full_space_reference(state, p, times)
+        dropped = np.ones(dim * dim, dtype=bool)
+        dropped[rows * dim + cols] = False
+        x = hermitian_coordinates(states, whole)
+        assert np.abs(x[:, dropped]).max() <= 1e-14 * np.abs(states).max()
 
     def test_snapshots_are_full_and_zero_outside(self):
         # every evolved entry joins two of the 21 indices N <= 5
@@ -309,13 +343,14 @@ class TestExactPropagation:
 
     def test_five_zero_evolves_its_excitation_blocks(self):
         # Lindblad: the Delta N = 0 blocks of N <= 5, sum (N+1)^2 = 91 of the
-        # 21^2 entries; pure non-Hermitian: the N = 5 block
+        # 21^2 entries, of whose coordinates it reaches sum (N+1)(N+2)/2 =
+        # 56; pure non-Hermitian: the N = 5 block
         state = fock_product_state(5, 0, self.space)
         times = np.linspace(0.0, 5.0 / GAMMA_A, 50)
         lind = evolve_density(state, make_params(), times).stats
         nonh = evolve_nonhermitian(state, make_params(), times).stats
         assert (lind.dimension, lind.exponentials, lind.rhs_evaluations) \
-            == (91, 1, 91)
+            == (56, 1, 56)
         assert (nonh.dimension, nonh.exponentials, nonh.rhs_evaluations) \
             == (6, 1, 6)
         for stats in (lind, nonh):
@@ -408,29 +443,31 @@ class TestExactPropagation:
 
     @pytest.mark.parametrize("text, dimension", [
         ("state = thermal 6e-5\ntemperature = 6e-5\nengines = lindblad\n"
-         "allow_lindblad_thermal = true\nsamples = 200", 344),
-        ("state = fock 3 3\nengines = lindblad", 140)],
+         "allow_lindblad_thermal = true\nsamples = 200", 204),
+        ("state = fock 3 3\nengines = lindblad", 84)],
         ids=["cold-thermal", "fock-3-3"])
     def test_block_below_the_bound_runs_exact(self, text, dimension):
-        # the bound sees the evolved block, not the 4,096 or 784 entries of
-        # the whole density matrix
+        # the bound sees the reached coordinates, not the 4,096 or 784
+        # entries of the whole density matrix, nor the 344 or 140 of the
+        # entry closure
         cfg = parse_config(text)
         traj = run_engine("lindblad", cfg)
         stats = traj.stats
         assert (stats.dimension, stats.exponentials) == (dimension, 1)
 
     def test_thermal_state_above_the_bound_stays_adaptive(self):
-        # at T > 0 the up-jumps reach all 100 indices, and the Delta N = 0
-        # blocks of a diagonal start hold 2 (1 + 4 + ... + 81) + 100 = 670
-        # entries, above the bound of 512
+        # at T > 0 the up-jumps reach all 144 indices, and the Delta N = 0
+        # blocks of a diagonal start hold 2 (1 + 4 + ... + 121) + 144 = 1,156
+        # entries; one coordinate of each mirrored pair, 2 (1 + 3 + ... +
+        # 66) + 78 = 650, is above the bound of 512
         temp = 6e-5
-        space = FockSpace(10, 10)
+        space = FockSpace(12, 12)
         rho0 = thermal_density_matrix(0.0, thermal_occupation(OMEGA_B, temp),
                                       space)
         traj = evolve_density(rho0, make_params(temperature=temp),
                               np.linspace(0.0, 0.1 / GAMMA_A, 5))
         assert traj.stats.exponentials == 0
-        assert traj.stats.dimension == 670
+        assert traj.stats.dimension == 650
         assert traj.stats.steps > 0
 
 
