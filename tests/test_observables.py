@@ -4,7 +4,8 @@ import pytest
 
 from ptdimer import FockSpace, QuantumState, evolve_density, mode_annihilator
 from ptdimer.observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual, hermitian_coordinates, record_from_moments
+    derivative_residual, hermitian_coordinates, hermitian_values, \
+    record_from_moments
 from conftest import GAMMA_A, make_params, random_density
 
 
@@ -41,6 +42,33 @@ class TestStackRecorders:
             hermitian_coordinates(rhos.reshape(len(rhos), -1), whole))
         self._check(cols, {name: np.array([np.trace(op @ rho) for rho in rhos])
                            for name, op in _dense_ops(self.space).items()})
+
+    def test_density_stack_without_mirrors_matches_trace(self):
+        # each coherence is real or imaginary, so its entries hold one
+        # coordinate of each mirrored pair: x_rc for a real rho_rc (r < c),
+        # x_cr for an imaginary one, and the other coordinate reads as 0
+        rng = np.random.default_rng(9)
+        dim = self.space.dim
+        rows, cols = np.divmod(np.arange(dim * dim), dim)
+        upper = rows < cols
+        real = rng.random(dim * dim) < 0.5
+        held = (rows == cols) | (upper & real) | (~upper & ~real[cols * dim
+                                                                  + rows])
+        rhos = []
+        for _ in range(5):
+            a = rng.normal(size=(dim, dim))
+            rho = np.triu(np.where(real.reshape(dim, dim), a, 1j * a), 1)
+            rhos.append(rho + rho.conj().T + np.diag(dim + a.diagonal()))
+        rhos = np.array(rhos)
+        whole = _whole(self.space, 2)
+        x = hermitian_coordinates(rhos.reshape(len(rhos), -1), whole)
+        entries = rows[held], cols[held]
+        assert np.array_equal(hermitian_values(x[:, held], entries),
+                              rhos[:, rows[held], cols[held]])
+        got = ObservableOps(self.space, entries).record_from_density(
+            x[:, held])
+        self._check(got, {name: np.array([np.trace(op @ rho) for rho in rhos])
+                          for name, op in _dense_ops(self.space).items()})
 
     def test_vector_stack_matches_vdot(self):
         rng = np.random.default_rng(8)
