@@ -6,9 +6,9 @@ trajectory holds one array per observable with one entry per sample: the raw
 moments, the state weight (trace or squared norm) and, for the non-Hermitian
 engine, the quartic loss moments entering the occupation ODEs. The recorders
 turn an engine's whole stack of sampled entries into these columns in one
-call; their sanity checks raise FloatingPointError. A trajectory warns where
-the renormalized ratios are undefined (<N> <= 0) or may be made of numerical
-error (0 < <N> < atol).
+call, through one linear readout (``ObservableOps``); their sanity checks
+raise FloatingPointError. A trajectory warns where the renormalized ratios are
+undefined (<N> <= 0) or may be made of numerical error (0 < <N> < atol).
 """
 
 from __future__ import annotations
@@ -121,45 +121,51 @@ class ObservableOps:
     Entries left out are 0. A density stack holds the real coordinates of
     its entries (``coordinate_map``), so a coordinate whose entry is left
     out, such as one of an entry's mirror, is 0.
+
+    One table (d, 6) holds, per held population: n_a, n_b, 1 (the weight),
+    the quartics n_a L and n_b L with L = gamma_a n_a + gamma_b n_b, and 1 on
+    the top Fock level of either mode (the leakage check). A vector stack
+    reads |psi|^2 @ table, and <c^dag d> as a quadratic form. A density stack
+    is linear in its coordinates x and reads every column as x @ R, R (m, 8)
+    being the table at the diagonal coordinates, then Re and Im <c^dag d>.
     """
 
     def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
                  gamma_b: float = 0.0) -> None:
         self._entries = entries
-        # positions of the diagonal entries with their number data, and of
-        # the hop pairs with their sqrt(n) factors, ordered by hop target
         first = entries[0]
         hop = _move(space, HOP)
+        diag = np.arange(first.size) if len(entries) == 1 \
+            else np.flatnonzero(first == entries[1])
+        n_a, n_b = (n[first[diag]] for n in space.number_diagonals())
+        loss = gamma_a * n_a + gamma_b * n_b
+        table = np.column_stack((n_a, n_b, np.ones(diag.size), n_a * loss,
+                                 n_b * loss, (n_a == space.dim_a - 1)
+                                 | (n_b == space.dim_b - 1)))
         if len(entries) == 1:
             # the hop target n + (1, -1) grows with n, so sources in entry
             # order are also in target order
             target, factor, inside = (a[first] for a in hop)
-            self._diag = np.arange(first.size)
             at = np.minimum(np.searchsorted(first, target), first.size - 1)
             source = np.flatnonzero(inside & (first[at] == target))
             # <c^dag d> = sum conj(psi[target]) psi[source] factor
             self._hop = (at[source], source)
             self._hop_data = factor[source]
-        else:
-            target, factor, inside = hop
-            rows, cols = entries
-            self._diag = np.flatnonzero(rows == cols)
-            # <c^dag d> = sum rho[s, t] factor over the hops t of s, each
-            # above the diagonal: its real part is read at the held entries
-            # (s, t) and its imaginary part at the held (t, s)
-            # (``coordinate_map``); a coordinate not held is 0
-            real = np.flatnonzero(inside[rows] & (target[rows] == cols))
-            imag = np.flatnonzero(inside[cols] & (target[cols] == rows))
-            self._hop = (real, imag)
-            self._hop_data = (factor[rows[real]], factor[cols[imag]])
-        basis = first[self._diag]
-        diag_a, diag_b = (n[basis] for n in space.number_diagonals())
-        self._diag_a, self._diag_b = diag_a, diag_b
-        loss = gamma_a * diag_a + gamma_b * diag_b
-        self._quartic_a = diag_a * loss
-        self._quartic_b = diag_b * loss
-        self._top = ((diag_a == space.dim_a - 1)
-                     | (diag_b == space.dim_b - 1)).astype(float)
+            self._readout = table
+            return
+        target, factor, inside = hop
+        rows, cols = entries
+        # <c^dag d> = sum rho[s, t] factor over the hops t of s, each above
+        # the diagonal: its real part is read at the held entries (s, t) and
+        # its imaginary part at the held (t, s) (``coordinate_map``); a
+        # coordinate not held is 0
+        real = np.flatnonzero(inside[rows] & (target[rows] == cols))
+        imag = np.flatnonzero(inside[cols] & (target[cols] == rows))
+        self._diag = diag  # for the scale of the negative-occupation check
+        self._readout = np.zeros((rows.size, 8))
+        self._readout[diag, :6] = table
+        self._readout[real, 6] = factor[rows[real]]
+        self._readout[imag, 7] = factor[cols[imag]]
 
     def leakage_warnings(self, times, states) -> list[str]:
         """Truncation-leakage warning of a run, if any.
@@ -168,9 +174,8 @@ class ObservableOps:
         top Fock level of either mode holds more than ``TAIL_TOL``, naming the
         largest such population and the first time it occurs.
         """
-        diag = states[:, self._diag]
-        pops = np.abs(diag) ** 2 if len(self._entries) == 1 else diag
-        leaks = pops @ self._top
+        pops = np.abs(states) ** 2 if len(self._entries) == 1 else states
+        leaks = pops @ self._readout[:, 5]
         if not leaks.size or leaks.max() <= TAIL_TOL:
             return []
         k = int(np.argmax(leaks))
@@ -181,52 +186,44 @@ class ObservableOps:
 
     def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a Lindblad density stack (coordinates); no quartics."""
-        pops = rhos[:, self._diag]
-        return self._columns(pops, np.maximum(1.0, np.abs(pops).sum(axis=1)),
-                             self._coherence(rhos), pops.sum(axis=1),
+        scale = np.abs(rhos[:, self._diag]).sum(axis=1)
+        return self._columns(rhos @ self._readout, np.maximum(1.0, scale),
                              quartics=False)
 
     def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a state-vector stack, with quartics."""
-        pops = np.abs(psis[:, self._diag]) ** 2
-        weight = pops.sum(axis=1)
+        reads = np.abs(psis) ** 2 @ self._readout
         target, source = self._hop
         hop = (psis[:, target].conj() * psis[:, source]) @ self._hop_data
-        return self._columns(pops, np.maximum(1.0, weight), hop, weight)
+        return self._columns(reads, np.maximum(1.0, reads[:, 2]), hop)
 
     def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a non-Hermitian density stack (coordinates), with
         quartics."""
-        pops = rhos[:, self._diag]
-        weight = pops.sum(axis=1)
-        return self._columns(pops, np.maximum(1.0, np.abs(weight)),
-                             self._coherence(rhos), weight)
+        reads = rhos @ self._readout
+        return self._columns(reads, np.maximum(1.0, np.abs(reads[:, 2])))
 
-    def _coherence(self, rhos: np.ndarray) -> np.ndarray:
-        """<c^dag d> of a density stack, read from the two coordinates of
-        each hop entry."""
-        (real, imag), (real_data, imag_data) = self._hop, self._hop_data
-        out = np.empty(len(rhos), dtype=complex)
-        out.real = rhos[:, real] @ real_data
-        out.imag = rhos[:, imag] @ imag_data
-        return out
-
-    def _columns(self, pops, scale, coherence, weight,
+    @staticmethod
+    def _columns(reads, scale, coherence=None,
                  quartics: bool = True) -> dict[str, np.ndarray]:
-        """Raw occupations from populations (S, d), checked against a
-        per-sample floor of -1e-10 * scale, plus the quartics if asked."""
-        x = pops @ self._diag_a
-        y = pops @ self._diag_b
+        """Columns from a stack's readout (S, 6) or (S, 8), the raw
+        occupations checked against a per-sample floor of -1e-10 * scale;
+        <c^dag d> from the readout's last two columns if not given."""
+        # each column its own array: views would keep the whole readout alive
+        # with the trajectory, which slowed the CSV writing that follows
+        # (perfbench fock-light, ~8 %)
+        x, y, weight, quartic_a, quartic_b = (c.copy() for c in reads[:, :5].T)
         bad = np.flatnonzero((x < -1e-10 * scale) | (y < -1e-10 * scale))
         if bad.size:
             i = bad[0]
             raise FloatingPointError(f"raw occupation negative beyond "
                                      f"tolerance: ({x[i]:.3e}, {y[i]:.3e})")
+        if coherence is None:
+            coherence = reads[:, 6:].copy().view(complex)[:, 0]
         cols = {"n_a_raw": x, "n_b_raw": y, "coherence": coherence,
                 "weight": weight}
         if quartics:
-            cols["quartic_a"] = pops @ self._quartic_a
-            cols["quartic_b"] = pops @ self._quartic_b
+            cols["quartic_a"], cols["quartic_b"] = quartic_a, quartic_b
         return cols
 
 

@@ -3,17 +3,25 @@ import numpy as np
 import pytest
 
 from ptdimer import FockSpace, QuantumState, evolve_density, mode_annihilator
+from ptdimer.fock import TAIL_TOL
 from ptdimer.observables import ObservableOps, ObservableTrajectory, \
     derivative_residual, hermitian_coordinates, hermitian_values, \
     record_from_moments
 from conftest import GAMMA_A, make_params, random_density
 
 
-def _dense_ops(space):
+def _dense_ops(space, gamma_a, gamma_b):
+    """Dense operators of every recorded column, and of the top-level
+    population the leakage check reads."""
     c = mode_annihilator("a", space)
     d = mode_annihilator("b", space)
-    return {"n_a_raw": c.conj().T @ c, "n_b_raw": d.conj().T @ d,
-            "coherence": c.conj().T @ d}
+    n_a, n_b = c.conj().T @ c, d.conj().T @ d
+    loss = gamma_a * n_a + gamma_b * n_b
+    levels_a, levels_b = np.rint(np.diag(n_a).real), np.rint(np.diag(n_b).real)
+    top = (levels_a == space.dim_a - 1) | (levels_b == space.dim_b - 1)
+    return {"n_a_raw": n_a, "n_b_raw": n_b, "coherence": c.conj().T @ d,
+            "weight": np.eye(space.dim), "quartic_a": n_a @ loss,
+            "quartic_b": n_b @ loss, "top": np.diag(top.astype(float))}
 
 
 def _whole(space, axes):
@@ -25,12 +33,29 @@ def _whole(space, axes):
 class TestStackRecorders:
     # unequal mode dimensions catch a row/column swap in the hop contraction
     space = FockSpace(3, 4)
+    # unequal rates catch a swap of the quartics' loss weights
+    gammas = (0.7, 1.9)
+    times = np.linspace(0.0, 1.0, 5)
 
-    def _check(self, cols, oracle):
-        for name, expected in oracle.items():
-            got = cols[name]
+    def _check(self, ops, recorder, states, expectation):
+        """Every column ``recorder`` returns, and the leakage warning, against
+        ``expectation`` (a dense operator -> one value per sample)."""
+        oracle = {name: expectation(op) for name, op
+                  in _dense_ops(self.space, *self.gammas).items()}
+        cols = getattr(ops, recorder)(states)
+        assert set(cols) == set(oracle) - {"top"} - (
+            {"quartic_a", "quartic_b"} if recorder == "record_from_density"
+            else set())
+        for name, got in cols.items():
+            expected = oracle[name]
             assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected)), \
                 name
+        top = oracle["top"].real
+        k = int(np.argmax(top))
+        assert top[k] > TAIL_TOL
+        assert ops.leakage_warnings(self.times, states) == [
+            f"truncation leakage: top-level population {top[k]:.3e} at "
+            f"t={self.times[k]:.6e}"]
 
     @pytest.mark.parametrize("recorder", ["record_from_density",
                                           "record_from_nh_density"])
@@ -38,10 +63,9 @@ class TestStackRecorders:
         rng = np.random.default_rng(7)
         rhos = np.array([random_density(rng, self.space.dim) for _ in range(5)])
         whole = _whole(self.space, 2)
-        cols = getattr(ObservableOps(self.space, whole), recorder)(
-            hermitian_coordinates(rhos.reshape(len(rhos), -1), whole))
-        self._check(cols, {name: np.array([np.trace(op @ rho) for rho in rhos])
-                           for name, op in _dense_ops(self.space).items()})
+        self._check(ObservableOps(self.space, whole, *self.gammas), recorder,
+                    hermitian_coordinates(rhos.reshape(len(rhos), -1), whole),
+                    lambda op: np.einsum("jk,skj->s", op, rhos))
 
     def test_density_stack_without_mirrors_matches_trace(self):
         # each coherence is real or imaginary, so its entries hold one
@@ -65,20 +89,18 @@ class TestStackRecorders:
         entries = rows[held], cols[held]
         assert np.array_equal(hermitian_values(x[:, held], entries),
                               rhos[:, rows[held], cols[held]])
-        got = ObservableOps(self.space, entries).record_from_density(
-            x[:, held])
-        self._check(got, {name: np.array([np.trace(op @ rho) for rho in rhos])
-                          for name, op in _dense_ops(self.space).items()})
+        ops = ObservableOps(self.space, entries, *self.gammas)
+        for recorder in ("record_from_density", "record_from_nh_density"):
+            self._check(ops, recorder, x[:, held],
+                        lambda op: np.einsum("jk,skj->s", op, rhos))
 
     def test_vector_stack_matches_vdot(self):
         rng = np.random.default_rng(8)
         dim = self.space.dim
         psis = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
-        cols = ObservableOps(self.space, _whole(self.space, 1)) \
-            .record_from_pure(psis)
-        self._check(cols, {name: np.array([np.vdot(psi, op @ psi)
-                                           for psi in psis])
-                           for name, op in _dense_ops(self.space).items()})
+        self._check(ObservableOps(self.space, _whole(self.space, 1),
+                                  *self.gammas), "record_from_pure", psis,
+                    lambda op: np.einsum("sj,jk,sk->s", psis.conj(), op, psis))
 
 
 class TestRecorderChecks:

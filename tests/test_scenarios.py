@@ -503,7 +503,10 @@ class TestWriterFormat:
     @staticmethod
     def _assert_rows_are_per_value_text(table):
         got = b"".join(_format_rows(list(table.T))).decode().split("\n")
-        want = [",".join(f"{v:.17g}" for v in row) for row in table.tolist()]
+        # CPython's own %.17g, one % call for the whole table
+        rows, cols = table.shape
+        want = ("\n".join([",".join(["%.17g"] * cols)] * rows)
+                % tuple(table.ravel().tolist())).split("\n")
         assert got[-1] == "" and len(got) == len(want) + 1
         bad = [(g, w) for g, w in zip(got, want) if g != w]
         assert not bad, bad[:5]
