@@ -33,6 +33,7 @@ coherence) and its finite-difference consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -119,49 +120,12 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     else:
         idx = np.flatnonzero(data)
         flat = (idx[:, None] * space.dim + idx).ravel()
-        values = np.outer(data[idx], data[idx].conj()).ravel()
+        values = (data[idx, None] * data[idx].conj()).ravel()
     if not flat.size:
         raise ValueError("the initial state is zero: no entry to evolve")
-
-    def shift(entries, move, axes):
-        """``entries`` with ``move`` applied on ``axes``, the product of the
-        sqrt(n) factors, and whether every moved index stays in the
-        truncation."""
-        target, f, ok = _move(space, move)
-        out, factor, inside = list(entries), 1.0, True
-        for axis in axes:
-            idx = entries[axis]
-            out[axis] = target[idx]
-            factor, inside = factor * f[idx], inside & ok[idx]
-        return out, factor, inside
-
-    def split(f):
-        return (f,) if vector else np.divmod(f, space.dim)
-
-    def join(entries):
-        return entries[0] if vector else entries[0] * space.dim + entries[1]
-
-    hops = [HOP, (-1, 1)] if g != 0 else []
-    # (moved axes, forward move, weight of a source from its sqrt(n) factors)
-    terms = [((0,), m, lambda f: -1j * (g * f)) for m in hops]
-    if not vector:
-        terms += [((1,), m, lambda f: (-1j * (g * f)).conj()) for m in hops]
-        if jumps:
-            terms += [((0, 1), ch.move, lambda f, rate=ch.rate: rate * f)
-                      for ch in channels]
-
-    # a set of flat indices keeps the closure's memory to the block's size
-    block = set(flat.tolist())
-    frontier = flat
-    while terms and frontier.size:
-        found = set()
-        for moved, move, _ in terms:
-            target, _, inside = shift(split(frontier), move, moved)
-            found.update(join(target)[inside].tolist())
-        found -= block
-        block |= found
-        frontier = np.fromiter(found, dtype=int, count=len(found))
-    block = np.array(sorted(block), dtype=int)
+    jumping = channels if jumps else []
+    block = _block(space, g != 0, flat, vector, jumping)
+    entries = (block,) if vector else np.divmod(block, space.dim)
 
     # K's diagonal on the basis: each A^dag A is the exact occupation number,
     # n for a lowering move and n + 1 for a raising one (0 where A leaves the
@@ -174,20 +138,11 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
         n = numbers[axis] + (ch.move[axis] > 0)
         h_eff = h_eff - 0.5j * ch.rate * np.where(ok, n, 0.0)
     k = -1j * h_eff
-    entries = split(block)
-    sources = [np.arange(block.size)]
-    weights = [k[entries[0]] if vector
-               else k[entries[0]] + k[entries[1]].conj()]
-    for moved, move, weight in terms:
-        source, factor, inside = shift(entries, (-move[0], -move[1]), moved)
-        source = join(source)
-        at = np.minimum(np.searchsorted(block, source), block.size - 1)
-        hit = inside & (block[at] == source)
-        sources.append(np.where(hit, at, 0))
-        weights.append(np.where(hit, weight(factor), 0.0))
-    sources, weights = np.stack(sources, axis=1), np.stack(weights, axis=1)
+    sources, weights = _rows(space, entries, k[entries[0]] if vector
+                             else k[entries[0]] + k[entries[1]].conj(),
+                             g, jumping)
     y0 = np.zeros(block.size, dtype=complex)
-    y0[np.searchsorted(block, flat)] = values
+    y0[block.searchsorted(flat)] = values
     if not vector:
         live, sources, weights, y0 = _coordinate_rows(entries, sources,
                                                       weights, y0)
@@ -196,6 +151,110 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     def rhs(t, y):
         return (weights * y[sources]).sum(axis=1)
     return tuple(entries), y0, rhs
+
+
+def _block(space, coupled, flat, vector, jumping):
+    """Sorted flat indices of the entries reached from the nonzero ``flat``
+    ones (a density entry r, c is r dim + c) under H's hops and the
+    ``jumping`` channels.
+
+    Hops are free inside a hop-connected component of the basis: its
+    N-slice if the modes are ``coupled``, the basis state alone if not. So
+    the block holds every entry of the components (vector) or of the
+    component pairs X, Y (density) that the state reaches, and a jump takes
+    X, Y to X', Y' if some member of each takes its move inside the
+    truncation. Built from the member lists, it never needs more memory
+    than the block.
+    """
+    dim = space.dim
+    if coupled:
+        label = np.add(*np.divmod(np.arange(dim), space.dim_b))
+        size = space.dim_a + space.dim_b - 1
+    else:
+        label, size = np.arange(dim), dim
+    if vector:
+        mask = np.zeros(size, dtype=bool)
+        mask[label[flat]] = True
+        return np.flatnonzero(mask[label])
+    # a pair X, Y is keyed X size + Y; with the modes coupled there are at
+    # most size**2 pairs, so a breadth-first search over them is cheap
+    rows, cols = np.divmod(flat, dim)
+    pairs = set((label[rows] * size + label[cols]).tolist())
+    if jumping:
+        # to[c][X] is X' under channel c, -1 where no member of X moves
+        to = np.full((len(jumping), size), -1)
+        for row, ch in zip(to, jumping):
+            target, _, ok = _move(space, ch.move)
+            row[label[ok]] = label[target[ok]]
+        to = to.tolist()
+        frontier = pairs
+        while frontier:
+            frontier = {t[x] * size + t[y]
+                        for x, y in (divmod(p, size) for p in frontier)
+                        for t in to if t[x] >= 0 and t[y] >= 0} - pairs
+            pairs |= frontier
+    members = label.argsort(kind="stable")  # ascending in each component
+    count = np.bincount(label)
+    first = count.cumsum() - count
+    # entry o of the pair X, Y is member o // count[Y] of X and member
+    # o % count[Y] of Y
+    x, y = np.divmod(np.array(sorted(pairs)), size)
+    span = count[x] * count[y]
+    end = span.cumsum()
+    i, j = np.divmod(np.arange(end[-1]) - (end - span).repeat(span),
+                     count[y].repeat(span))
+    block = members[first[x].repeat(span) + i] * dim + \
+        members[first[y].repeat(span) + j]
+    block.sort()
+    return block
+
+
+def _rows(space, entries, diagonal, g, jumping):
+    """Gather rows (sources, weights) of the complex generator on the
+    sorted ``entries``: each row's K term (``diagonal``), then one term per
+    move, in this order: H's hops on the row, on the column, each of the
+    ``jumping`` channels on both. A vector has only the row hops.
+
+    A term moves two of the entry's occupations (n_a, n_b of each axis). Its
+    source is the entry with the move undone, and its weight, times g or
+    the rate, the product of the two sqrt(n) factors, each of the larger
+    occupation: n + 1 where the move lowers n, n where it raises it. Keyed
+    on the grid padded by one level on every side, a source outside the
+    truncation lies outside the block, and a source outside the block gets
+    weight 0 (and source 0).
+    """
+    hops = [HOP, (-1, 1)] if g != 0 else []
+    if len(entries) == 1:
+        moves = [(0, 0)] + hops
+    else:
+        moves = [(0, 0, 0, 0)] + [m + (0, 0) for m in hops] + \
+            [(0, 0) + m for m in hops] + [ch.move * 2 for ch in jumping]
+    radix = [1]
+    for n in ((space.dim_a + 2, space.dim_b + 2) * len(entries))[:0:-1]:
+        radix.insert(0, radix[0] * n)
+    occupation = np.empty((entries[0].size, 2 * len(entries)), dtype=int)
+    for i, axis in enumerate(entries):
+        np.divmod(axis, space.dim_b, out=(occupation[:, 2 * i],
+                                          occupation[:, 2 * i + 1]))
+    key = (occupation + 1) @ radix
+    source = key[:, None] - [sum(map(mul, m, radix)) for m in moves]
+    at = np.minimum(key.searchsorted(source), key.size - 1)
+    hit = key[at] == source
+    # column i holds sqrt(n_i), column 2 len(entries) + i sqrt(n_i + 1)
+    roots = np.sqrt(np.concatenate((occupation, occupation + 1), axis=1))
+    pick = np.array([i + len(m) * (step < 0) for m in moves[1:]
+                     for i, step in enumerate(m) if step], dtype=int)
+    factor = roots[:, pick[::2]] * roots[:, pick[1::2]]
+    nh = len(hops)
+    weights = np.empty(source.shape, dtype=complex)
+    weights[:, 0] = diagonal
+    np.multiply(-1j, g * factor[:, :2 * nh], out=weights[:, 1:1 + 2 * nh])
+    np.conjugate(weights[:, 1 + nh:1 + 2 * nh],
+                 out=weights[:, 1 + nh:1 + 2 * nh])
+    np.multiply(factor[:, 2 * nh:], [ch.rate for ch in jumping],
+                out=weights[:, 1 + 2 * nh:])
+    weights[~hit] = 0.0
+    return np.where(hit, at, 0), weights
 
 
 def _coordinate_rows(entries, sources, weights, y0):
@@ -217,26 +276,36 @@ def _coordinate_rows(entries, sources, weights, y0):
     """
     # every mirror is held, so Re rho = x[real_at], Im rho = sign x[imag_at]
     unit, real_at, imag_at, _, sign = coordinate_map(entries)
-    w = unit[:, None] * weights
-    weights = np.concatenate([w.real, -sign[sources] * w.imag], axis=1)
+    weights = unit[:, None] * weights
+    weights = np.concatenate([weights.real, -sign[sources] * weights.imag],
+                             axis=1)
     sources = np.concatenate([real_at[sources], imag_at[sources]], axis=1)
     x0 = (unit * y0).real
     feeds = weights != 0.0
-    live = x0 != 0.0
-    while True:
-        reached = live | (feeds & live[sources]).any(axis=1)
-        if np.array_equal(reached, live):
-            break
-        live = reached
+    live = _reached(x0 != 0.0, sources, feeds)
     sources, feeds = sources[live], feeds[live]
     feeds &= live[sources]
-    sources = (np.cumsum(live) - 1)[sources]
+    sources = (live.cumsum() - 1)[sources]
     # each row's terms first, as few columns as the longest row needs
-    keep = np.argsort(~feeds, axis=1, kind="stable")[
-        :, :np.count_nonzero(feeds, axis=1).max(initial=0)]
-    return (live, np.take_along_axis(sources, keep, axis=1),
-            np.take_along_axis(np.where(feeds, weights[live], 0.0), keep,
-                               axis=1), x0[live])
+    keep = (~feeds).argsort(axis=1, kind="stable")[
+        :, :feeds.sum(axis=1).max(initial=0)]
+    rows = np.arange(keep.shape[0])[:, None]
+    return (live, sources[rows, keep],
+            np.where(feeds, weights[live], 0.0)[rows, keep], x0[live])
+
+
+
+def _reached(live, sources, feeds):
+    """``live`` grown by every row that a term feeds from a live source
+    (``sources`` where ``feeds``), until no row is added."""
+    row, term = feeds.nonzero()
+    source = sources[row, term]
+    count = np.count_nonzero(live)
+    while True:
+        live[row[live[source]]] = True
+        count, last = np.count_nonzero(live), count
+        if count == last:
+            return live
 
 
 def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:

@@ -561,6 +561,23 @@ class TestEvolvedBasisMemory:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("jumps", [True, False], ids=["density", "vector"])
+    @pytest.mark.parametrize("g", [None, 0.0], ids=["coupled", "uncoupled"])
+    def test_block_build_never_takes_dim_squared(self, g, jumps):
+        # one boolean per entry of this 6,400-state space is 41 MB, which the
+        # 1,600-state run above would keep under its bound; the block of
+        # |3,2> holds at most 91 entries
+        space = FockSpace(80, 80)
+        params = make_params() if g is None else make_params(g=g)
+        state = fock_product_state(3, 2, space)
+        tracemalloc.start()
+        try:
+            liouville_block(state, params, jumps=jumps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 class TestMomentSystem:
     def test_zero_temperature_equations(self):
