@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the installed console script twice on every catalog scenario, two
-# uncoupled configs and the cold exact and adaptive thermal Lindblad configs,
-# and fails unless the two runs wrote identical files.
+# uncoupled configs and the cold exact and the two adaptive thermal Lindblad
+# configs, and fails unless the two runs wrote identical files.
 # Usage: identical-reruns.sh DIR (scratch space for configs and outputs)
 set -eo pipefail
 dir=$1
@@ -25,7 +25,12 @@ printf '%s\n' 'state = thermal 6e-5' 'temperature = 6e-5' \
 printf '%s\n' 'state = thermal 1e-4' 'temperature = 1e-4' \
   'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
   'samples = 200' > "$dir/adaptive.conf"
-for conf in uncoupled-thermal uncoupled-fock cold adaptive; do
+# and a block of 4,324 reached coordinates at 23 levels a mode, the largest
+# block built here
+printf '%s\n' 'state = thermal 2e-4' 'temperature = 2e-4' \
+  'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
+  'samples = 200' > "$dir/warm.conf"
+for conf in uncoupled-thermal uncoupled-fock cold adaptive warm; do
   for out in first again; do
     ptdimer run --config "$dir/$conf.conf" --out "$dir/$out/$conf" > /dev/null
   done

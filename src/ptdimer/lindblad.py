@@ -9,18 +9,20 @@ is the beam-splitter coupling alone, evaluated in its no-jump + jump form
 
 Every term is a ladder move (``fock._move``): H's hop moves the row or the
 column of a density-matrix entry, the rest of H_eff is diagonal, and a jump
-moves both by the same step. So ``liouville_block`` finds by index arithmetic
-the entries the initial state reaches (for |5,0> at zero temperature the 91
-entries of the Delta N = 0 blocks of N <= 5) and writes each one's generator
-row as a gather of at most nine entries. The generator keeps rho Hermitian,
-so a density block of m entries has m real coordinates, in the block's entry
-order: x_rc = Re rho_rc for r <= c and Im rho_cr for r > c
-(``observables.coordinate_map``), each row a real gather of at most 18 terms
-(``_coordinate_rows``). In this frame every hop weight is imaginary and every
-other weight real, so from a real rho0 whose entries share one parity class
-each coherence stays real or imaginary and one of its two coordinates is 0
-for all t. Only the coordinates rho0 reaches are kept (56 of |5,0>'s 91);
-``liouville_block`` alone chooses them, and ``ode.integrate_adaptive``
+moves both by the same step. H's hops join exactly the basis states of one
+excitation-number slice, so ``liouville_block`` closes the initial state's
+support over (row slice, column slice) pairs under the jumps, takes every
+entry of the pairs reached (for |5,0> at zero temperature the 91 entries of
+the Delta N = 0 pairs of N <= 5) and writes each one's generator row as a
+gather of at most nine entries, every move's in one pass. The generator
+keeps rho Hermitian, so a density block of m entries has m real coordinates,
+in the block's entry order: x_rc = Re rho_rc for r <= c and Im rho_cr for
+r > c (``observables.coordinate_map``), each row a real gather of at most 18
+terms (``_coordinate_rows``). In this frame every hop weight is imaginary and
+every other weight real, so from a real rho0 whose entries share one parity
+class each coherence stays real or imaginary and one of its two coordinates
+is 0 for all t. Only the coordinates rho0 reaches are kept (56 of |5,0>'s
+91); ``liouville_block`` alone chooses them, and ``ode.integrate_adaptive``
 evolves every one, exactly up to ``ode.EXACT_MAX_ENTRIES``. At zero
 temperature H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine
 is the same builder without jumps, which also takes the zero-temperature
@@ -33,6 +35,7 @@ coherence) and its finite-difference consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite, prod
 from operator import mul
 
 import numpy as np
@@ -56,7 +59,7 @@ class LindbladChannel:
     rate: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.rate) or self.rate < 0.0:
+        if not isfinite(self.rate) or self.rate < 0.0:
             raise ValueError(f"channel rate must be finite and >= 0, got {self.rate}")
 
 
@@ -91,12 +94,13 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     K = -i H_eff, with H_eff as in the module docstring, built from the
     coupling and the ``thermal_channels`` of ``params``. ``entries`` holds
     one full-space index array per axis of the evolved state, (i,) for a
-    vector or (row, col) for a density matrix, sorted row-major. The closure
-    starts from the nonzero entries of the state and applies H's hops to rows
-    and columns and each jump to both, until no new entry inside the
-    truncation appears. Each entry's row of the generator is its K diagonal
-    term plus one (source, weight) term per move; a source the state never
-    reaches gets weight 0.
+    vector or (row, col) for a density matrix, sorted row-major. They are
+    every entry the state reaches under H's hops on rows and columns and
+    each jump on both (``_block``): all of each reached component (N-slice,
+    or basis state when g = 0) of a vector, all of each reached pair of
+    components of a density matrix. Each entry's row of the generator is its
+    K diagonal term plus one (source, weight) term per move (``_rows``); a
+    source the state never reaches gets weight 0.
     A density matrix's block is closed under transposition, and y0 and the
     RHS are real: they hold the coordinates of the block that the state
     reaches (module docstring), and ``entries`` names the entry of each, so
@@ -124,13 +128,14 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     if not flat.size:
         raise ValueError("the initial state is zero: no entry to evolve")
     jumping = channels if jumps else []
-    block = _block(space, g != 0, flat, vector, jumping)
+    numbers = np.divmod(np.arange(space.dim), space.dim_b)  # n_a, n_b
+    block = _block(space, np.add(*numbers) if g != 0 else np.arange(space.dim),
+                   flat, vector, jumping)
     entries = (block,) if vector else np.divmod(block, space.dim)
 
     # K's diagonal on the basis: each A^dag A is the exact occupation number,
     # n for a lowering move and n + 1 for a raising one (0 where A leaves the
     # truncation), not the square of its rounded sqrt(n) factor
-    numbers = space.number_diagonals()
     h_eff = np.zeros(space.dim, dtype=complex)
     for ch in channels:
         _, _, ok = _move(space, ch.move)
@@ -153,25 +158,20 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     return tuple(entries), y0, rhs
 
 
-def _block(space, coupled, flat, vector, jumping):
-    """Sorted flat indices of the entries reached from the nonzero ``flat``
-    ones (a density entry r, c is r dim + c) under H's hops and the
+def _block(space, label, flat, vector, jumping):
+    """Sorted flat indices (r dim + c for a density entry) of the entries
+    reached from the nonzero ``flat`` ones under H's hops and the
     ``jumping`` channels.
 
-    Hops are free inside a hop-connected component of the basis: its
-    N-slice if the modes are ``coupled``, the basis state alone if not. So
-    the block holds every entry of the components (vector) or of the
-    component pairs X, Y (density) that the state reaches, and a jump takes
-    X, Y to X', Y' if some member of each takes its move inside the
-    truncation. Built from the member lists, it never needs more memory
-    than the block.
+    Hops are free inside a component of the basis, numbered by ``label``:
+    the basis state's N-slice if the modes are coupled, the state itself if
+    not. So the block is every entry of the components (vector) or of the
+    component pairs X, Y (density) reached; a jump takes X, Y to X', Y' if
+    some member of each takes its move inside the truncation. Listed from
+    the components' members, the block never takes memory of size dim**2.
     """
     dim = space.dim
-    if coupled:
-        label = np.add(*np.divmod(np.arange(dim), space.dim_b))
-        size = space.dim_a + space.dim_b - 1
-    else:
-        label, size = np.arange(dim), dim
+    size = int(label[-1]) + 1  # the last basis state has the top label
     if vector:
         mask = np.zeros(size, dtype=bool)
         mask[label[flat]] = True
@@ -212,26 +212,25 @@ def _block(space, coupled, flat, vector, jumping):
 def _rows(space, entries, diagonal, g, jumping):
     """Gather rows (sources, weights) of the complex generator on the
     sorted ``entries``: each row's K term (``diagonal``), then one term per
-    move, in this order: H's hops on the row, on the column, each of the
-    ``jumping`` channels on both. A vector has only the row hops.
+    move: H's hops on the row, on the column (not for a vector), and each
+    of the ``jumping`` channels on both.
 
-    A term moves two of the entry's occupations (n_a, n_b of each axis). Its
-    source is the entry with the move undone, and its weight, times g or
-    the rate, the product of the two sqrt(n) factors, each of the larger
-    occupation: n + 1 where the move lowers n, n where it raises it. Keyed
-    on the grid padded by one level on every side, a source outside the
-    truncation lies outside the block, and a source outside the block gets
-    weight 0 (and source 0).
+    A move changes two of the entry's occupations (n_a, n_b of each axis).
+    Its source is the entry with the move undone; its weight is g or the
+    rate times the two sqrt(n) factors, each of the larger occupation. On
+    keys of the grid padded by one level on every side, a source outside
+    the truncation is outside the block, and its term gets weight 0 and
+    source 0.
     """
     hops = [HOP, (-1, 1)] if g != 0 else []
+    # the K term's move is zero: its source is the entry itself
     if len(entries) == 1:
         moves = [(0, 0)] + hops
     else:
         moves = [(0, 0, 0, 0)] + [m + (0, 0) for m in hops] + \
             [(0, 0) + m for m in hops] + [ch.move * 2 for ch in jumping]
-    radix = [1]
-    for n in ((space.dim_a + 2, space.dim_b + 2) * len(entries))[:0:-1]:
-        radix.insert(0, radix[0] * n)
+    padded = (space.dim_a + 2, space.dim_b + 2) * len(entries)
+    radix = [prod(padded[i + 1:]) for i in range(len(padded))]
     occupation = np.empty((entries[0].size, 2 * len(entries)), dtype=int)
     for i, axis in enumerate(entries):
         np.divmod(axis, space.dim_b, out=(occupation[:, 2 * i],
@@ -242,12 +241,14 @@ def _rows(space, entries, diagonal, g, jumping):
     hit = key[at] == source
     # column i holds sqrt(n_i), column 2 len(entries) + i sqrt(n_i + 1)
     roots = np.sqrt(np.concatenate((occupation, occupation + 1), axis=1))
-    pick = np.array([i + len(m) * (step < 0) for m in moves[1:]
-                     for i, step in enumerate(m) if step], dtype=int)
+    pick = [i + len(m) * (step < 0) for m in moves[1:]
+            for i, step in enumerate(m) if step]
     factor = roots[:, pick[::2]] * roots[:, pick[1::2]]
     nh = len(hops)
     weights = np.empty(source.shape, dtype=complex)
     weights[:, 0] = diagonal
+    # the row hops, the column hops, the jumps; a vector's rows end after
+    # the row hops, and the slices past them are empty
     np.multiply(-1j, g * factor[:, :2 * nh], out=weights[:, 1:1 + 2 * nh])
     np.conjugate(weights[:, 1 + nh:1 + 2 * nh],
                  out=weights[:, 1 + nh:1 + 2 * nh])
@@ -282,7 +283,17 @@ def _coordinate_rows(entries, sources, weights, y0):
     sources = np.concatenate([real_at[sources], imag_at[sources]], axis=1)
     x0 = (unit * y0).real
     feeds = weights != 0.0
-    live = _reached(x0 != 0.0, sources, feeds)
+    # reach along the feeding terms: row[t] is fed from source[t]
+    row, term = feeds.nonzero()
+    source = sources[row, term]
+    live = x0 != 0.0
+    count = np.count_nonzero(live)
+    while True:
+        live[row[live[source]]] = True
+        count, last = np.count_nonzero(live), count
+        if count == last:
+            break
+    del row, term, source  # freed before the compaction's temporaries
     sources, feeds = sources[live], feeds[live]
     feeds &= live[sources]
     sources = (live.cumsum() - 1)[sources]
@@ -292,20 +303,6 @@ def _coordinate_rows(entries, sources, weights, y0):
     rows = np.arange(keep.shape[0])[:, None]
     return (live, sources[rows, keep],
             np.where(feeds, weights[live], 0.0)[rows, keep], x0[live])
-
-
-
-def _reached(live, sources, feeds):
-    """``live`` grown by every row that a term feeds from a live source
-    (``sources`` where ``feeds``), until no row is added."""
-    row, term = feeds.nonzero()
-    source = sources[row, term]
-    count = np.count_nonzero(live)
-    while True:
-        live[row[live[source]]] = True
-        count, last = np.count_nonzero(live), count
-        if count == last:
-            return live
 
 
 def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:

@@ -51,10 +51,12 @@ _MAX_STEPS = 2_000_000
 
 # Largest state (in entries) propagated exactly. The exponential costs m^3
 # and each sample m^2 for m evolved entries, an adaptive step six RHS calls:
-# on the reached coordinates of a 6e-5 K thermal start (one BLAS thread, to
-# t = 5/gamma_a) exact vs adaptive takes 0.08 vs 0.04 s at 506 entries and
-# 0.27 vs 0.05 s at 819 for 50 samples, but 0.18 vs 0.40 s at 506 and 0.52
-# vs 0.54 s at 819 for 2,000, so the crossover lies between ~300 and ~800.
+# a 6e-5 K thermal start truncated at 8, 10, 11 and 13 levels reaches 204,
+# 385, 506 and 819 coordinates, and its run (one BLAS thread, to
+# t = 5/gamma_a) takes, exact vs adaptive, 0.01 vs 0.04, 0.05 vs 0.05,
+# 0.09 vs 0.05 and 0.31 vs 0.05 s for 50 samples, but 0.02 vs 0.39, 0.09 vs
+# 0.52, 0.22 vs 0.58 and 0.61 vs 0.63 s for 2,000, so the crossover lies
+# near ~400 coordinates for sparse and ~800 for dense sampling.
 EXACT_MAX_ENTRIES = 512
 _SAME_STEP_RTOL = 1e-12  # steps this close share one exponential
 
