@@ -239,7 +239,8 @@ def _rows(space, entries, diagonal, g, jumping):
     source = key[:, None] - [sum(map(mul, m, radix)) for m in moves]
     at = np.minimum(key.searchsorted(source), key.size - 1)
     hit = key[at] == source
-    # column i holds sqrt(n_i), column 2 len(entries) + i sqrt(n_i + 1)
+    # column i holds sqrt(n_i), read where the move raised n_i, and column
+    # 2 len(entries) + i sqrt(n_i + 1), read where it lowered n_i
     roots = np.sqrt(np.concatenate((occupation, occupation + 1), axis=1))
     pick = [i + len(m) * (step < 0) for m in moves[1:]
             for i, step in enumerate(m) if step]
