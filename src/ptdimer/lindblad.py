@@ -35,7 +35,7 @@ coherence) and its finite-difference consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite, prod
+from math import isfinite
 from operator import mul
 
 import numpy as np
@@ -138,10 +138,11 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     # truncation), not the square of its rounded sqrt(n) factor
     h_eff = np.zeros(space.dim, dtype=complex)
     for ch in channels:
-        _, _, ok = _move(space, ch.move)
         axis = 0 if ch.move[0] else 1
-        n = numbers[axis] + (ch.move[axis] > 0)
-        h_eff = h_eff - 0.5j * ch.rate * np.where(ok, n, 0.0)
+        n = numbers[axis]
+        if ch.move[axis] > 0:
+            n = np.where(_move(space, ch.move)[2], n + 1, 0)
+        h_eff = h_eff - 0.5j * ch.rate * n
     k = -1j * h_eff
     sources, weights = _rows(space, entries, k[entries[0]] if vector
                              else k[entries[0]] + k[entries[1]].conj(),
@@ -224,13 +225,13 @@ def _rows(space, entries, diagonal, g, jumping):
     """
     hops = [HOP, (-1, 1)] if g != 0 else []
     # the K term's move is zero: its source is the entry itself
+    pad_a, pad_b = space.dim_a + 2, space.dim_b + 2
     if len(entries) == 1:
-        moves = [(0, 0)] + hops
+        moves, radix = [(0, 0)] + hops, (pad_b, 1)
     else:
         moves = [(0, 0, 0, 0)] + [m + (0, 0) for m in hops] + \
             [(0, 0) + m for m in hops] + [ch.move * 2 for ch in jumping]
-    padded = (space.dim_a + 2, space.dim_b + 2) * len(entries)
-    radix = [prod(padded[i + 1:]) for i in range(len(padded))]
+        radix = (pad_b * pad_a * pad_b, pad_a * pad_b, pad_b, 1)
     occupation = np.empty((entries[0].size, 2 * len(entries)), dtype=int)
     for i, axis in enumerate(entries):
         np.divmod(axis, space.dim_b, out=(occupation[:, 2 * i],
@@ -239,22 +240,23 @@ def _rows(space, entries, diagonal, g, jumping):
     source = key[:, None] - [sum(map(mul, m, radix)) for m in moves]
     at = np.minimum(key.searchsorted(source), key.size - 1)
     hit = key[at] == source
-    # column i holds sqrt(n_i), read where the move raised n_i, and column
-    # 2 len(entries) + i sqrt(n_i + 1), read where it lowered n_i
-    roots = np.sqrt(np.concatenate((occupation, occupation + 1), axis=1))
+    # the larger occupation of each mode a move changes: n where it raised
+    # n, n + 1 where it lowered n
     pick = [i + len(m) * (step < 0) for m in moves[1:]
             for i, step in enumerate(m) if step]
-    factor = roots[:, pick[::2]] * roots[:, pick[1::2]]
+    larger = np.concatenate((occupation, occupation + 1), axis=1)[:, pick]
+    roots = np.sqrt(larger)
+    factor = roots[:, ::2] * roots[:, 1::2]
     nh = len(hops)
     weights = np.empty(source.shape, dtype=complex)
     weights[:, 0] = diagonal
-    # the row hops, the column hops, the jumps; a vector's rows end after
-    # the row hops, and the slices past them are empty
+    # the row hops, then the column hops and the jumps of a density block
     np.multiply(-1j, g * factor[:, :2 * nh], out=weights[:, 1:1 + 2 * nh])
-    np.conjugate(weights[:, 1 + nh:1 + 2 * nh],
-                 out=weights[:, 1 + nh:1 + 2 * nh])
-    np.multiply(factor[:, 2 * nh:], [ch.rate for ch in jumping],
-                out=weights[:, 1 + 2 * nh:])
+    if len(entries) == 2:
+        np.conjugate(weights[:, 1 + nh:1 + 2 * nh],
+                     out=weights[:, 1 + nh:1 + 2 * nh])
+        np.multiply(factor[:, 2 * nh:], [ch.rate for ch in jumping],
+                    out=weights[:, 1 + 2 * nh:])
     weights[~hit] = 0.0
     return np.where(hit, at, 0), weights
 
