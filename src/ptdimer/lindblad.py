@@ -119,10 +119,10 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     if vector or not state.is_pure:
         # data.T is data for a vector; a density matrix starts from a
         # support closed under transposition, as its coordinates need
-        flat = np.flatnonzero((data != 0) | (data.T != 0))
+        flat = ((data != 0) | (data.T != 0)).ravel().nonzero()[0]
         values = data.ravel()[flat]
     else:
-        idx = np.flatnonzero(data)
+        idx = data.nonzero()[0]
         flat = (idx[:, None] * space.dim + idx).ravel()
         values = (data[idx, None] * data[idx].conj()).ravel()
     if not flat.size:
