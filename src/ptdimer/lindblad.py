@@ -7,26 +7,27 @@ is the beam-splitter coupling alone, evaluated in its no-jump + jump form
     d rho/dt = -i(H_eff rho - rho H_eff^dag) + sum_k rate_k A_k rho A_k^dag,
     H_eff = H - (i/2) sum_k rate_k A_k^dag A_k.
 
-Every term is a ladder move (``fock._move``): H's hop moves the row or the
+Every term is a ladder move (``fock._move``): H's hops move the row or the
 column of a density-matrix entry, the rest of H_eff is diagonal, and a jump
-moves both by the same step. H's hops join exactly the basis states of one
-excitation-number slice, so ``liouville_block`` closes the initial state's
-support over (row slice, column slice) pairs under the jumps, takes every
-entry of the pairs reached (for |5,0> at zero temperature the 91 entries of
-the Delta N = 0 pairs of N <= 5) and writes each one's generator row as a
-gather of at most nine entries, every move's in one pass. The generator
-keeps rho Hermitian, so a density block of m entries has m real coordinates,
-in the block's entry order: x_rc = Re rho_rc for r <= c and Im rho_cr for
-r > c (``observables.coordinate_map``), each row a real gather of at most 18
-terms (``_coordinate_rows``). In this frame every hop weight is imaginary and
-every other weight real, so from a real rho0 whose entries share one parity
-class each coherence stays real or imaginary and one of its two coordinates
-is 0 for all t. Only the coordinates rho0 reaches are kept (56 of |5,0>'s
-91); ``liouville_block`` alone chooses them, and ``ode.integrate_adaptive``
-evolves every one, exactly up to ``ode.EXACT_MAX_ENTRIES``. At zero
-temperature H_eff is the lossy Hamiltonian H_L, and the non-Hermitian engine
-is the same builder without jumps, which also takes the zero-temperature
-channels.
+moves both by the same step. The generator keeps rho Hermitian, so a density
+matrix evolves as real coordinates, one per entry: x_rc = Re rho_rc for
+r <= c and Im rho_cr for r > c (``observables.hermitian_coordinates``). In
+this frame every hop weight is imaginary and every other weight real, so
+each term of a coordinate's row reads one coordinate, and every nonzero term
+keeps its class, (r > c) xor the parity of n_a(r) + n_a(c). H's hops join
+exactly the basis states of one excitation-number slice, so
+``liouville_block`` closes rho0's nonzero coordinates over (unordered slice
+pair, class) keys under the jumps, takes every coordinate of the keys
+reached and writes each one's real row as a gather of at most nine
+coordinates, every move's in one pass. For |5,0> at zero temperature that is
+the 56 class-0 coordinates of the 91 entries of the Delta N = 0 pairs of
+N <= 5; each coherence of a real rho0 whose entries share one class stays
+real or imaginary, and the coordinates left out start and stay 0.
+``ode.integrate_adaptive`` evolves every coordinate, exactly up to
+``ode.EXACT_MAX_ENTRIES``. A pure state without jumps stays a complex vector
+on the slices it starts in. At zero temperature H_eff is the lossy
+Hamiltonian H_L, and the non-Hermitian engine is the same builder without
+jumps, which also takes the zero-temperature channels.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
 reference. Also hosts the closed first-moment system (occupations +
 coherence) and its finite-difference consistency check.
@@ -45,7 +46,7 @@ from .fock import HOP, QuantumState, _move
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
-    coordinate_map, derivative_residual, hermitian_values
+    derivative_residual, hermitian_coordinates, hermitian_values
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -88,23 +89,20 @@ def dissipator_apply(channel_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def liouville_block(state: QuantumState, params: SystemParams, *,
                     jumps: bool = True):
-    """Entries ``state`` reaches under d rho/dt = K rho + rho K^dag + jumps,
-    their initial values, and the linear RHS on them, as (entries, y0, rhs).
+    """What ``state`` reaches under d rho/dt = K rho + rho K^dag + jumps,
+    its initial values, and the linear RHS on it, as (entries, y0, rhs).
 
     K = -i H_eff, with H_eff as in the module docstring, built from the
     coupling and the ``thermal_channels`` of ``params``. ``entries`` holds
     one full-space index array per axis of the evolved state, (i,) for a
-    vector or (row, col) for a density matrix, sorted row-major. They are
-    every entry the state reaches under H's hops on rows and columns and
-    each jump on both (``_block``): all of each reached component (N-slice,
-    or basis state when g = 0) of a vector, all of each reached pair of
-    components of a density matrix. Each entry's row of the generator is its
-    K diagonal term plus one (source, weight) term per move (``_rows``); a
-    source the state never reaches gets weight 0.
-    A density matrix's block is closed under transposition, and y0 and the
-    RHS are real: they hold the coordinates of the block that the state
-    reaches (module docstring), and ``entries`` names the entry of each, so
-    it may leave out an entry's mirror. A vector stays complex.
+    vector or (row, col) for a density matrix, sorted row-major; ``_block``
+    chooses them. A vector evolves, complex, every entry of each component
+    (N-slice, or basis state when g = 0) that its support reaches under H's
+    hops. A density matrix evolves, real, every coordinate (module
+    docstring) that its nonzero ones reach, and ``entries`` names the
+    position of each, so it may leave out an entry's mirror. Each row of
+    the generator is its K diagonal term plus one (source, weight) term per
+    move (``_rows``); a source the block leaves out gets weight 0.
     With ``jumps`` off, the generator is the no-jump evolution under H_L, the
     H_eff of the zero-temperature channels at any ``params.temperature``, and
     a pure state stays a vector, evolved by d psi/dt = K psi; otherwise a
@@ -117,14 +115,18 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     space, data = state.space, state.data
     vector = state.is_pure and not jumps
     if vector or not state.is_pure:
-        # data.T is data for a vector; a density matrix starts from a
-        # support closed under transposition, as its coordinates need
+        # data.T is data for a vector; a density matrix reads each
+        # coordinate from its own entry, so its support is closed under
+        # transposition
         flat = ((data != 0) | (data.T != 0)).ravel().nonzero()[0]
         values = data.ravel()[flat]
     else:
         idx = data.nonzero()[0]
         flat = (idx[:, None] * space.dim + idx).ravel()
         values = (data[idx, None] * data[idx].conj()).ravel()
+    if not vector:
+        values = hermitian_coordinates(values, np.divmod(flat, space.dim))
+        flat, values = flat[values != 0], values[values != 0]
     if not flat.size:
         raise ValueError("the initial state is zero: no entry to evolve")
     jumping = channels if jumps else []
@@ -147,29 +149,30 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     sources, weights = _rows(space, entries, k[entries[0]] if vector
                              else k[entries[0]] + k[entries[1]].conj(),
                              g, jumping)
-    y0 = np.zeros(block.size, dtype=complex)
+    y0 = np.zeros(block.size, dtype=values.dtype)
     y0[block.searchsorted(flat)] = values
-    if not vector:
-        live, sources, weights, y0 = _coordinate_rows(entries, sources,
-                                                      weights, y0)
-        entries = [axis[live] for axis in entries]
 
     def rhs(t, y):
         return (weights * y[sources]).sum(axis=1)
-    return tuple(entries), y0, rhs
+    return entries, y0, rhs
 
 
 def _block(space, label, flat, vector, jumping):
-    """Sorted flat indices (r dim + c for a density entry) of the entries
-    reached from the nonzero ``flat`` ones under H's hops and the
-    ``jumping`` channels.
+    """Sorted flat indices (r dim + c at row r, column c) of what the
+    nonzero entries of a vector, or coordinates of a density matrix, at
+    ``flat`` reach under H's hops and the ``jumping`` channels.
 
     Hops are free inside a component of the basis, numbered by ``label``:
     the basis state's N-slice if the modes are coupled, the state itself if
-    not. So the block is every entry of the components (vector) or of the
-    component pairs X, Y (density) reached; a jump takes X, Y to X', Y' if
-    some member of each takes its move inside the truncation. Listed from
-    the components' members, the block never takes memory of size dim**2.
+    not. A vector reaches every entry of the components it starts in. A
+    density coordinate x_rc is keyed by its unordered component pair
+    {X, Y} and its class, (r > c) xor the parity of n_a(r) + n_a(c), which
+    every nonzero term keeps (module docstring). Hops are free inside a
+    key; a jump takes {X, Y} to {X', Y'} if some member of X and some
+    member of Y take its move inside the truncation, two distinct members
+    for X = Y in class 1, which holds no diagonal coordinate. The block is
+    every coordinate of the keys reached, listed from the components'
+    members, so it never takes memory of size dim**2.
     """
     dim = space.dim
     size = int(label[-1]) + 1  # the last basis state has the top label
@@ -177,51 +180,70 @@ def _block(space, label, flat, vector, jumping):
         mask = np.zeros(size, dtype=bool)
         mask[label[flat]] = True
         return np.flatnonzero(mask[label])
-    # a pair X, Y is keyed X size + Y; with the modes coupled there are at
-    # most size**2 pairs, so a breadth-first search over them is cheap
+    n_a = np.arange(dim) // space.dim_b
+
+    def kind(rows, cols):
+        return (rows > cols) ^ (n_a[rows] + n_a[cols]) % 2
+
+    # with the modes coupled there are at most 2 size**2 keys (X <= Y,
+    # class), so a breadth-first search over them is cheap
     rows, cols = np.divmod(flat, dim)
-    pairs = set((label[rows] * size + label[cols]).tolist())
-    if jumping:
-        # to[c][X] is X' under channel c, -1 where no member of X moves
-        to = np.full((len(jumping), size), -1)
-        for row, ch in zip(to, jumping):
-            target, _, ok = _move(space, ch.move)
-            row[label[ok]] = label[target[ok]]
-        to = to.tolist()
-        frontier = pairs
-        while frontier:
-            frontier = {t[x] * size + t[y]
-                        for x, y in (divmod(p, size) for p in frontier)
-                        for t in to if t[x] >= 0 and t[y] >= 0} - pairs
-            pairs |= frontier
+    x, y = label[rows], label[cols]
+    keys = set(zip(np.minimum(x, y).tolist(), np.maximum(x, y).tolist(),
+                   kind(rows, cols).tolist()))
+    # per channel, X' of each X (a move shifts every label by one step,
+    # so X <= Y gives X' <= Y') and how many members of X take the move
+    moves = []
+    for ch in jumping:
+        target, _, ok = _move(space, ch.move)
+        to = np.zeros(size, dtype=int)
+        to[label[ok]] = label[target[ok]]
+        moves.append((to.tolist(), np.bincount(label[ok], minlength=size)
+                      .tolist()))
+    frontier = keys
+    while frontier:
+        frontier = {(to[x], to[y], c) for x, y, c in frontier
+                    for to, movers in moves
+                    if min(movers[x], movers[y]) > (c if x == y else 0)} - keys
+        keys |= frontier
+    # each pair in both orders, once; coordinate o of the ordered pair X, Y
+    # is at member o // count[Y] of X and member o % count[Y] of Y
+    x, y, c = np.array(list(keys)).T
+    twice = x != y
+    x, y = np.concatenate((x, y[twice])), np.concatenate((y, x[twice]))
+    c = np.concatenate((c, c[twice]))
     members = label.argsort(kind="stable")  # ascending in each component
     count = np.bincount(label)
     first = count.cumsum() - count
-    # entry o of the pair X, Y is member o // count[Y] of X and member
-    # o % count[Y] of Y
-    x, y = np.divmod(np.array(sorted(pairs)), size)
     span = count[x] * count[y]
     end = span.cumsum()
     i, j = np.divmod(np.arange(end[-1]) - (end - span).repeat(span),
                      count[y].repeat(span))
-    block = members[first[x].repeat(span) + i] * dim + \
-        members[first[y].repeat(span) + j]
+    rows = members[first[x].repeat(span) + i]
+    cols = members[first[y].repeat(span) + j]
+    block = (rows * dim + cols)[kind(rows, cols) == c.repeat(span)]
     block.sort()
     return block
 
 
 def _rows(space, entries, diagonal, g, jumping):
-    """Gather rows (sources, weights) of the complex generator on the
-    sorted ``entries``: each row's K term (``diagonal``), then one term per
-    move: H's hops on the row, on the column (not for a vector), and each
-    of the ``jumping`` channels on both.
+    """Gather rows (sources, weights) of the generator on the sorted
+    ``entries``: each row's K term (``diagonal``), then one term per move:
+    H's hops on the row, on the column (not for a vector), and each of the
+    ``jumping`` channels on both.
 
     A move changes two of the entry's occupations (n_a, n_b of each axis).
-    Its source is the entry with the move undone; its weight is g or the
-    rate times the two sqrt(n) factors, each of the larger occupation. On
-    keys of the grid padded by one level on every side, a source outside
-    the truncation is outside the block, and its term gets weight 0 and
-    source 0.
+    Its source is the entry with the move undone; its weight w is g or the
+    rate times the two sqrt(n) factors, each of the larger occupation. A
+    vector's rows are complex. A density row is that of the coordinate
+    x_rc = Re(u rho_rc), u = 1 for r <= c and i for r > c, to which a term
+    w rho_st adds Re(u w) Re rho_st - Im(u w) Im rho_st. One of the two is
+    zero (module docstring), so the term reads Re rho_st, the coordinate at
+    (min, max), with weight Re(u w), or Im rho_st = sign(t - s) x at
+    (max, min), with weight -sign(t - s) Im(u w). On keys of the grid
+    padded by one level on every side, a source outside the truncation is
+    outside the block; a term whose source the block leaves out gets
+    weight 0 and source 0.
     """
     hops = [HOP, (-1, 1)] if g != 0 else []
     # the K term's move is zero: its source is the entry itself
@@ -238,8 +260,6 @@ def _rows(space, entries, diagonal, g, jumping):
                                           occupation[:, 2 * i + 1]))
     key = (occupation + 1) @ radix
     source = key[:, None] - [sum(map(mul, m, radix)) for m in moves]
-    at = np.minimum(key.searchsorted(source), key.size - 1)
-    hit = key[at] == source
     # the larger occupation of each mode a move changes: n where it raised
     # n, n + 1 where it lowered n
     pick = [i + len(m) * (step < 0) for m in moves[1:]
@@ -257,55 +277,17 @@ def _rows(space, entries, diagonal, g, jumping):
                      out=weights[:, 1 + nh:1 + 2 * nh])
         np.multiply(factor[:, 2 * nh:], [ch.rate for ch in jumping],
                     out=weights[:, 1 + 2 * nh:])
+        weights *= np.where(entries[0] <= entries[1], 1.0, 1j)[:, None]
+        real = weights.real != 0.0
+        # s, t are the source's row and column keys; a real term reads the
+        # coordinate at (min, max), an imaginary one the one at (max, min)
+        s, t = np.divmod(source, pad_a * pad_b)
+        source = np.where(real == (s > t), t * pad_a * pad_b + s, source)
+        weights = np.where(real, weights.real, np.sign(s - t) * weights.imag)
+    at = np.minimum(key.searchsorted(source), key.size - 1)
+    hit = key[at] == source
     weights[~hit] = 0.0
     return np.where(hit, at, 0), weights
-
-
-def _coordinate_rows(entries, sources, weights, y0):
-    """Gather rows of the real coordinates x = Re(unit rho)
-    (``observables.coordinate_map``) that rho0 reaches, from the complex
-    rows (``sources``, ``weights``) of a generator that keeps rho Hermitian
-    and from rho0's ``y0`` at the ``entries``, which are closed under
-    transposition.
-
-    Each term w rho_s of row k adds Re(unit_k w) Re(rho_s) - Im(unit_k w)
-    Im(rho_s) to x_k, and each part of rho_s is one coordinate. Of the two
-    real terms a complex one gives, the zero ones are dropped: in the
-    rotating frame every weight is real or imaginary, so one stays. A
-    coordinate is reached if it starts nonzero or a reached one feeds it
-    through a nonzero weight; no reached coordinate feeds the others, so
-    they start and stay 0 and are dropped, with their terms in the reached
-    rows. Returns the mask of the reached coordinates, their rows, with the
-    sources numbered among them, and their initial values.
-    """
-    # every mirror is held, so Re rho = x[real_at], Im rho = sign x[imag_at]
-    unit, real_at, imag_at, _, sign = coordinate_map(entries)
-    weights = unit[:, None] * weights
-    weights = np.concatenate([weights.real, -sign[sources] * weights.imag],
-                             axis=1)
-    sources = np.concatenate([real_at[sources], imag_at[sources]], axis=1)
-    x0 = (unit * y0).real
-    feeds = weights != 0.0
-    # reach along the feeding terms: row[t] is fed from source[t]
-    row, term = feeds.nonzero()
-    source = sources[row, term]
-    live = x0 != 0.0
-    count = np.count_nonzero(live)
-    while True:
-        live[row[live[source]]] = True
-        count, last = np.count_nonzero(live), count
-        if count == last:
-            break
-    del row, term, source  # freed before the compaction's temporaries
-    sources, feeds = sources[live], feeds[live]
-    feeds &= live[sources]
-    sources = (live.cumsum() - 1)[sources]
-    # each row's terms first, as few columns as the longest row needs
-    keep = (~feeds).argsort(axis=1, kind="stable")[
-        :, :feeds.sum(axis=1).max(initial=0)]
-    rows = np.arange(keep.shape[0])[:, None]
-    return (live, sources[rows, keep],
-            np.where(feeds, weights[live], 0.0)[rows, keep], x0[live])
 
 
 def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:

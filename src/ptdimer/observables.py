@@ -97,8 +97,10 @@ def coordinate_map(entries):
 
 def hermitian_coordinates(values: np.ndarray, entries) -> np.ndarray:
     """Real coordinates (``coordinate_map``) of rho from its ``values``
-    (..., m) at ``entries``."""
-    return (coordinate_map(entries)[0] * values).real
+    (..., m) at ``entries``, each read from its own entry: Re rho_rc for
+    r <= c, -Im rho_rc = Im rho_cr for r > c."""
+    rows, cols = entries
+    return np.where(rows <= cols, values.real, -values.imag)
 
 
 def hermitian_values(x: np.ndarray, entries) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 The reference below closes the state's nonzero entries one entry at a time
 under every row hop, column hop and jump, in Python sets, and then writes the
-generator rows one move at a time. The block builder closes component pairs
-instead and writes every move's rows in one pass; its entries, initial values
-and rows must come out bit for bit the same.
+generator rows one move at a time. On a density matrix it then splits each
+complex row into the real rows of the coordinates, finds the coordinates the
+state reaches by a fixed point over whole sweeps and compacts their rows. The
+block builder closes component pairs and coordinate classes instead and
+writes every move's real rows in one pass. Its entries and initial values
+must come out bit for bit the same, and so must its generator, assembled
+from the rows, whose layout differs.
 """
 import inspect
 from dataclasses import replace
@@ -23,6 +27,7 @@ from ptdimer import (
 from ptdimer.fock import HOP, _move
 from ptdimer.lindblad import liouville_block
 from ptdimer.observables import coordinate_map
+from ptdimer.scenarios import parse_config
 from conftest import ROOM_T, make_params
 
 
@@ -132,19 +137,56 @@ def block_rows(state, params, jumps):
     return entries, y0, rows["sources"], rows["weights"]
 
 
+def generator(sources, weights):
+    """The dense generator of gather rows, summed term by term."""
+    m = sources.shape[0]
+    out = np.zeros((m, m), dtype=weights.dtype)
+    np.add.at(out, (np.arange(m).repeat(sources.shape[1]), sources.ravel()),
+              weights.ravel())
+    return out
+
+
 def assert_same_bits(got, want, what):
     assert got.dtype == want.dtype and got.shape == want.shape, what
     assert got.tobytes() == want.tobytes(), what
 
 
+def assert_same_block(state, params, jumps, what):
+    got, want = block_rows(state, params, jumps), \
+        reference_block(state, params, jumps)
+    assert len(got[0]) == len(want[0]), what
+    for axis_got, axis_want in zip(got[0], want[0]):
+        assert_same_bits(axis_got, axis_want, f"entries of {what}")
+    assert_same_bits(got[1], want[1], f"y0 of {what}")
+    assert_same_bits(generator(*got[2:]), generator(*want[2:]),
+                     f"generator of {what}")
+    assert got[2].flags.c_contiguous and got[3].flags.c_contiguous, what
+
+
+def sparse_densities(space, seed, count=6):
+    """Hermitian matrices of a few random entries, each with a nonzero real
+    and imaginary part, at positions of either parity class."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for k in range(count):
+        rho = np.zeros((space.dim, space.dim), dtype=complex)
+        n = rng.integers(1, 4)
+        rows, cols = rng.integers(0, space.dim, (2, n))
+        rho[rows, cols] = rng.uniform(0.5, 1.0, (n, 2)) @ [1.0, 1j] \
+            * rng.choice([-1.0, 1.0], n)
+        out[f"sparse{k}"] = QuantumState(space, rho + rho.conj().T)
+    return out
+
+
 def states(space):
-    """|3,2>, NOON-3 (both parities) and a thermal start; each pure state
-    also as its density matrix."""
+    """|3,2>, NOON-3 (both parities), a thermal start and sparse complex
+    densities; each pure state also as its density matrix."""
     pure = {"fock32": fock_product_state(3, 2, space),
             "noon3": noon_state(3, space)}
     mixed = {f"{name}-rho": QuantumState(space, st.density())
              for name, st in pure.items()}
     mixed["thermal"] = thermal_density_matrix(0.01, 0.005, space)
+    mixed.update(sparse_densities(space, space.dim_a))
     return pure, mixed
 
 
@@ -165,13 +207,29 @@ def test_block_is_bitwise_the_entry_closure(dims, temperature, coupled):
     cases += [(name, st, jumps) for name, st in mixed.items()
               for jumps in (True, False)]
     for name, state, jumps in cases:
-        what = f"{name}, jumps={jumps}"
-        got, want = block_rows(state, params, jumps), \
-            reference_block(state, params, jumps)
-        assert len(got[0]) == len(want[0]), what
-        for axis_got, axis_want in zip(got[0], want[0]):
-            assert_same_bits(axis_got, axis_want, f"entries of {what}")
-        for part, a, b in zip(("y0", "sources", "weights"), got[1:],
-                              want[1:]):
-            assert_same_bits(a, b, f"{part} of {what}")
-        assert got[2].flags.c_contiguous and got[3].flags.c_contiguous, what
+        assert_same_block(state, params, jumps, f"{name}, jumps={jumps}")
+
+
+@pytest.mark.parametrize("dims", [(2, 6), (6, 2)], ids=["2x6", "6x2"])
+@pytest.mark.parametrize("undamped", ["gamma_a", "gamma_b"])
+@pytest.mark.parametrize("temperature", [0.0, ROOM_T], ids=["cold", "room"])
+def test_two_level_mode_is_bitwise_the_entry_closure(dims, undamped,
+                                                     temperature):
+    # in a slice pair {X, X}, class 1 holds no diagonal coordinate, so a
+    # jump reaches it only if two distinct members of X move: with a
+    # two-level mode, only one member of a slice can lower that mode
+    space = FockSpace(*dims)
+    params = make_params(temperature=temperature, **{undamped: 0.0})
+    for seed in range(4):
+        for name, state in sparse_densities(space, seed, 12).items():
+            assert_same_block(state, params, True, f"{name} of seed {seed}")
+
+
+def test_thermal_block_is_bitwise_the_entry_closure():
+    # the 819 coordinates of the 1e-4 K start, stepped adaptively
+    cfg = parse_config("state = thermal 1e-4\ntemperature = 1e-4\n"
+                       "engines = lindblad\nallow_lindblad_thermal = true")
+    params = cfg.system_params()
+    state = thermal_density_matrix(params.nbar_a(), params.nbar_b(),
+                                   FockSpace(*cfg.mode_dims()))
+    assert_same_block(state, params, True, "1e-4 K thermal")
