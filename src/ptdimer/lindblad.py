@@ -102,7 +102,8 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     docstring) that its nonzero ones reach, and ``entries`` names the
     position of each, so it may leave out an entry's mirror. Each row of
     the generator is its K diagonal term plus one (source, weight) term per
-    move (``_rows``); a source the block leaves out gets weight 0.
+    move (``_rows``); a source the block leaves out gets weight 0. The
+    rhs gathers the rows for a state or a column stack of states.
     With ``jumps`` off, the generator is the no-jump evolution under H_L, the
     H_eff of the zero-temperature channels at any ``params.temperature``, and
     a pure state stays a vector, evolved by d psi/dt = K psi; otherwise a
@@ -115,10 +116,8 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     space, data = state.space, state.data
     vector = state.is_pure and not jumps
     if vector or not state.is_pure:
-        # data.T is data for a vector; a density matrix reads each
-        # coordinate from its own entry, so its support is closed under
-        # transposition
-        flat = ((data != 0) | (data.T != 0)).ravel().nonzero()[0]
+        # a density matrix reads each coordinate from its own entry
+        flat = (data != 0).ravel().nonzero()[0]
         values = data.ravel()[flat]
     else:
         idx = data.nonzero()[0]
@@ -153,7 +152,7 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     y0[block.searchsorted(flat)] = values
 
     def rhs(t, y):
-        return (weights * y[sources]).sum(axis=1)
+        return np.einsum("it,it...->i...", weights, y[sources])
     return entries, y0, rhs
 
 

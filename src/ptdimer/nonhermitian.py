@@ -73,7 +73,7 @@ def renormalized_observables(state: QuantumState) -> tuple[float, float, complex
     the ratios are undefined. Invariant: n_a + n_b = 1.
     """
     data = state.data
-    entries = np.nonzero((data != 0) | (data.T != 0))
+    entries = np.nonzero(data)
     ops = ObservableOps(state.space, entries)
     values = data[entries][np.newaxis]
     cols = ops.record_from_pure(values) if state.is_pure else \

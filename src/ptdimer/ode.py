@@ -3,8 +3,8 @@ problems, adaptive Dormand-Prince 5(4) otherwise.
 
 A state keeps the dtype of its initial value, float64 or complex128, on both
 paths. A problem declared ``linear`` (y' = L y with a constant L) is
-propagated exactly: L is assembled by applying the problem's own RHS to one
-unit vector per entry of y. Each run of equal sample steps dt takes one
+propagated exactly: its RHS also maps a column stack Y to L Y, so L is the
+RHS applied once to the identity. Each run of equal sample steps dt takes one
 exponential of L dt (scaling and squaring with a Pade-13 approximant, Higham,
 SIAM J. Matrix Anal. Appl. 26, 1179, 2005, in L's own dtype) and fills its
 samples by doubling: the next k samples are exp(k L dt) applied to the last k
@@ -53,10 +53,11 @@ _MAX_STEPS = 2_000_000
 # and each sample m^2 for m evolved entries, an adaptive step six RHS calls:
 # a 6e-5 K thermal start truncated at 8, 10, 11 and 13 levels reaches 204,
 # 385, 506 and 819 coordinates, and its run (one BLAS thread, to
-# t = 5/gamma_a) takes, exact vs adaptive, 0.01 vs 0.04, 0.05 vs 0.05,
-# 0.09 vs 0.05 and 0.31 vs 0.05 s for 50 samples, but 0.02 vs 0.39, 0.09 vs
-# 0.52, 0.22 vs 0.58 and 0.61 vs 0.63 s for 2,000, so the crossover lies
-# near ~400 coordinates for sparse and ~800 for dense sampling.
+# t = 5/gamma_a) takes, exact vs adaptive, 0.005 vs 0.019, 0.026 vs 0.022,
+# 0.049 vs 0.024 and 0.22 vs 0.029 s for 50 samples, but 0.012 vs 0.22,
+# 0.056 vs 0.26, 0.14 vs 0.30 and 0.47 vs 0.37 s for 2,000, so the crossover
+# lies between 204 and 385 coordinates for sparse and between 506 and 819
+# for dense sampling.
 EXACT_MAX_ENTRIES = 512
 _SAME_STEP_RTOL = 1e-12  # steps this close share one exponential
 
@@ -80,10 +81,10 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass
 class IntegratorStats:
-    """How a run was evolved. On the exact path ``steps`` counts the samples
-    advanced, ``exponentials`` the Pade builds and ``rhs_evaluations`` the
-    probes that assembled L, one per entry; ``dimension`` is the number of
-    entries of the state."""
+    """How a run was evolved. ``rhs_evaluations`` counts RHS calls on both
+    paths, one on the exact path, where ``steps`` counts the samples
+    advanced and ``exponentials`` the Pade builds; ``dimension`` is the
+    number of entries of the state."""
 
     steps: int = 0
     rejected: int = 0
@@ -98,8 +99,11 @@ class OdeProblem:
 
     ``linear`` declares rhs(t, y) = L y with a constant matrix L, which lets
     ``integrate_adaptive`` propagate exactly; rtol and atol then only matter
-    above ``EXACT_MAX_ENTRIES``. A real y0 makes a real state, so its rhs
-    must return real values.
+    above ``EXACT_MAX_ENTRIES``. The rhs of a linear problem must also map a
+    column stack Y of shape (m, k) to L Y, since the exact path reads L as
+    rhs(t0, I): write ``A @ y``, not ``y @ A.T``, which gives L's transpose
+    on a stack. A real y0 makes a real state, so its rhs must return real
+    values.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -262,17 +266,12 @@ def _fill(p: np.ndarray, near: bool, rows: np.ndarray) -> None:
 
 def _propagate(problem: OdeProblem, t0: float, samples: np.ndarray,
                y: np.ndarray) -> Trajectory:
-    """Exact samples of y' = L y. L is probed column by column, one rhs call
-    per unit vector, each written straight into L. Each run of sample steps
-    within ``_SAME_STEP_RTOL`` of its first step h takes one exponential of
-    L h and fills its rows by doubling (``_fill``)."""
-    stats = IntegratorStats(rhs_evaluations=y.size, dimension=y.size)
-    unit = np.zeros(y.size, dtype=y.dtype)
-    generator = np.empty((y.size, y.size), dtype=y.dtype)
-    for j in range(y.size):
-        unit[j] = 1.0
-        generator[:, j] = problem.rhs(t0, unit)
-        unit[j] = 0.0
+    """Exact samples of y' = L y, with L read in one rhs call on the
+    identity. Each run of sample steps within ``_SAME_STEP_RTOL`` of its
+    first step h takes one exponential of L h and fills its rows by
+    doubling (``_fill``)."""
+    stats = IntegratorStats(rhs_evaluations=1, dimension=y.size)
+    generator = problem.rhs(t0, np.eye(y.size, dtype=y.dtype))
     steps = np.diff(samples, prepend=t0)
     # row 0 holds y and row r + 1 the sample r; only a first sample at t0
     # has no step, and keeps y. Each run fills rows start..end.

@@ -1,5 +1,7 @@
 """Integrator: embedded Runge-Kutta pair and exact propagation of linear
 problems; accuracy, adaptivity, failure modes."""
+import importlib
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -12,6 +14,7 @@ from ptdimer import (
     step_embedded,
 )
 from ptdimer.ode import EXACT_MAX_ENTRIES, expm, expm_minus_identity
+from ptdimer.scenarios import parse_config, run_engine
 
 
 def _decay(t, y):
@@ -322,7 +325,8 @@ class TestExactPath:
 
     def test_closure_follows_the_rhs(self):
         # indices 2 and 3 lie outside the closure of y0 under the RHS; the
-        # exact path probes and evolves every entry, and those stay exactly 0
+        # exact path reads L in one rhs call on the identity and evolves
+        # every entry, and those stay exactly 0
         a = np.diag([-1.0, -2.0, -3.0, -4.0]).astype(complex)
         a[1, 0] = 0.5
         y0 = np.array([1.0, 0, 0, 0], dtype=complex)
@@ -335,7 +339,7 @@ class TestExactPath:
         traj = integrate_adaptive(OdeProblem(rhs, y0, (0.0, 1.0), samples,
                                              linear=True))
         assert traj.stats.dimension == 4
-        assert traj.stats.rhs_evaluations == len(calls) == 4
+        assert traj.stats.rhs_evaluations == len(calls) == 1
         assert np.all(traj.states[:, 2:] == 0.0)
         assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
@@ -412,6 +416,49 @@ class TestExactPath:
             integrate_adaptive(self._problem(a, np.array([1.0 + 0j]),
                                              np.linspace(0.0, 4.0, 5)))
         assert exc.value.t_reached == 1.0
+
+
+_COLD = ("state = thermal 6e-5\ntemperature = 6e-5\nengines = lindblad\n"
+         "allow_lindblad_thermal = true")
+
+
+class TestStackContract:
+    """Every linear RHS of the package maps a column stack to L Y, so the
+    exact path reads L in one call on the identity, bit for bit the matrix
+    of the 1-D calls on each unit vector."""
+
+    @pytest.mark.parametrize("engine, scenario, text, size", [
+        ("lindblad", "fig2a", "", 56),
+        ("lindblad", None, "state = noon 5", 91),
+        ("lindblad", None, _COLD, 204),
+        ("nonhermitian", "fig2a", "", 6),
+        ("nonhermitian", None, _COLD, 120),
+        ("lindblad", None, "g = 0\nstate = fock 3 2", 12),
+        ("nonhermitian", None, "g = 0\nstate = fock 3 2", 1),
+        ("gaussian", "fig6b", "", 5)],
+        ids=["fig2a", "noon-5", "cold-thermal", "pure-nonhermitian",
+             "mixed-nonhermitian", "uncoupled", "uncoupled-pure",
+             "gaussian"])
+    def test_identity_gives_the_unit_columns(self, monkeypatch, engine,
+                                             scenario, text, size):
+        module = importlib.import_module(f"ptdimer.{engine}")
+        problems = []
+
+        def capture(problem):
+            problems.append(problem)
+            return integrate_adaptive(problem)
+        monkeypatch.setattr(module, "integrate_adaptive", capture)
+        run_engine(engine, parse_config(text, scenario))
+        (problem,) = problems
+        assert problem.linear
+        y0 = np.asarray(problem.y0)
+        assert y0.shape == (size,)
+        eye = np.eye(size, dtype=y0.dtype)
+        stack = problem.rhs(0.0, eye)
+        columns = np.stack([problem.rhs(0.0, unit) for unit in eye], axis=1)
+        assert stack.shape == columns.shape == (size, size)
+        assert stack.dtype == columns.dtype == y0.dtype
+        assert stack.tobytes() == columns.tobytes()
 
 
 class TestStateDtype:
