@@ -4,9 +4,9 @@ Joint basis ordering is mode-a major: |n_a, n_b> sits at index n_a*dim_b + n_b.
 Every operator of the model is one ladder move with its sqrt(n) factors (c,
 c^dag, d, d^dag, the hop c^dag d) or a number diagonal
 (``FockSpace.number_diagonals``). ``_move`` applies a move to every basis
-index by index arithmetic; the engines build their generator from it, entry by
-entry (``lindblad.liouville_block``), and ``ladder`` writes a move as a dense
-matrix on the product space for tests and direct callers. The dense
+index by index arithmetic; the engines close their block and read every term
+of their generator from it (``lindblad.liouville_block``), and ``ladder``
+writes a move as a dense matrix for tests and direct callers. The dense
 Hamiltonians are in the frame rotating at omega_b, like every engine.
 """
 

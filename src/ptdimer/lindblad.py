@@ -19,11 +19,11 @@ exactly the basis states of one excitation-number slice, so
 ``liouville_block`` closes rho0's nonzero coordinates over (unordered slice
 pair, class) keys under the jumps, takes every coordinate of the keys
 reached and writes each one's real row as a gather of at most nine
-coordinates, every move's in one pass. For |5,0> at zero temperature that is
-the 56 class-0 coordinates of the 91 entries of the Delta N = 0 pairs of
-N <= 5; each coherence of a real rho0 whose entries share one class stays
-real or imaginary, and the coordinates left out start and stay 0.
-``ode.integrate_adaptive`` evolves every coordinate, exactly up to
+coordinates, each term read from ``fock._move``'s tables. For |5,0> at zero
+temperature that is the 56 class-0 coordinates of the 91 entries of the
+Delta N = 0 pairs of N <= 5; each coherence of a real rho0 whose entries
+share one class stays real or imaginary, and the coordinates left out start
+and stay 0. ``ode.integrate_adaptive`` evolves every coordinate, exactly up to
 ``ode.EXACT_MAX_ENTRIES``. A pure state without jumps stays a complex vector
 on the slices it starts in. At zero temperature H_eff is the lossy
 Hamiltonian H_L, and the non-Hermitian engine is the same builder without
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isfinite
-from operator import mul
 
 import numpy as np
 
@@ -131,7 +130,7 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     jumping = channels if jumps else []
     numbers = np.divmod(np.arange(space.dim), space.dim_b)  # n_a, n_b
     block = _block(space, np.add(*numbers) if g != 0 else np.arange(space.dim),
-                   flat, vector, jumping)
+                   numbers[0], flat, vector, jumping)
     entries = (block,) if vector else np.divmod(block, space.dim)
 
     # K's diagonal on the basis: each A^dag A is the exact occupation number,
@@ -156,7 +155,7 @@ def liouville_block(state: QuantumState, params: SystemParams, *,
     return entries, y0, rhs
 
 
-def _block(space, label, flat, vector, jumping):
+def _block(space, label, n_a, flat, vector, jumping):
     """Sorted flat indices (r dim + c at row r, column c) of what the
     nonzero entries of a vector, or coordinates of a density matrix, at
     ``flat`` reach under H's hops and the ``jumping`` channels.
@@ -173,20 +172,18 @@ def _block(space, label, flat, vector, jumping):
     every coordinate of the keys reached, listed from the components'
     members, so it never takes memory of size dim**2.
     """
-    dim = space.dim
     size = int(label[-1]) + 1  # the last basis state has the top label
     if vector:
         mask = np.zeros(size, dtype=bool)
         mask[label[flat]] = True
         return np.flatnonzero(mask[label])
-    n_a = np.arange(dim) // space.dim_b
 
     def kind(rows, cols):
         return (rows > cols) ^ (n_a[rows] + n_a[cols]) % 2
 
     # with the modes coupled there are at most 2 size**2 keys (X <= Y,
     # class), so a breadth-first search over them is cheap
-    rows, cols = np.divmod(flat, dim)
+    rows, cols = np.divmod(flat, space.dim)
     x, y = label[rows], label[cols]
     keys = set(zip(np.minimum(x, y).tolist(), np.maximum(x, y).tolist(),
                    kind(rows, cols).tolist()))
@@ -220,7 +217,7 @@ def _block(space, label, flat, vector, jumping):
                      count[y].repeat(span))
     rows = members[first[x].repeat(span) + i]
     cols = members[first[y].repeat(span) + j]
-    block = (rows * dim + cols)[kind(rows, cols) == c.repeat(span)]
+    block = (rows * space.dim + cols)[kind(rows, cols) == c.repeat(span)]
     block.sort()
     return block
 
@@ -231,60 +228,52 @@ def _rows(space, entries, diagonal, g, jumping):
     H's hops on the row, on the column (not for a vector), and each of the
     ``jumping`` channels on both.
 
-    A move changes two of the entry's occupations (n_a, n_b of each axis).
-    Its source is the entry with the move undone; its weight w is g or the
-    rate times the two sqrt(n) factors, each of the larger occupation. A
-    vector's rows are complex. A density row is that of the coordinate
-    x_rc = Re(u rho_rc), u = 1 for r <= c and i for r > c, to which a term
-    w rho_st adds Re(u w) Re rho_st - Im(u w) Im rho_st. One of the two is
-    zero (module docstring), so the term reads Re rho_st, the coordinate at
-    (min, max), with weight Re(u w), or Im rho_st = sign(t - s) x at
-    (max, min), with weight -sign(t - s) Im(u w). On keys of the grid
-    padded by one level on every side, a source outside the truncation is
-    outside the block; a term whose source the block leaves out gets
-    weight 0 and source 0.
+    Each term is (axes moved, move, scale) and reads ``fock._move``'s
+    tables of the inverse move at the entry: its source is the entry with
+    the move undone, its weight w the scale (-ig, ig or the rate) times the
+    sqrt(n) factor of each moved axis, the row's first, and a source
+    outside the truncation gets no term. A vector's rows are complex. A
+    density row is that of the coordinate x_rc = Re(u rho_rc), u = 1 for
+    r <= c and i for r > c, to which a term w rho_st adds
+    Re(u w) Re rho_st - Im(u w) Im rho_st. One of the two is zero (module
+    docstring), so the term reads Re rho_st, the coordinate at (min, max),
+    with weight Re(u w), or Im rho_st = sign(t - s) x at (max, min), with
+    weight -sign(t - s) Im(u w). A term whose source the block leaves out
+    gets weight 0 and source 0.
     """
     hops = [HOP, (-1, 1)] if g != 0 else []
-    # the K term's move is zero: its source is the entry itself
-    pad_a, pad_b = space.dim_a + 2, space.dim_b + 2
-    if len(entries) == 1:
-        moves, radix = [(0, 0)] + hops, (pad_b, 1)
-    else:
-        moves = [(0, 0, 0, 0)] + [m + (0, 0) for m in hops] + \
-            [(0, 0) + m for m in hops] + [ch.move * 2 for ch in jumping]
-        radix = (pad_b * pad_a * pad_b, pad_a * pad_b, pad_b, 1)
-    occupation = np.empty((entries[0].size, 2 * len(entries)), dtype=int)
-    for i, axis in enumerate(entries):
-        np.divmod(axis, space.dim_b, out=(occupation[:, 2 * i],
-                                          occupation[:, 2 * i + 1]))
-    key = (occupation + 1) @ radix
-    source = key[:, None] - [sum(map(mul, m, radix)) for m in moves]
-    # the larger occupation of each mode a move changes: n where it raised
-    # n, n + 1 where it lowered n
-    pick = [i + len(m) * (step < 0) for m in moves[1:]
-            for i, step in enumerate(m) if step]
-    larger = np.concatenate((occupation, occupation + 1), axis=1)[:, pick]
-    roots = np.sqrt(larger)
-    factor = roots[:, ::2] * roots[:, 1::2]
-    nh = len(hops)
-    weights = np.empty(source.shape, dtype=complex)
-    weights[:, 0] = diagonal
-    # the row hops, then the column hops and the jumps of a density block
-    np.multiply(-1j, g * factor[:, :2 * nh], out=weights[:, 1:1 + 2 * nh])
+    terms = [((0,), m, -1j * g) for m in hops]
     if len(entries) == 2:
-        np.conjugate(weights[:, 1 + nh:1 + 2 * nh],
-                     out=weights[:, 1 + nh:1 + 2 * nh])
-        np.multiply(factor[:, 2 * nh:], [ch.rate for ch in jumping],
-                    out=weights[:, 1 + 2 * nh:])
+        terms += [((1,), m, 1j * g) for m in hops] + \
+            [((0, 1), ch.move, ch.rate) for ch in jumping]
+    # the K term's move is zero: its source is the entry itself
+    source = np.repeat(np.stack(entries)[..., None], 1 + len(terms), axis=2)
+    inside = np.ones(source.shape[1:], dtype=bool)
+    weights = np.empty(source.shape[1:], dtype=complex)
+    weights[:, 0] = diagonal
+    for j, (axes, move, scale) in enumerate(terms, 1):
+        target, f, ok = _move(space, (-move[0], -move[1]))
+        factor = 1.0
+        for i in axes:
+            source[i, :, j] = target[entries[i]]
+            factor = factor * f[entries[i]]
+            inside[:, j] &= ok[entries[i]]
+        weights[:, j] = scale * factor
+    if len(entries) == 1:
+        key, source = entries[0], source[0]
+    else:
         weights *= np.where(entries[0] <= entries[1], 1.0, 1j)[:, None]
         real = weights.real != 0.0
-        # s, t are the source's row and column keys; a real term reads the
-        # coordinate at (min, max), an imaginary one the one at (max, min)
-        s, t = np.divmod(source, pad_a * pad_b)
-        source = np.where(real == (s > t), t * pad_a * pad_b + s, source)
+        # a real term reads the coordinate at (min, max), an imaginary one
+        # the one at (max, min); a flat key r dim + c moved past a mode's
+        # edge wraps onto another, so ``inside`` must keep it out
+        s, t = source
+        key = entries[0] * space.dim + entries[1]
+        source = np.where(real == (s > t), t * space.dim + s,
+                          s * space.dim + t)
         weights = np.where(real, weights.real, np.sign(s - t) * weights.imag)
     at = np.minimum(key.searchsorted(source), key.size - 1)
-    hit = key[at] == source
+    hit = inside & (key[at] == source)
     weights[~hit] = 0.0
     return np.where(hit, at, 0), weights
 

@@ -1,4 +1,5 @@
 """Master-equation engine: channels, dissipator identities, evolution."""
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -577,6 +578,39 @@ class TestEvolvedBasisMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+    def test_thermal_block_rows_gather_the_block_and_keep_the_trace(self):
+        # the 4,324 coordinates of the 2e-4 K start, past the 819 that the
+        # entry-by-entry reference of test_liouville_block.py builds
+        cfg = parse_config("state = thermal 2e-4\ntemperature = 2e-4\n"
+                           "engines = lindblad\nallow_lindblad_thermal = true")
+        params = cfg.system_params()
+        state = thermal_density_matrix(params.nbar_a(), params.nbar_b(),
+                                       FockSpace(*cfg.mode_dims()))
+        liouville_block(state, params)  # tabulates fock._move's moves
+        tracemalloc.start()
+        try:
+            entries, y0, rhs = liouville_block(state, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = inspect.getclosurevars(rhs).nonlocals
+        sources, weights = rows["sources"], rows["weights"]
+        m = y0.size
+        assert m == 4324 and sources.shape == weights.shape
+        assert sources.shape[0] == m and sources.shape[1] <= 9
+        assert sources.min() >= 0 and sources.max() < m
+        # d tr(rho)/dt = 0 for every state: each coordinate's weights into
+        # the diagonal rows sum to 0
+        diagonal = entries[0] == entries[1]
+        into_trace = np.bincount(sources[diagonal].ravel(),
+                                 weights[diagonal].ravel(), minlength=m)
+        assert np.abs(into_trace).max() <= 1e-14 * np.abs(weights).max()
+        # the build peaks at ~2.6 MB (numpy 2.4); one (m, 9) table is
+        # 0.3 MB, so a build holding a few more tables than the rows need
+        # crosses the bound
+        assert peak < 3.3e6
 
 
 class TestMomentSystem:

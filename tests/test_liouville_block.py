@@ -5,10 +5,12 @@ under every row hop, column hop and jump, in Python sets, and then writes the
 generator rows one move at a time. On a density matrix it then splits each
 complex row into the real rows of the coordinates, finds the coordinates the
 state reaches by a fixed point over whole sweeps and compacts their rows. The
-block builder closes component pairs and coordinate classes instead and
-writes every move's real rows in one pass. Its entries and initial values
-must come out bit for bit the same, and so must its generator, assembled
-from the rows, whose layout differs.
+block builder closes component pairs and coordinate classes instead, reads
+every term from the same ``fock._move`` tables on flat indices r dim + c,
+where a move past a mode's edge wraps onto another entry unless the
+in-truncation mask drops it, and writes the real rows of all terms at once.
+Its entries and initial values must come out bit for bit the same, and so
+must its generator, assembled from the rows, whose layout differs.
 """
 import inspect
 from dataclasses import replace
