@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Writes the output tree of one source tree: every catalog scenario with
-# --svg, two uncoupled configs and the cold exact and the two adaptive
-# thermal Lindblad configs, each run once with that tree's package.
+# --svg, two uncoupled configs, a 50-sample Fock config and the cold exact
+# and the two adaptive thermal Lindblad configs, each run once with that
+# tree's package.
 # Usage: write-outputs.sh SRC OUT (SRC is a checkout holding src/ptdimer)
 set -eo pipefail
 src=$(cd "$1" && pwd)
@@ -18,6 +19,9 @@ done
 printf '%s\n' 'g = 0' 'state = thermal 293' 'engines = gaussian' \
   > "$conf/uncoupled-thermal.conf"
 printf '%s\n' 'g = 0' 'state = fock 3 2' > "$conf/uncoupled-fock.conf"
+# 50 samples: tables below the digit arithmetic's row bound, written by one
+# `%` call each (every other table here has at least 200 rows)
+printf '%s\n' 'state = fock 3 2' 'samples = 50' > "$conf/sparse.conf"
 # the T > 0 jump path: a block of 204 reached coordinates, propagated
 # exactly
 printf '%s\n' 'state = thermal 6e-5' 'temperature = 6e-5' \
@@ -33,6 +37,6 @@ printf '%s\n' 'state = thermal 1e-4' 'temperature = 1e-4' \
 printf '%s\n' 'state = thermal 2e-4' 'temperature = 2e-4' \
   'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
   'samples = 200' > "$conf/warm.conf"
-for name in uncoupled-thermal uncoupled-fock cold adaptive warm; do
+for name in uncoupled-thermal uncoupled-fock sparse cold adaptive warm; do
   run run --config "$conf/$name.conf" --out "$out/$name" > /dev/null
 done

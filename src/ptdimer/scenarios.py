@@ -433,9 +433,9 @@ def _fmt(value: float) -> str:
 
 
 def _write_lines(lines: list[str], path, rows=()) -> None:
-    """Write the lines, then the byte chunks of ``rows``, to a temporary file
-    beside ``path``, then rename it over ``path``: a reader sees the old file
-    or the new one, never part of one."""
+    """Write the lines, then the bytes-like chunks of ``rows``, to a
+    temporary file beside ``path``, then rename it over ``path``: a reader
+    sees the old file or the new one, never part of one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -450,15 +450,21 @@ def _write_lines(lines: list[str], path, rows=()) -> None:
 # Shorter tables take one `%` call. With the caches flushed between calls, as
 # after an engine run, the digit arithmetic overtook it at ~70 rows of 9
 # columns and ~85 rows of 5 (real fock-light rows; 50 rows took 1.2-1.4x as
-# long, 100 rows 0.75-0.8x, 2000 rows 0.35-0.4x).
+# long, 100 rows 0.75-0.8x, 2000 rows 0.35-0.4x). Since the block build
+# writes one-element cell fields, cold 50-row tables take ~0.9x (9 columns)
+# and ~1.1x (5), but with every table on the digit arithmetic the 50-row
+# sparse-sampling benchmark read `wall_s` +0.8 % (lower in 4 of 8
+# alternating pairs) and `peak_rss_mb` +0.5 % (higher in 8 of 8), so the
+# bound stays.
 _VECTOR_MIN_ROWS = 80
 
 
 def _format_rows(columns):
     """The table of these equal-length columns as CSV rows, each ended by a
-    newline, in byte chunks; 17 significant digits, so floats round-trip
-    exactly. Every cell is ``%.17g`` text: one ``%`` call formats a short
-    table, the exact digit arithmetic of ``ptdimer.digits`` a longer one."""
+    newline, in chunks of bytes or uint8 arrays; 17 significant digits, so
+    floats round-trip exactly. Every cell is ``%.17g`` text: one ``%`` call
+    formats a short table, the exact digit arithmetic of ``ptdimer.digits``
+    a longer one."""
     table = np.column_stack(columns)
     rows, cols = table.shape
     if rows >= _VECTOR_MIN_ROWS:

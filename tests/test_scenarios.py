@@ -539,6 +539,18 @@ class TestWriterFormat:
         self._assert_rows_are_per_value_text(x[:, None])
         self._assert_rows_are_per_value_text(np.resize(x, (len(x) // 4, 4)))
 
+    def test_per_value_slots_then_arithmetic_across_a_block_boundary(self):
+        # a table's sign, leading zero and separators are written once: the
+        # slots that the first block leaves to per-value `%` must format
+        # negative fixed and exponent notation in the second block
+        rng = np.random.default_rng(28)
+        table = rng.normal(size=(BLOCK_ROWS + 2, 4))
+        table[:2] = [[np.nan, -np.inf, 5e-324, 2.0**-25],
+                     [99999999999999990.0, 2.0**-25, np.nan, -np.inf]]
+        table[BLOCK_ROWS:] = [[-1.5e-4, -2.5e20, -0.125, -3e-7],
+                              [-12345.678, -9.75e-29, -7.0, -1.25e17]]
+        self._assert_rows_are_per_value_text(table)
+
     @pytest.mark.parametrize("rows, cols", [
         (1, 9), (1, 1), (_VECTOR_MIN_ROWS - 1, 9), (_VECTOR_MIN_ROWS, 9),
         (_VECTOR_MIN_ROWS, 1), (BLOCK_ROWS + 1, 5)])
@@ -726,6 +738,13 @@ class TestRunScenario:
         assert not list(out.glob("*.csv"))
 
 
+def _package_env():
+    """The environment for a subprocess that imports this ptdimer."""
+    src = str(Path(ptdimer.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestCli:
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
@@ -846,6 +865,18 @@ class TestCli:
         rc = main(["run", "--scenario", "fig1a", "--out", str(blocker)])
         assert rc == 4
 
+    def test_import_and_config_leave_the_digit_tables_unbuilt(self):
+        # `ptdimer.digits` builds its tables at import, so importing the
+        # package and resolving a config must not import it
+        script = ("import sys\n"
+                  "import ptdimer\n"
+                  "ptdimer.catalog_config('fig6a')\n"
+                  "sys.exit('ptdimer.digits' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=_package_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_run_needs_numpy_only(self, tmp_path):
         # a subprocess in which every scipy import fails
         script = (
@@ -861,12 +892,10 @@ class TestCli:
                         "samples = 60\nt_end = 2\n")
         thermal = tmp_path / "thermal.conf"
         thermal.write_text("samples = 60\n")
-        src = str(Path(ptdimer.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", script, str(fock), str(thermal),
-             str(tmp_path / "out")], env=env, capture_output=True, text=True)
+             str(tmp_path / "out")], env=_package_env(), capture_output=True,
+            text=True)
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
             ["custom_comparison.csv", "custom_lindblad.csv",
