@@ -24,11 +24,12 @@ t = 4 in exponent notation; the integer part is d_min(t,4)..d_t, and the
 fraction d_t..d_last, d_last the last nonzero digit, is kept if last > t.
 
 A table is formatted in blocks of rows, each cell of a block in one slot of
-one buffer. The bytes 0, 1, 22 and 47 are written once per table: byte 22 is
-kept only as the point of t = 0, and a cell left to the per-value ``%`` holds
-its text in bytes 23-46, which every block writes again. Each other step
-writes one field of every slot as one element (_FIELDS), or scatters the
-points over the flat buffer, so no numpy loop runs over a short inner axis.
+one buffer. The bytes 0, 1, 22 and 47 are written once per table: the point
+of t = 0 overwrites byte 22, but it is kept only then, and a cell left to
+the per-value ``%`` holds its text in bytes 23-46, which every block writes
+again. Each other step writes one field of every slot as one element
+(_FIELDS), or scatters the points over the flat buffer, so no numpy loop
+runs over a short inner axis.
 """
 
 from __future__ import annotations
