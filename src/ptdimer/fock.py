@@ -22,7 +22,7 @@ from .params import SystemParams
 
 # the largest thermal tail weight a truncation discards, and the largest
 # population the top Fock level of a mode may hold before a run warns of
-# truncation leakage (``observables.ObservableOps.leakage_warnings``)
+# truncation leakage (``observables.ObservableTrajectory``)
 TAIL_TOL = 1e-6
 
 

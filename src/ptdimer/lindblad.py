@@ -312,8 +312,7 @@ def evolve_density(state0: QuantumState, params: SystemParams,
     ops = ObservableOps(state0.space, entries, params.gamma_a, params.gamma_b)
     return ObservableTrajectory(
         "lindblad", params.omega_b, sol.times,
-        **ops.record_from_density(sol.states), stats=sol.stats,
-        warnings=ops.leakage_warnings(sol.times, sol.states), atol=atol)
+        **ops.record_from_density(sol.states), stats=sol.stats, atol=atol)
 
 
 def moment_rhs(m, params: SystemParams):

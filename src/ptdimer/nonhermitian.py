@@ -59,7 +59,6 @@ def evolve_nonhermitian(state0: QuantumState, params: SystemParams,
     kept = under[0] if under.size else len(sol.times)
     warnings = [f"norm underflow at t={sol.times[kept]:.6e}; trajectory "
                 f"truncated"] if under.size else []
-    warnings += ops.leakage_warnings(sol.times[:kept], sol.states[:kept])
     return ObservableTrajectory(
         "nonhermitian", params.omega_b, sol.times[:kept],
         **{name: col[:kept] for name, col in cols.items()}, stats=sol.stats,

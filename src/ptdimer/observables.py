@@ -5,10 +5,12 @@ renormalized occupations divide by the total <N> so that n_a + n_b = 1. A
 trajectory holds one array per observable with one entry per sample: the raw
 moments, the state weight (trace or squared norm) and, for the non-Hermitian
 engine, the quartic loss moments entering the occupation ODEs. The recorders
-turn an engine's whole stack of sampled entries into these columns in one
-call, through one linear readout (``ObservableOps``); their sanity checks
-raise FloatingPointError. A trajectory warns where the renormalized ratios are
-undefined (<N> <= 0) or may be made of numerical error (0 < <N> < atol).
+turn an engine's whole stack of sampled entries into these columns, and the
+top-level population, in one call through one linear readout
+(``ObservableOps``); their sanity checks raise FloatingPointError. A
+trajectory warns of truncation leakage (top-level population > TAIL_TOL),
+and where the renormalized ratios are undefined (<N> <= 0) or may be made of
+numerical error (0 < <N> < atol).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class ObservableTrajectory:
     weight: np.ndarray
     quartic_a: np.ndarray | None = None
     quartic_b: np.ndarray | None = None
+    top: np.ndarray | None = None  # top-level population; None off Fock
     stats: IntegratorStats | None = None
     warnings: list[str] = field(default_factory=list)
     atol: float = 0.0  # integrator atol: positive <N> below it is flagged
@@ -58,6 +61,10 @@ class ObservableTrajectory:
     def __post_init__(self) -> None:
         self.n_a, self.n_b, self.g1 = renormalized_ratios(
             self.n_a_raw, self.n_b_raw, self.coherence)
+        if self.top is not None and np.any(self.top > TAIL_TOL):
+            k = int(np.argmax(self.top))
+            self.warnings.append(f"truncation leakage: top-level population "
+                                 f"{self.top[k]:.3e} at t={self.times[k]:.6e}")
         total = self.n_a_raw + self.n_b_raw
         for what, bad in (
                 (f"loss of significance: 0 < <N> < atol={self.atol:.1e}",
@@ -126,15 +133,16 @@ class ObservableOps:
 
     One table (d, 6) holds, per held population: n_a, n_b, 1 (the weight),
     the quartics n_a L and n_b L with L = gamma_a n_a + gamma_b n_b, and 1 on
-    the top Fock level of either mode (the leakage check). A vector stack
-    reads |psi|^2 @ table, and <c^dag d> as a quadratic form. A density stack
-    is linear in its coordinates x and reads every column as x @ R, R (m, 8)
-    being the table at the diagonal coordinates, then Re and Im <c^dag d>.
+    the top Fock level of either mode (``top``, for the trajectory's leakage
+    check). A vector stack reads |psi|^2 @ table, and <c^dag d> as a
+    quadratic form. A density stack is linear in its coordinates x and reads
+    every column as x @ R, R (m, 8) being the table at the diagonal
+    coordinates, then Re and Im <c^dag d>. An engine's one recorder call is
+    the only read of its sampled stack.
     """
 
     def __init__(self, space: FockSpace, entries, gamma_a: float = 0.0,
                  gamma_b: float = 0.0) -> None:
-        self._entries = entries
         first = entries[0]
         hop = _move(space, HOP)
         diag = np.arange(first.size) if len(entries) == 1 \
@@ -163,59 +171,42 @@ class ObservableOps:
         # coordinate not held is 0
         real = np.flatnonzero(inside[rows] & (target[rows] == cols))
         imag = np.flatnonzero(inside[cols] & (target[cols] == rows))
-        self._diag = diag  # for the scale of the negative-occupation check
         self._readout = np.zeros((rows.size, 8))
         self._readout[diag, :6] = table
         self._readout[real, 6] = factor[rows[real]]
         self._readout[imag, 7] = factor[cols[imag]]
 
-    def leakage_warnings(self, times, states) -> list[str]:
-        """Truncation-leakage warning of a run, if any.
-
-        ``states`` is the stack of states sampled at ``times``. Warns once the
-        top Fock level of either mode holds more than ``TAIL_TOL``, naming the
-        largest such population and the first time it occurs.
-        """
-        pops = np.abs(states) ** 2 if len(self._entries) == 1 else states
-        leaks = pops @ self._readout[:, 5]
-        if not leaks.size or leaks.max() <= TAIL_TOL:
-            return []
-        k = int(np.argmax(leaks))
-        return [f"truncation leakage: top-level population "
-                f"{leaks[k]:.3e} at t={times[k]:.6e}"]
-
     # -- stack recorders ---------------------------------------------------
 
     def record_from_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a Lindblad density stack (coordinates); no quartics."""
-        scale = np.abs(rhos[:, self._diag]).sum(axis=1)
-        return self._columns(rhos @ self._readout, np.maximum(1.0, scale),
-                             quartics=False)
+        return self._columns(rhos @ self._readout, quartics=False)
 
     def record_from_pure(self, psis: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a state-vector stack, with quartics."""
-        reads = np.abs(psis) ** 2 @ self._readout
         target, source = self._hop
         hop = (psis[:, target].conj() * psis[:, source]) @ self._hop_data
-        return self._columns(reads, np.maximum(1.0, reads[:, 2]), hop)
+        return self._columns(np.abs(psis) ** 2 @ self._readout, hop)
 
     def record_from_nh_density(self, rhos: np.ndarray) -> dict[str, np.ndarray]:
         """Columns of a non-Hermitian density stack (coordinates), with
         quartics."""
-        reads = rhos @ self._readout
-        return self._columns(reads, np.maximum(1.0, np.abs(reads[:, 2])))
+        return self._columns(rhos @ self._readout)
 
     @staticmethod
-    def _columns(reads, scale, coherence=None,
+    def _columns(reads, coherence=None,
                  quartics: bool = True) -> dict[str, np.ndarray]:
         """Columns from a stack's readout (S, 6) or (S, 8), the raw
-        occupations checked against a per-sample floor of -1e-10 * scale;
-        <c^dag d> from the readout's last two columns if not given."""
+        occupations checked against a per-sample floor of
+        -1e-10 max(1, |weight|); <c^dag d> from the readout's last two
+        columns if not given."""
         # each column its own array: views would keep the whole readout alive
         # with the trajectory, which slowed the CSV writing that follows
         # (perfbench fock-light, ~8 %)
-        x, y, weight, quartic_a, quartic_b = (c.copy() for c in reads[:, :5].T)
-        bad = np.flatnonzero((x < -1e-10 * scale) | (y < -1e-10 * scale))
+        x, y, weight, quartic_a, quartic_b, top = (c.copy()
+                                                   for c in reads[:, :6].T)
+        floor = -1e-10 * np.maximum(1.0, np.abs(weight))
+        bad = np.flatnonzero((x < floor) | (y < floor))
         if bad.size:
             i = bad[0]
             raise FloatingPointError(f"raw occupation negative beyond "
@@ -223,7 +214,7 @@ class ObservableOps:
         if coherence is None:
             coherence = reads[:, 6:].copy().view(complex)[:, 0]
         cols = {"n_a_raw": x, "n_b_raw": y, "coherence": coherence,
-                "weight": weight}
+                "weight": weight, "top": top}
         if quartics:
             cols["quartic_a"], cols["quartic_b"] = quartic_a, quartic_b
         return cols

@@ -387,7 +387,8 @@ class ComparisonReport:
     deviations: dict[str, dict[str, np.ndarray]]
     max_deviation: dict[str, float]
     l2_deviation: dict[str, float]
-    leakage_warnings: list[str] = field(default_factory=list)
+    # every warning of every engine, each prefixed by the engine's name
+    warnings: list[str] = field(default_factory=list)
 
 
 def compare_trajectories(trajs: list[ObservableTrajectory], params: SystemParams,
@@ -421,9 +422,10 @@ def compare_trajectories(trajs: list[ObservableTrajectory], params: SystemParams
         stacked = np.concatenate([d["n_a"], d["n_b"], d["g1"]])
         max_dev[traj.engine] = float(stacked.max())
         l2_dev[traj.engine] = float(np.sqrt(np.mean(stacked**2)))
-    leaks = [f"{t.engine}: {w}" for t in trajs for w in t.warnings]
+    warnings = [f"{t.engine}: {w}" for t in trajs for w in t.warnings]
     return ComparisonReport(scenario, reference, times.copy(), ref.omega_b,
-                            params.regime(), deviations, max_dev, l2_dev, leaks)
+                            params.regime(), deviations, max_dev, l2_dev,
+                            warnings)
 
 
 # ------------------------------------------------------------------ output --
@@ -494,8 +496,8 @@ def write_comparison(report: ComparisonReport, path) -> None:
     for eng in engines:
         lines.append(f"# max_deviation[{eng}]: {_fmt(report.max_deviation[eng])}")
         lines.append(f"# l2_deviation[{eng}]: {_fmt(report.l2_deviation[eng])}")
-    if report.leakage_warnings:
-        for w in report.leakage_warnings:
+    if report.warnings:
+        for w in report.warnings:
             lines.append(f"# warning: {w}")
     else:
         lines.append("# warnings: none")

@@ -282,7 +282,8 @@ class TestReachableSubspace:
         whole = np.divmod(np.arange(dim * dim), dim)
         ref = ObservableOps(self.space, whole, GAMMA_A, GAMMA_B) \
             .record_from_density(hermitian_coordinates(states, whole))
-        assert set(ref) == {"n_a_raw", "n_b_raw", "coherence", "weight"}
+        assert set(ref) == {"n_a_raw", "n_b_raw", "coherence", "weight",
+                            "top"}
         for name, col in ref.items():
             assert np.abs(getattr(traj, name) - col).max() < 1e-12, name
 

@@ -9,12 +9,13 @@ from ptdimer import (
     evolve_density,
     evolve_nonhermitian,
     fock_product_state,
+    mode_annihilator,
     noon_state,
     occupation_ode_residual,
     renormalized_observables,
 )
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, ROOM_T, \
-    make_params, sampled_states
+    make_params, random_density, sampled_states
 
 
 def _single_excitation_block(g):
@@ -136,8 +137,25 @@ class TestRenormalizedObservables:
 
     def test_vacuum_rejected(self):
         space = FockSpace(2, 2)
-        with pytest.raises(ValueError):
-            renormalized_observables(fock_product_state(0, 0, space))
+        vacuum = fock_product_state(0, 0, space)
+        # as a vector and as a density matrix
+        for state in (vacuum, QuantumState(space, vacuum.density())):
+            with pytest.raises(ValueError, match="undefined"):
+                renormalized_observables(state)
+
+    def test_density_matrix_matches_dense_traces(self):
+        # unequal mode dimensions catch a row/column swap in <c^dag d>
+        space = FockSpace(3, 4)
+        rho = random_density(np.random.default_rng(11), space.dim)
+        c = mode_annihilator("a", space)
+        d = mode_annihilator("b", space)
+        x, y, z = (np.trace(op @ rho) for op in
+                   (c.conj().T @ c, d.conj().T @ d, c.conj().T @ d))
+        total = (x + y).real
+        n_a, n_b, g1 = renormalized_observables(QuantumState(space, rho))
+        assert n_a == pytest.approx(x.real / total, rel=1e-13)
+        assert n_b == pytest.approx(y.real / total, rel=1e-13)
+        assert g1 == pytest.approx(z / total, rel=1e-13)
 
 
 class TestNormUnderflow:
@@ -154,6 +172,27 @@ class TestNormUnderflow:
         assert len(traj.times) == kept
         assert any("underflow" in w for w in traj.warnings)
         assert traj.weight.min() >= 1e-300
+
+    def test_warning_order(self):
+        # |1,0> starts on the top level of FockSpace(2, 2): the underflow
+        # warning comes first, then the leakage at t = 0 read on the kept
+        # prefix, then the trajectory's own loss-of-significance check
+        space = FockSpace(2, 2)
+        psi = np.zeros(space.dim, dtype=complex)
+        psi[space.index(1, 0)] = 1.0
+        times = np.linspace(0.0, 1000.0 / GAMMA_A, 30)
+        traj = evolve_nonhermitian(QuantumState(space, psi),
+                                   make_params(g=0.0), times, atol=1e-160)
+        kept = len(traj.times)
+        total = traj.n_a_raw + traj.n_b_raw
+        low = np.flatnonzero((total > 0) & (total < 1e-160))
+        assert 0 < kept < 30 and low.size
+        assert traj.warnings == [
+            f"norm underflow at t={times[kept]:.6e}; trajectory truncated",
+            "truncation leakage: top-level population 1.000e+00 at "
+            "t=0.000000e+00",
+            f"loss of significance: 0 < <N> < atol=1.0e-160 at {low.size} "
+            f"samples, first at t={times[low[0]]:.6e}"]
 
 
 class TestTruncationLeakage:

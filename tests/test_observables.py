@@ -11,8 +11,8 @@ from conftest import GAMMA_A, make_params, random_density
 
 
 def _dense_ops(space, gamma_a, gamma_b):
-    """Dense operators of every recorded column, and of the top-level
-    population the leakage check reads."""
+    """Dense operators of every recorded column, the top-level population
+    that the leakage check reads among them."""
     c = mode_annihilator("a", space)
     d = mode_annihilator("b", space)
     n_a, n_b = c.conj().T @ c, d.conj().T @ d
@@ -38,12 +38,13 @@ class TestStackRecorders:
     times = np.linspace(0.0, 1.0, 5)
 
     def _check(self, ops, recorder, states, expectation):
-        """Every column ``recorder`` returns, and the leakage warning, against
-        ``expectation`` (a dense operator -> one value per sample)."""
+        """Every column ``recorder`` returns, and the leakage warning of the
+        trajectory built from them, against ``expectation`` (a dense operator
+        -> one value per sample)."""
         oracle = {name: expectation(op) for name, op
                   in _dense_ops(self.space, *self.gammas).items()}
         cols = getattr(ops, recorder)(states)
-        assert set(cols) == set(oracle) - {"top"} - (
+        assert set(cols) == set(oracle) - (
             {"quartic_a", "quartic_b"} if recorder == "record_from_density"
             else set())
         for name, got in cols.items():
@@ -53,7 +54,8 @@ class TestStackRecorders:
         top = oracle["top"].real
         k = int(np.argmax(top))
         assert top[k] > TAIL_TOL
-        assert ops.leakage_warnings(self.times, states) == [
+        traj = ObservableTrajectory("test", 1.0, self.times, **cols)
+        assert traj.warnings == [
             f"truncation leakage: top-level population {top[k]:.3e} at "
             f"t={self.times[k]:.6e}"]
 
