@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Writes the output tree of one source tree: every catalog scenario with
-# --svg, two uncoupled configs, a 50-sample Fock config and the cold exact
-# and the two adaptive thermal Lindblad configs, each run once with that
-# tree's package.
+# --svg, two uncoupled configs, a 50-sample Fock config, the cold exact and
+# the two adaptive thermal Lindblad configs and a pumped config, each run
+# once with that tree's package.
 # Usage: write-outputs.sh SRC OUT (SRC is a checkout holding src/ptdimer)
 set -eo pipefail
 src=$(cd "$1" && pwd)
@@ -37,6 +37,11 @@ printf '%s\n' 'state = thermal 1e-4' 'temperature = 1e-4' \
 printf '%s\n' 'state = thermal 2e-4' 'temperature = 2e-4' \
   'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
   'samples = 200' > "$conf/warm.conf"
-for name in uncoupled-thermal uncoupled-fock sparse cold adaptive warm; do
+# the pump sets g = g0*|alpha| at the red sideband (1.27e-2 omega_b, PT
+# phase); last, so that a tree whose config layer rejects the pump keys
+# still writes every other file
+printf '%s\n' 'g0 = 100' 'pump_amplitude = 6.4e10' 'state = fock 1 0' \
+  > "$conf/pump.conf"
+for name in uncoupled-thermal uncoupled-fock sparse cold adaptive warm pump; do
   run run --config "$conf/$name.conf" --out "$out/$name" > /dev/null
 done

@@ -24,8 +24,8 @@ from .ode import IntegrationFailure, IntegratorStats, OdeProblem, Trajectory, \
     integrate_adaptive, integrate_fixed, step_embedded
 from .params import Phase, Regime, SystemParams, classify_regime, \
     dimer_mode_eigenvalues, enhanced_coupling, gamma_contrast, pt_spectrum, \
-    red_sideband_pump_frequency, slowest_decay_rate, steady_state_amplitudes, \
-    thermal_occupation
+    pump_coupling, red_sideband_pump_frequency, slowest_decay_rate, \
+    steady_state_amplitudes, thermal_occupation
 from .scenarios import ComparisonReport, ConfigError, ScenarioConfig, \
     catalog_config, compare_trajectories, parse_config, run_scenario, \
     scenario_ids, write_csv, write_svg
@@ -49,8 +49,8 @@ __all__ = [
     "integrate_adaptive", "integrate_fixed", "step_embedded",
     "Phase", "Regime", "SystemParams", "classify_regime",
     "dimer_mode_eigenvalues", "enhanced_coupling", "gamma_contrast",
-    "pt_spectrum", "red_sideband_pump_frequency", "slowest_decay_rate",
-    "steady_state_amplitudes", "thermal_occupation",
+    "pt_spectrum", "pump_coupling", "red_sideband_pump_frequency",
+    "slowest_decay_rate", "steady_state_amplitudes", "thermal_occupation",
     "ComparisonReport", "ConfigError", "ScenarioConfig", "catalog_config",
     "compare_trajectories", "parse_config", "run_scenario", "scenario_ids",
     "write_csv", "write_svg",

@@ -92,6 +92,8 @@ def _cmd_list() -> int:
 def _cmd_classify(args) -> int:
     if args.g < 0 or args.gamma_a < 0 or args.gamma_b < 0:
         raise ConfigError("rates must be nonnegative")
+    if args.omega_b <= 0:
+        raise ConfigError("--omega-b must be positive")
     contrast = gamma_contrast(args.gamma_a, args.gamma_b)
     regime = classify_regime(args.g, contrast, args.tol)
     lam_p, lam_m = pt_spectrum(args.g, contrast)

@@ -94,21 +94,24 @@ def classify_regime(g: float, contrast: float, tol: float = 1e-9) -> Regime:
     return Regime(phase, gap)
 
 
-def _alpha_amplitude(omega_a: float, omega_p: float, gamma_a: float,
-                     pump_amplitude: float) -> complex:
-    den = (omega_a - omega_p) - 0.5j * gamma_a
-    if den == 0:
+def steady_state_amplitudes(omega_a: float, omega_b: float, gamma_a: float,
+                            gamma_b: float, g0: float, pump_amplitude: float,
+                            omega_p: float) -> tuple[complex, complex]:
+    """Semiclassical pump steady state (alpha, beta).
+
+    alpha = -i*Omega / (2[(omega_a - omega_p) - i*gamma_a/2]) and
+    beta = -g0*|alpha|^2 / (omega_b - i*gamma_b/2), with Omega the
+    ``pump_amplitude``.
+    """
+    den_a = (omega_a - omega_p) - 0.5j * gamma_a
+    if den_a == 0:
         raise ZeroDivisionError(
             "pump steady state is singular: undamped cavity driven on resonance")
-    return -1j * pump_amplitude / (2.0 * den)
-
-
-def _beta_amplitude(omega_b: float, gamma_b: float, g0: float,
-                    alpha: complex) -> complex:
-    den = omega_b - 0.5j * gamma_b
-    if den == 0:
+    den_b = omega_b - 0.5j * gamma_b
+    if den_b == 0:
         raise ZeroDivisionError("pump steady state is singular: omega_b = gamma_b = 0")
-    return -g0 * abs(alpha) ** 2 / den
+    alpha = -1j * pump_amplitude / (2.0 * den_a)
+    return alpha, -g0 * abs(alpha) ** 2 / den_b
 
 
 def red_sideband_pump_frequency(omega_a: float, omega_b: float, gamma_a: float,
@@ -123,8 +126,8 @@ def red_sideband_pump_frequency(omega_a: float, omega_b: float, gamma_a: float,
     omega_p = omega_a - omega_b
     alpha = beta = 0j
     for _ in range(max_iter):
-        a_new = _alpha_amplitude(omega_a, omega_p, gamma_a, pump_amplitude)
-        b_new = _beta_amplitude(omega_b, gamma_b, g0, a_new)
+        a_new, b_new = steady_state_amplitudes(
+            omega_a, omega_b, gamma_a, gamma_b, g0, pump_amplitude, omega_p)
         da = abs(a_new - alpha) <= rel_tol * max(abs(a_new), abs(alpha), 1e-300)
         db = abs(b_new - beta) <= rel_tol * max(abs(b_new), abs(beta), 1e-300)
         alpha, beta = a_new, b_new
@@ -135,24 +138,32 @@ def red_sideband_pump_frequency(omega_a: float, omega_b: float, gamma_a: float,
                        f"within {max_iter} iterations")
 
 
+def pump_coupling(omega_a: float, omega_b: float, gamma_a: float,
+                  gamma_b: float, g0: float, pump_amplitude: float,
+                  omega_p: float | None = None) -> float:
+    """Pump-enhanced coupling g = g0*|alpha| of the steady state driven at
+    ``omega_p``, or at the red sideband when ``omega_p`` is None."""
+    if g0 < 0 or pump_amplitude < 0:
+        raise ValueError("g0 and pump_amplitude must be nonnegative")
+    if omega_p is None:
+        omega_p = red_sideband_pump_frequency(omega_a, omega_b, gamma_a,
+                                              gamma_b, g0, pump_amplitude)
+    alpha, _ = steady_state_amplitudes(omega_a, omega_b, gamma_a, gamma_b, g0,
+                                       pump_amplitude, omega_p)
+    return enhanced_coupling(g0, alpha)
+
+
 @dataclass(frozen=True)
 class SystemParams:
-    """Rates and frequencies of the lossy two-mode dimer (all rad/s).
-
-    The beam-splitter coupling may be supplied directly as ``g`` or derived
-    from the pump layer via ``g0`` and ``pump_amplitude`` (with ``omega_p``
-    resolved to the red sideband when absent). Supplying both is allowed only
-    when consistent.
-    """
+    """Rates, frequencies and the beam-splitter coupling ``g`` of the lossy
+    dimer (all rad/s). A pump-enhanced coupling comes from
+    :func:`pump_coupling`."""
 
     omega_a: float
     omega_b: float
     gamma_a: float
     gamma_b: float
-    g: float | None = None
-    g0: float | None = None
-    pump_amplitude: float | None = None
-    omega_p: float | None = None
+    g: float
     temperature: float = 0.0
     classify_tol: float = 1e-9
 
@@ -165,25 +176,8 @@ class SystemParams:
             raise ValueError("temperature must be nonnegative")
         if self.classify_tol <= 0:
             raise ValueError("classify_tol must be positive")
-        driven = self.g0 is not None and self.pump_amplitude is not None
-        if self.g is None and not driven:
-            raise ValueError("supply g directly, or both g0 and pump_amplitude")
-        if driven:
-            if self.g0 < 0 or self.pump_amplitude < 0:
-                raise ValueError("g0 and pump_amplitude must be nonnegative")
-            if self.omega_p is None:
-                object.__setattr__(self, "omega_p", red_sideband_pump_frequency(
-                    self.omega_a, self.omega_b, self.gamma_a, self.gamma_b,
-                    self.g0, self.pump_amplitude))
-            alpha, _ = steady_state_amplitudes(self)
-            derived = enhanced_coupling(self.g0, alpha)
-            if self.g is None:
-                object.__setattr__(self, "g", derived)
-            elif not math.isclose(self.g, derived, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError(
-                    f"inconsistent coupling: g={self.g} but g0*|alpha|={derived}")
-        if self.g < 0:
-            raise ValueError("coupling must be nonnegative")
+        if self.g is None or self.g < 0:
+            raise ValueError("coupling g must be given and nonnegative")
 
     def contrast(self) -> float:
         return gamma_contrast(self.gamma_a, self.gamma_b)
@@ -199,21 +193,6 @@ class SystemParams:
     def nbar_b(self) -> float:
         """Bath occupation of mode b at ``temperature``."""
         return thermal_occupation(self.omega_b, self.temperature)
-
-
-def steady_state_amplitudes(params: SystemParams) -> tuple[complex, complex]:
-    """Semiclassical pump steady state (alpha, beta).
-
-    alpha = -i*Omega / (2[(omega_a - omega_p) - i*gamma_a/2]) and
-    beta = -g0*|alpha|^2 / (omega_b - i*gamma_b/2). Requires the pump layer
-    (g0, pump_amplitude, omega_p) to be present on ``params``.
-    """
-    if params.g0 is None or params.pump_amplitude is None:
-        raise ValueError("steady_state_amplitudes requires g0 and pump_amplitude")
-    alpha = _alpha_amplitude(params.omega_a, params.omega_p, params.gamma_a,
-                             params.pump_amplitude)
-    beta = _beta_amplitude(params.omega_b, params.gamma_b, params.g0, alpha)
-    return alpha, beta
 
 
 def dimer_mode_eigenvalues(params: SystemParams) -> tuple[complex, complex]:

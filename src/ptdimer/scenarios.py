@@ -22,7 +22,8 @@ from .fock import FockSpace, fock_product_state, noon_state, \
     thermal_density_matrix, thermal_truncation_dim, truncation_dim
 from .observables import ObservableTrajectory
 from .ode import IntegrationFailure
-from .params import Regime, SystemParams, slowest_decay_rate, thermal_occupation
+from .params import Regime, SystemParams, pump_coupling, slowest_decay_rate, \
+    thermal_occupation
 
 # experimental parameter set (rad/s)
 OMEGA_A = 1.02e10
@@ -34,6 +35,9 @@ ENGINES = ("lindblad", "nonhermitian", "gaussian")
 # numerical failures of a run: exit code 3 and a .partial marker
 NUMERICAL_FAILURES = (IntegrationFailure, FloatingPointError, np.linalg.LinAlgError)
 _SECTIONS = {"scenario", "params", "initial", "grid", "numerics", "output"}
+
+# the kinds of coupling, of which a config sets at most one
+_COUPLINGS = (("g",), ("g_over_omega_b",), ("g0", "pump_amplitude", "omega_p"))
 
 _CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
 
@@ -69,8 +73,18 @@ class ScenarioConfig:
     allow_lindblad_thermal: bool = False
 
     def coupling(self) -> float:
+        """g, else the pump's g0*|alpha| (:func:`pump_coupling`), else
+        g_over_omega_b * omega_b, with the ratio 1.33e-2 when none is set."""
         if self.g is not None:
             return self.g
+        if self.g0 is not None:
+            try:
+                return pump_coupling(self.omega_a, self.omega_b, self.gamma_a,
+                                     self.gamma_b, self.g0,
+                                     self.pump_amplitude, self.omega_p)
+            except (RuntimeError, ZeroDivisionError) as exc:
+                raise ConfigError("no coupling from the pump keys g0, "
+                                  f"pump_amplitude, omega_p: {exc}") from None
         ratio = 1.33e-2 if self.g_over_omega_b is None else self.g_over_omega_b
         return ratio * self.omega_b
 
@@ -82,9 +96,7 @@ class ScenarioConfig:
         return SystemParams(
             omega_a=self.omega_a, omega_b=self.omega_b,
             gamma_a=self.gamma_a, gamma_b=self.gamma_b,
-            g=self.coupling(), g0=self.g0,
-            pump_amplitude=self.pump_amplitude, omega_p=self.omega_p,
-            temperature=self.temperature, classify_tol=1e-3)
+            g=self.coupling(), temperature=self.temperature, classify_tol=1e-3)
 
     def sample_times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end / self.gamma_a, self.samples)
@@ -272,8 +284,14 @@ def _parse_lines(text: str) -> dict[str, object]:
 
 
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    if cfg.g is not None and cfg.g_over_omega_b is not None:
-        raise ConfigError("give either g or g_over_omega_b, not both")
+    named = [[k for k in kind if getattr(cfg, k) is not None]
+             for kind in _COUPLINGS]
+    if sum(map(bool, named)) > 1:
+        kinds = " and ".join("+".join(keys) for keys in named if keys)
+        raise ConfigError(f"set one kind of coupling, not both {kinds}")
+    if named[2] and (cfg.g0 is None or cfg.pump_amplitude is None):
+        raise ConfigError("a pump needs both g0 and pump_amplitude, got only "
+                          + ", ".join(named[2]))
     if cfg.gamma_a <= 0:
         raise ConfigError("scenario runs need gamma_a > 0 (t_end is in 1/gamma_a)")
     if cfg.t_end <= 0:
@@ -305,17 +323,17 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(
                 "thermal states run on the gaussian engine; set "
                 "allow_lindblad_thermal = true for a truncated Lindblad run")
+    cfg.coupling()  # a pump without a steady state fails here
     return cfg
 
 
 def _merge_layer(cfg: ScenarioConfig, layer: dict) -> ScenarioConfig:
-    # an explicit coupling on either axis replaces lower-precedence settings
-    # on the other; a single layer naming both axes survives to _validate
-    if ("g" in layer) != ("g_over_omega_b" in layer):
-        if "g" in layer:
-            cfg = replace(cfg, g_over_omega_b=None)
-        else:
-            cfg = replace(cfg, g=None)
+    # a layer that names one kind of coupling clears the other kinds of
+    # lower-precedence layers; a layer naming two survives to _validate
+    named = [kind for kind in _COUPLINGS if layer.keys() & set(kind)]
+    if len(named) == 1:
+        cfg = replace(cfg, **{k: None for kind in _COUPLINGS
+                              if kind is not named[0] for k in kind})
     return replace(cfg, **layer) if layer else cfg
 
 

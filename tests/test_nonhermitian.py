@@ -6,14 +6,17 @@ from scipy.linalg import expm
 from ptdimer import (
     FockSpace,
     QuantumState,
+    catalog_config,
     evolve_density,
     evolve_nonhermitian,
     fock_product_state,
+    lossy_hamiltonian,
     mode_annihilator,
     noon_state,
     occupation_ode_residual,
     renormalized_observables,
 )
+from ptdimer.scenarios import _initial_state, run_engine
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, ROOM_T, \
     make_params, random_density, sampled_states
 
@@ -113,6 +116,41 @@ class TestMixedStates:
         assert np.abs(pure.weight - mixed.weight).max() < 1e-9
         assert np.abs(pure.n_a_raw - mixed.n_a_raw).max() < 1e-9
         assert np.abs(pure.g1 - mixed.g1).max() < 1e-9
+
+
+class TestLateTimeAccuracy:
+    """The renormalized columns of catalog runs where the squared norm has
+    fallen to 4e-6-8e-6, against exp(-i H_L t) psi0 on the start's
+    excitation-number slice (scipy's expm of the dense H_L).
+
+    Against a 40-digit mpmath reference, the last ten samples of fig2d are
+    1.5e-14 off in the engine and 1.4e-14 in this reference; they are
+    2.4e-14 apart. The same runs evolved as the projector psi psi^dag
+    (``evolve_nonhermitian`` on ``psi.density()``) are 9.2e-14 (fig2a) to
+    2.5e-13 (fig2d) away from this reference, so the bound holds only for
+    the pure-vector path.
+    """
+
+    @pytest.mark.parametrize("sid", ["fig2a", "fig2d", "fig4d"])
+    def test_renormalized_tail_matches_expm(self, sid):
+        cfg = catalog_config(sid)
+        space = FockSpace(*cfg.mode_dims())
+        psi0 = _initial_state(cfg, space).data
+        n_a, n_b = space.number_diagonals()
+        quanta = n_a + n_b
+        keep = np.flatnonzero(quanta == quanta[np.argmax(np.abs(psi0))])
+        h = lossy_hamiltonian(cfg.system_params(), space)[np.ix_(keep, keep)]
+        hop = (mode_annihilator("a", space).conj().T
+               @ mode_annihilator("b", space))[np.ix_(keep, keep)]
+        traj = run_engine("nonhermitian", cfg)
+        assert 4e-6 < traj.weight[-1] < traj.weight[-10] < 8e-6
+        for i in range(len(traj.times) - 10, len(traj.times)):
+            psi = expm(-1j * h * traj.times[i]) @ psi0[keep]
+            pop = np.abs(psi) ** 2
+            total = pop @ quanta[keep]
+            assert abs(traj.n_a[i] - pop @ n_a[keep] / total) < 4e-14
+            assert abs(traj.n_b[i] - pop @ n_b[keep] / total) < 4e-14
+            assert abs(traj.g1[i] - psi.conj() @ hop @ psi / total) < 4e-14
 
 
 class TestRenormalizedObservables:

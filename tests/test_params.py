@@ -13,6 +13,7 @@ from ptdimer import (
     enhanced_coupling,
     gamma_contrast,
     pt_spectrum,
+    pump_coupling,
     red_sideband_pump_frequency,
     slowest_decay_rate,
     steady_state_amplitudes,
@@ -24,6 +25,16 @@ from conftest import (
 )
 
 HBAR_OVER_KB = 1.0545718176461565e-34 / 1.380649e-23
+
+
+def amplitudes(g0, pump_amplitude, omega_p, gamma_b=GAMMA_B):
+    return steady_state_amplitudes(OMEGA_A, OMEGA_B, GAMMA_A, gamma_b, g0,
+                                   pump_amplitude, omega_p)
+
+
+def coupling(g0, pump_amplitude, omega_p=None, gamma_a=GAMMA_A):
+    return pump_coupling(OMEGA_A, OMEGA_B, gamma_a, GAMMA_B, g0,
+                         pump_amplitude, omega_p)
 
 
 class TestThermalOccupation:
@@ -63,15 +74,12 @@ class TestThermalOccupation:
 
 class TestSemiclassicalAmplitudes:
     def test_no_drive_gives_zero(self):
-        p = make_params(g=0.0, g0=0.0, pump_amplitude=0.0, omega_p=OMEGA_A)
-        assert steady_state_amplitudes(p) == (0j, 0j)
+        assert amplitudes(0.0, 0.0, OMEGA_A) == (0j, 0j)
 
     def test_resonant_drive_closed_form(self):
         # on resonance and without backaction the cavity amplitude reduces to
         # -i*Omega / (2 * (-i*gamma_a/2)) = Omega/gamma_a, real
-        p = make_params(g=0.0, g0=0.0, pump_amplitude=2.0 * GAMMA_A,
-                        omega_p=OMEGA_A)
-        alpha, beta = steady_state_amplitudes(p)
+        alpha, beta = amplitudes(0.0, 2.0 * GAMMA_A, OMEGA_A)
         expected = -1j * (2.0 * GAMMA_A) / (2.0 * (-0.5j * GAMMA_A))
         assert alpha == pytest.approx(expected, rel=1e-12)
         assert alpha == pytest.approx(2.0 + 0j, rel=1e-12)
@@ -80,17 +88,14 @@ class TestSemiclassicalAmplitudes:
     def test_static_shift_sign(self):
         # for real cavity amplitude and negligible mechanical loss the static
         # displacement -g0|alpha|^2/omega_b is real and negative
-        p = make_params(g=None, g0=10.0, pump_amplitude=2.0 * GAMMA_A,
-                        omega_p=OMEGA_A, gamma_b=1e-12)
-        _, beta = steady_state_amplitudes(p)
+        _, beta = amplitudes(10.0, 2.0 * GAMMA_A, OMEGA_A, gamma_b=1e-12)
         assert beta.real < 0
         assert abs(beta.imag) <= 1e-10 * abs(beta.real)
 
     def test_detuned_drive_closed_form(self):
         omega = 1.7 * GAMMA_A
         omega_p = OMEGA_A - 3.0 * GAMMA_A
-        p = make_params(g=0.0, g0=0.0, pump_amplitude=omega, omega_p=omega_p)
-        alpha, _ = steady_state_amplitudes(p)
+        alpha, _ = amplitudes(0.0, omega, omega_p)
         expected = -1j * (omega / 2.0) / ((OMEGA_A - omega_p) - 0.5j * GAMMA_A)
         assert alpha == pytest.approx(expected, rel=1e-14)
 
@@ -231,42 +236,27 @@ class TestRedSidebandPump:
         omega = 4.0 * GAMMA_A
         wp = red_sideband_pump_frequency(OMEGA_A, OMEGA_B, GAMMA_A, GAMMA_B,
                                          g0=g0, pump_amplitude=omega)
-        p = make_params(g=None, g0=g0, pump_amplitude=omega, omega_p=wp)
-        _, beta = steady_state_amplitudes(p)
+        _, beta = amplitudes(g0, omega, wp)
         assert wp == pytest.approx(OMEGA_A - OMEGA_B + 2.0 * g0 * beta.real,
                                    rel=1e-11)
 
 
-class TestSystemParams:
+class TestPumpCoupling:
     def test_drive_resolves_coupling(self):
-        wp = red_sideband_pump_frequency(OMEGA_A, OMEGA_B, GAMMA_A, GAMMA_B,
-                                         g0=25.0, pump_amplitude=4.0 * GAMMA_A)
-        p = SystemParams(omega_a=OMEGA_A, omega_b=OMEGA_B, gamma_a=GAMMA_A,
-                         gamma_b=GAMMA_B, g0=25.0,
-                         pump_amplitude=4.0 * GAMMA_A, omega_p=wp)
-        alpha, _ = steady_state_amplitudes(p)
-        assert p.g == pytest.approx(25.0 * abs(alpha), rel=1e-12)
+        # a given pump frequency is used as it is, off the red sideband too
+        wp = OMEGA_A - OMEGA_B + GAMMA_A
+        alpha, _ = amplitudes(25.0, 4.0 * GAMMA_A, wp)
+        assert coupling(25.0, 4.0 * GAMMA_A, wp) == 25.0 * abs(alpha)
+        assert coupling(25.0, 4.0 * GAMMA_A) != coupling(25.0, 4.0 * GAMMA_A, wp)
 
     def test_drive_without_pump_frequency_takes_the_red_sideband(self):
-        p = make_params(g=None, g0=25.0, pump_amplitude=4.0 * GAMMA_A)
-        assert p.omega_p == red_sideband_pump_frequency(
-            OMEGA_A, OMEGA_B, GAMMA_A, GAMMA_B, g0=25.0,
-            pump_amplitude=4.0 * GAMMA_A)
-        alpha, _ = steady_state_amplitudes(p)
-        assert p.g == 25.0 * abs(alpha)
+        wp = red_sideband_pump_frequency(OMEGA_A, OMEGA_B, GAMMA_A, GAMMA_B,
+                                         g0=25.0, pump_amplitude=4.0 * GAMMA_A)
+        alpha, _ = amplitudes(25.0, 4.0 * GAMMA_A, wp)
+        assert coupling(25.0, 4.0 * GAMMA_A) == 25.0 * abs(alpha)
 
-    def test_consistent_double_specification_allowed(self):
-        p0 = make_params(g0=25.0, pump_amplitude=4.0 * GAMMA_A,
-                         omega_p=OMEGA_A - OMEGA_B, g=None)
-        p1 = make_params(g=p0.g, g0=25.0, pump_amplitude=4.0 * GAMMA_A,
-                         omega_p=OMEGA_A - OMEGA_B)
-        assert p1.g == p0.g
 
-    def test_inconsistent_double_specification_rejected(self):
-        with pytest.raises(ValueError):
-            make_params(g=1.0, g0=25.0, pump_amplitude=4.0 * GAMMA_A,
-                        omega_p=OMEGA_A - OMEGA_B)
-
+class TestSystemParams:
     def test_missing_coupling_rejected(self):
         with pytest.raises(ValueError):
             make_params(g=None)
@@ -310,8 +300,8 @@ class TestValidation:
     @pytest.mark.parametrize("build, error, match", [
         (lambda: classify_regime(-1.0, 0.5), ValueError, "coupling"),
         # an undamped cavity pumped on resonance
-        (lambda: make_params(g=None, gamma_a=0.0, g0=1.0, pump_amplitude=1.0,
-                             omega_p=OMEGA_A), ZeroDivisionError, "resonance"),
+        (lambda: coupling(1.0, 1.0, OMEGA_A, gamma_a=0.0), ZeroDivisionError,
+         "resonance"),
         (lambda: red_sideband_pump_frequency(OMEGA_A, 0.0, GAMMA_A, 0.0, 1.0,
                                              1.0), ZeroDivisionError,
          "omega_b = gamma_b = 0"),
@@ -319,10 +309,10 @@ class TestValidation:
                                              GAMMA_B, 1.0, 1e3, max_iter=1),
          RuntimeError, "did not converge"),
         (lambda: make_params(classify_tol=0.0), ValueError, "classify_tol"),
-        (lambda: make_params(g=None, g0=-1.0, pump_amplitude=1.0), ValueError,
-         "g0 and pump_amplitude"),
-        (lambda: steady_state_amplitudes(make_params()), ValueError,
-         "requires g0"),
+        (lambda: coupling(-1.0, 1.0), ValueError, "g0 and pump_amplitude"),
+        # the steady state takes the pump quantities, never a SystemParams
+        (lambda: steady_state_amplitudes(make_params()), TypeError,
+         "pump_amplitude"),
     ], ids=["negative-coupling", "alpha-singular", "beta-singular",
             "sideband-iterations", "classify-tol", "negative-drive",
             "amplitudes-need-drive"])

@@ -21,6 +21,7 @@ from ptdimer import (
     evolve_nonhermitian,
     fock_product_state,
     parse_config,
+    pump_coupling,
     run_scenario,
     scenario_ids,
     write_csv,
@@ -33,7 +34,7 @@ from ptdimer.digits import BLOCK_ROWS
 from ptdimer.scenarios import _FLOAT_KEYS, _MARGIN_B, _MARGIN_L, _MARGIN_R, \
     _MARGIN_T, _SVG_H, _SVG_W, _VECTOR_MIN_ROWS, NUMERICAL_FAILURES, \
     ComparisonReport, _format_rows, run_engine, write_comparison
-from conftest import GAMMA_A, GAMMA_B, OMEGA_B, make_params
+from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, make_params
 
 CSV_HEADER = "t_seconds,omega_b_t,n_a_raw,n_b_raw,n_a,n_b,re_g1,im_g1,norm_or_trace"
 
@@ -197,6 +198,9 @@ class TestConfigSemantics:
 
     @pytest.mark.parametrize("text,fragment", [
         ("g = 1e5\ng_over_omega_b = 1e-2", "not both"),
+        ("g = 1e5\npump_amplitude = 1e9", "not both g and pump_amplitude"),
+        ("g0 = 100", "pump needs both g0 and pump_amplitude, got only g0$"),
+        ("omega_p = 1e10", "pump needs both .* got only omega_p$"),
         ("state = thermal 293\ntemperature = 293", "gaussian engine"),
         ("engines = gaussian", "thermal initial state|not Gaussian"),
         ("temperature = 10", "zero-temperature"),
@@ -919,3 +923,35 @@ class TestCli:
     def test_classify_rejects_negative_rates(self, capsys):
         rc = main(["classify", "--g", "-1", "--gamma-a", "1", "--gamma-b", "0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("omega_b", ["0", "-1"])
+    def test_classify_rejects_nonpositive_omega_b(self, omega_b, capsys):
+        # the EP ratio divides by omega_b
+        rc = main(["classify", "--g", "1", "--gamma-a", "1", "--gamma-b", "0",
+                   "--omega-b", omega_b])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: --omega-b must be positive\n"
+
+    def test_pump_config_replaces_the_preset_ratio(self, tmp_path):
+        conf = tmp_path / "pump.conf"
+        conf.write_text("g0 = 100\npump_amplitude = 6.4e10\nsamples = 20\n")
+        assert main(["run", "--scenario", "fig1a", "--config", str(conf),
+                     "--out", str(tmp_path)]) == 0
+        g = pump_coupling(OMEGA_A, OMEGA_B, GAMMA_A, GAMMA_B, 100.0, 6.4e10)
+        assert abs(g / (1.33e-2 * OMEGA_B) - 1.0) > 1e-3  # not the preset
+        header = (tmp_path / "fig1a_comparison.csv").read_text().splitlines()
+        assert f"# gap: {g - 0.25 * (GAMMA_A - GAMMA_B):.17g}" in header
+
+    def test_pump_without_steady_state_exits_2_before_any_output(
+            self, tmp_path, capsys):
+        conf = tmp_path / "pump.conf"
+        conf.write_text("g0 = 100\npump_amplitude = 1e13\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no coupling from the pump keys "
+                              "g0, pump_amplitude, omega_p: ")
+        assert "did not converge" in err
+        assert not out.exists()
