@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Writes the output tree of one source tree: every catalog scenario with
 # --svg, two uncoupled configs, a 50-sample Fock config, the cold exact and
-# the two adaptive thermal Lindblad configs and a pumped config, each run
-# once with that tree's package.
+# the two adaptive thermal Lindblad configs, a pumped config and a Fock
+# config on all three engines with --svg, each run once with that tree's
+# package.
 # Usage: write-outputs.sh SRC OUT (SRC is a checkout holding src/ptdimer)
 set -eo pipefail
 src=$(cd "$1" && pwd)
@@ -38,10 +39,16 @@ printf '%s\n' 'state = thermal 2e-4' 'temperature = 2e-4' \
   'engines = lindblad, gaussian' 'allow_lindblad_thermal = true' \
   'samples = 200' > "$conf/warm.conf"
 # the pump sets g = g0*|alpha| at the red sideband (1.27e-2 omega_b, PT
-# phase); last, so that a tree whose config layer rejects the pump keys
-# still writes every other file
+# phase); after the configs above, so that a tree whose config layer
+# rejects the pump keys still writes them
 printf '%s\n' 'g0 = 100' 'pump_amplitude = 6.4e10' 'state = fock 1 0' \
   > "$conf/pump.conf"
-for name in uncoupled-thermal uncoupled-fock sparse cold adaptive warm pump; do
+# a Fock start on all three engines, the gaussian one reading its moments;
+# after the pump, since a tree whose gaussian engine takes thermal starts
+# only rejects it (exit 2) and set -e would skip every config after it
+printf '%s\n' 'state = fock 3 2' 'engines = lindblad, nonhermitian, gaussian' \
+  'svg = true' > "$conf/three-engines.conf"
+for name in uncoupled-thermal uncoupled-fock sparse cold adaptive warm pump \
+    three-engines; do
   run run --config "$conf/$name.conf" --out "$out/$name" > /dev/null
 done

@@ -13,10 +13,10 @@ from .fock import FockSpace, QuantumState, TruncationError, \
     mode_annihilator, noon_state, thermal_density_matrix, \
     thermal_truncation_dim, truncation_dim
 from .gaussian import count_prominent_extrema, diffusion_matrix, drift_matrix, \
-    evolve_moments, fit_decay_rate, moment_flow_rhs, steady_state_moments, \
-    thermal_moment_state
+    evolve_moments, fit_decay_rate, moment_closure_residual, moment_flow_rhs, \
+    steady_state_moments, thermal_moment_state
 from .lindblad import LindbladChannel, dissipator_apply, evolve_density, \
-    lindblad_rhs, moment_closure_residual, moment_rhs, thermal_channels
+    lindblad_rhs, thermal_channels
 from .nonhermitian import evolve_nonhermitian, occupation_ode_residual, \
     renormalized_observables
 from .observables import ObservableTrajectory
@@ -38,10 +38,10 @@ __all__ = [
     "lossy_hamiltonian", "mode_annihilator", "noon_state",
     "thermal_density_matrix", "thermal_truncation_dim", "truncation_dim",
     "count_prominent_extrema", "diffusion_matrix", "drift_matrix",
-    "evolve_moments", "fit_decay_rate", "moment_flow_rhs",
-    "steady_state_moments", "thermal_moment_state",
+    "evolve_moments", "fit_decay_rate", "moment_closure_residual",
+    "moment_flow_rhs", "steady_state_moments", "thermal_moment_state",
     "LindbladChannel", "dissipator_apply", "evolve_density", "lindblad_rhs",
-    "moment_closure_residual", "moment_rhs", "thermal_channels",
+    "thermal_channels",
     "evolve_nonhermitian", "occupation_ode_residual",
     "renormalized_observables",
     "ObservableTrajectory",

@@ -5,14 +5,16 @@ dN/dt = i(conj(M) N - N M^T) + D, where M is the non-Hermitian drift and
 D = diag(gamma_a nbar_a, gamma_b nbar_b) the thermal diffusion. This is exact
 for any state at harmonic order (no truncation), covering lab-scale thermal
 occupations out of reach of the Fock-space engines. It is propagated exactly,
-with the matrix exponential of the Fock engines.
+with the matrix exponential of the Fock engines, and ``moment_closure_residual``
+checks their sampled moments against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .observables import ObservableTrajectory, record_from_moments
+from .observables import ObservableTrajectory, derivative_residual, \
+    record_from_moments
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams, thermal_occupation
 
@@ -114,6 +116,17 @@ def steady_state_moments(params: SystemParams) -> np.ndarray:
         raise ValueError("moment flow is singular: no steady state") from exc
     n_ss = n_vec.reshape(2, 2)
     return 0.5 * (n_ss + n_ss.conj().T)
+
+
+def moment_closure_residual(traj: ObservableTrajectory,
+                            params: SystemParams) -> float:
+    """Deviation of a trajectory's raw moments (x, y, z) = (N00, N11, N01)
+    from the moment flow of ``params`` (see ``derivative_residual``)."""
+    x, y, z = traj.n_a_raw, traj.n_b_raw, traj.coherence
+    lin, diffusion = _moment_generator(params)
+    rates = lin @ np.stack((x, z, z.conj(), y)) + diffusion[:, None]
+    return derivative_residual(traj, params, (x, y, z),
+                               (rates[0].real, rates[3].real, rates[1]))
 
 
 def count_prominent_extrema(values, rel_prominence: float = 1e-4) -> int:

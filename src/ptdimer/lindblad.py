@@ -29,8 +29,7 @@ on the slices it starts in. At zero temperature H_eff is the lossy
 Hamiltonian H_L, and the non-Hermitian engine is the same builder without
 jumps, which also takes the zero-temperature channels.
 ``dissipator_apply`` keeps the textbook D[A] form as an independent
-reference. Also hosts the closed first-moment system (occupations +
-coherence) and its finite-difference consistency check.
+reference.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .fock import HOP, QuantumState, _move
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual, hermitian_coordinates, hermitian_values
+    hermitian_coordinates, hermitian_values
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -313,31 +312,3 @@ def evolve_density(state0: QuantumState, params: SystemParams,
     return ObservableTrajectory(
         "lindblad", params.omega_b, sol.times,
         **ops.record_from_density(sol.states), stats=sol.stats, atol=atol)
-
-
-def moment_rhs(m, params: SystemParams):
-    """Closed system for (x, y, z) = (<c^dag c>, <d^dag d>, <c^dag d>).
-
-    dx/dt = 2 g Im z - gamma_a x + gamma_a nbar_a
-    dy/dt = -2 g Im z - gamma_b y + gamma_b nbar_b
-    dz/dt = i g (y - x) - (gamma_a + gamma_b) z / 2
-
-    with the bath occupations of ``params``. The thermal sources vanish at
-    zero temperature; the coherence has no thermal source at any temperature.
-    """
-    x, y, z = m
-    nbar_a, nbar_b = params.nbar_a(), params.nbar_b()
-    g = params.g
-    dx = 2.0 * g * z.imag - params.gamma_a * x + params.gamma_a * nbar_a
-    dy = -2.0 * g * z.imag - params.gamma_b * y + params.gamma_b * nbar_b
-    dz = 1j * g * (y - x) - 0.5 * (params.gamma_a + params.gamma_b) * z
-    return np.array([dx, dy, dz], dtype=complex)
-
-
-def moment_closure_residual(traj: ObservableTrajectory,
-                            params: SystemParams) -> float:
-    """Deviation of a trajectory's raw moments (x, y, z) from the closed
-    moment system ``moment_rhs`` (see ``derivative_residual``)."""
-    columns = (traj.n_a_raw, traj.n_b_raw, traj.coherence)
-    return derivative_residual(traj, params, columns,
-                               moment_rhs(columns, params))

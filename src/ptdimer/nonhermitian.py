@@ -26,7 +26,7 @@ import numpy as np
 from .fock import QuantumState, lossy_hamiltonian  # noqa: F401
 from .lindblad import liouville_block
 from .observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual, hermitian_coordinates, renormalized_ratios
+    derivative_residual, moment_matrix, renormalized_ratios
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -71,14 +71,8 @@ def renormalized_observables(state: QuantumState) -> tuple[float, float, complex
     Raises ValueError for states with zero total occupation (vacuum), where
     the ratios are undefined. Invariant: n_a + n_b = 1.
     """
-    data = state.data
-    entries = np.nonzero(data)
-    ops = ObservableOps(state.space, entries)
-    values = data[entries][np.newaxis]
-    cols = ops.record_from_pure(values) if state.is_pure else \
-        ops.record_from_nh_density(hermitian_coordinates(values, entries))
-    n_a, n_b, g1 = renormalized_ratios(cols["n_a_raw"], cols["n_b_raw"],
-                                       cols["coherence"])
+    n = moment_matrix(state)[..., np.newaxis]  # one sample
+    n_a, n_b, g1 = renormalized_ratios(n[0, 0].real, n[1, 1].real, n[0, 1])
     if np.isnan(n_a[0]):
         raise ValueError("renormalized observables are undefined: "
                          "total occupation <N> is zero")

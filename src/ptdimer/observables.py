@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import HOP, TAIL_TOL, FockSpace, _move
+from .fock import HOP, TAIL_TOL, FockSpace, QuantumState, _move
 # mode_annihilator is unused here but stays importable: perfbench/tracing.py
 # times it as a site of this module
 from .fock import mode_annihilator  # noqa: F401
@@ -234,6 +234,19 @@ def derivative_residual(traj: ObservableTrajectory, params, columns,
     return float(max(np.abs(np.gradient(col, tau, edge_order=2)
                             - rate / scale)[1:-1].max()
                      for col, rate in zip(columns, rates)))
+
+
+def moment_matrix(state: QuantumState) -> np.ndarray:
+    """Second moments N_jk = <v_j^dag v_k>, v = (c, d), of ``state``, read
+    at its nonzero entries by ``ObservableOps``."""
+    data = state.data
+    entries = np.nonzero(data)
+    ops = ObservableOps(state.space, entries)
+    values = data[entries][np.newaxis]
+    cols = ops.record_from_pure(values) if state.is_pure else \
+        ops.record_from_density(hermitian_coordinates(values, entries))
+    x, y, z = (cols[k][0] for k in ("n_a_raw", "n_b_raw", "coherence"))
+    return np.array([[x, z], [z.conjugate(), y]])
 
 
 def record_from_moments(n00: np.ndarray, n01: np.ndarray,

@@ -10,6 +10,7 @@ values override the catalog and command-line flags override the file.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from . import lindblad as lindblad_mod
 from . import nonhermitian as nonhermitian_mod
 from .fock import FockSpace, fock_product_state, noon_state, \
     thermal_density_matrix, thermal_truncation_dim, truncation_dim
-from .observables import ObservableTrajectory
+from .observables import ObservableTrajectory, moment_matrix
 from .ode import IntegrationFailure
 from .params import Regime, SystemParams, pump_coupling, slowest_decay_rate, \
     thermal_occupation
@@ -284,6 +285,10 @@ def _parse_lines(text: str) -> dict[str, object]:
 
 
 def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    # the id names the output files, which stay inside the output directory
+    if cfg.scenario in ("", ".", "..") or {"/", "\\"} & set(cfg.scenario):
+        raise ConfigError(f"id {cfg.scenario!r} is not a file name: it must "
+                          "be nonempty, not . or .., and hold no / or \\")
     named = [[k for k in kind if getattr(cfg, k) is not None]
              for kind in _COUPLINGS]
     if sum(map(bool, named)) > 1:
@@ -308,9 +313,6 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("fock occupations must be nonnegative")
         if kind == "noon" and cfg.state[1] < 1:
             raise ConfigError("noon excitation number must be >= 1")
-        if "gaussian" in cfg.engines:
-            raise ConfigError(f"{kind} initial states are not Gaussian; "
-                              "drop the gaussian engine")
         if cfg.temperature != 0.0:
             raise ConfigError(f"{kind} initial states require a zero-temperature "
                               "bath")
@@ -378,12 +380,13 @@ def _initial_state(cfg: ScenarioConfig, space: FockSpace):
 def run_engine(engine: str, cfg: ScenarioConfig) -> ObservableTrajectory:
     params = cfg.system_params()
     times = cfg.sample_times()
-    if engine == "gaussian":
-        if cfg.state[0] != "thermal":
-            raise ConfigError("gaussian engine needs a thermal initial state")
+    if engine == "gaussian" and cfg.state[0] == "thermal":
+        # the thermal start's moments, untruncated
         n0 = gaussian_mod.thermal_moment_state(params, cfg.state[1])
         return gaussian_mod.evolve_moments(n0, params, times)
     state = _initial_state(cfg, FockSpace(*cfg.mode_dims()))
+    if engine == "gaussian":
+        return gaussian_mod.evolve_moments(moment_matrix(state), params, times)
     if engine == "lindblad":
         return lindblad_mod.evolve_density(state, params, times,
                                            rtol=cfg.rtol, atol=cfg.atol)
@@ -536,19 +539,15 @@ _SVG_W, _SVG_H = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 20, 50
 
 
-def _plot_series(traj: ObservableTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    # renormalized occupations for the Fock engines, raw for the moment engine
-    if traj.engine == "gaussian":
-        return traj.n_a_raw, traj.n_b_raw
-    return traj.n_a, traj.n_b
-
-
 def write_svg(trajs: list[ObservableTrajectory], path) -> None:
-    """Standalone SVG overlay: blue n_a / red n_b, dashed for non-Hermitian."""
+    """Standalone SVG overlay: blue n_a / red n_b, dashed for non-Hermitian;
+    raw occupations if every trajectory is a gaussian run, else the
+    renormalized ones of every trajectory."""
     if not trajs:
         raise ValueError("nothing to plot")
     xs = [t.times * t.omega_b for t in trajs]
-    series = [_plot_series(t) for t in trajs]
+    raw = all(t.engine == "gaussian" for t in trajs)
+    series = [(t.n_a_raw, t.n_b_raw) if raw else (t.n_a, t.n_b) for t in trajs]
     x_lo = min(float(x.min()) for x in xs)
     x_hi = max(float(x.max()) for x in xs)
     if x_hi <= x_lo:  # every trajectory holds one sample
@@ -621,7 +620,9 @@ def write_svg(trajs: list[ObservableTrajectory], path) -> None:
 
 def run_scenario(cfg: ScenarioConfig) -> list[Path]:
     """Run all engines of a scenario; write per-engine CSVs, a comparison CSV
-    when two or more engines ran, and optionally an SVG overlay.
+    when two or more engines ran, and optionally an SVG overlay. A single
+    engine's warnings, which no comparison CSV holds, go to stderr as
+    ``warning: <engine>: <text>``.
 
     On an engine failure a ``<scenario>.partial`` marker naming the failed
     engine is written next to any completed outputs and the error re-raised;
@@ -649,6 +650,9 @@ def run_scenario(cfg: ScenarioConfig) -> list[Path]:
         path = outdir / f"{cfg.scenario}_comparison.csv"
         write_comparison(report, path)
         written.append(path)
+    else:  # traj is the one run
+        for w in traj.warnings:
+            print(f"warning: {traj.engine}: {w}", file=sys.stderr)
     if cfg.svg:
         path = outdir / f"{cfg.scenario}.svg"
         write_svg(trajs, path)

@@ -61,6 +61,26 @@ def sampled_states(state, params, times, *, jumps=True, rtol=1e-9,
                                   values[:, mirror].conj())
 
 
+def moment_rhs(m, params):
+    """Closed system for (x, y, z) = (<c^dag c>, <d^dag d>, <c^dag d>), the
+    scalar reference for the package's moment flow.
+
+    dx/dt = 2 g Im z - gamma_a x + gamma_a nbar_a
+    dy/dt = -2 g Im z - gamma_b y + gamma_b nbar_b
+    dz/dt = i g (y - x) - (gamma_a + gamma_b) z / 2
+
+    with the bath occupations of ``params``. The thermal sources vanish at
+    zero temperature; the coherence has no thermal source at any temperature.
+    """
+    x, y, z = m
+    nbar_a, nbar_b = params.nbar_a(), params.nbar_b()
+    g = params.g
+    dx = 2.0 * g * z.imag - params.gamma_a * x + params.gamma_a * nbar_a
+    dy = -2.0 * g * z.imag - params.gamma_b * y + params.gamma_b * nbar_b
+    dz = 1j * g * (y - x) - 0.5 * (params.gamma_a + params.gamma_b) * z
+    return np.array([dx, dy, dz], dtype=complex)
+
+
 def random_density(rng, dim):
     """Random positive unit-trace Hermitian matrix."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

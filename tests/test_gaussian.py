@@ -10,7 +10,6 @@ from ptdimer import (
     evolve_moments,
     fit_decay_rate,
     integrate_adaptive,
-    moment_rhs,
     steady_state_moments,
     thermal_moment_state,
     thermal_occupation,
@@ -19,7 +18,7 @@ from ptdimer.scenarios import run_engine
 from ptdimer.gaussian import check_moment_state, diffusion_matrix, drift_matrix, \
     moment_flow_rhs
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_A, \
-    OMEGA_B, ROOM_T, make_params
+    OMEGA_B, ROOM_T, make_params, moment_rhs
 
 
 def _random_moment_state(rng, scale=1.0):

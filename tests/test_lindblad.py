@@ -21,7 +21,6 @@ from ptdimer import (
     lossy_hamiltonian,
     mode_annihilator,
     moment_closure_residual,
-    moment_rhs,
     noon_state,
     thermal_channels,
     thermal_density_matrix,
@@ -35,7 +34,7 @@ from ptdimer.observables import ObservableOps, hermitian_coordinates, \
 from ptdimer.scenarios import _initial_state, catalog_config, \
     parse_config, run_engine
 from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
-    random_density, sampled_states
+    moment_rhs, random_density, sampled_states
 
 
 class TestThermalChannels:

@@ -202,7 +202,6 @@ class TestConfigSemantics:
         ("g0 = 100", "pump needs both g0 and pump_amplitude, got only g0$"),
         ("omega_p = 1e10", "pump needs both .* got only omega_p$"),
         ("state = thermal 293\ntemperature = 293", "gaussian engine"),
-        ("engines = gaussian", "thermal initial state|not Gaussian"),
         ("temperature = 10", "zero-temperature"),
         ("state = noon 0", ">= 1"),
         ("state = fock 1 -1", "nonnegative"),
@@ -211,6 +210,12 @@ class TestConfigSemantics:
         ("rtol = 0", "tolerances"),
         ("truncation = 1", "at least 2"),
         ("gamma_a = 0", "gamma_a > 0"),
+        ("id =", "id '' is not a file name"),
+        ("id = .", "id '.' is not a file name"),
+        ("id = ..", "id '..' is not a file name"),
+        ("id = ../x", "is not a file name"),
+        ("id = a/b", "is not a file name"),
+        ("id = a\\b", "is not a file name"),
     ])
     def test_semantic_violations(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -374,6 +379,18 @@ class TestSvgOutput:
         assert len(polys) == 4
         dashed = [p for p in polys if "stroke-dasharray" in p.attrib]
         assert len(dashed) == 2
+
+    def test_mixed_engines_plot_renormalized_occupations(self, tmp_path):
+        # a gaussian run among Fock runs is plotted renormalized, as they
+        # are, so its curves lie on the Lindblad ones
+        cfg = parse_config("state = fock 3 2\nsamples = 30\n"
+                           "engines = lindblad, nonhermitian, gaussian\n")
+        trajs = [run_engine(e, cfg) for e in cfg.engines]
+        path = tmp_path / "plot.svg"
+        write_svg(trajs, path)
+        points = [p.attrib["points"] for p in self._polylines(path)]
+        assert len(points) == 6
+        assert points[4:] == points[:2]
 
     def test_no_finite_point_keeps_a_finite_scale(self, tmp_path):
         # from the vacuum no renormalized occupation is ever defined
@@ -609,11 +626,9 @@ class TestValidation:
         (lambda: parse_config("state =\n"), "empty state descriptor"),
         (lambda: parse_config("state = thermal -1\n"),
          "temperature must be nonnegative"),
-        (lambda: run_engine("gaussian", catalog_config("fig1a")),
-         "needs a thermal initial state"),
         (lambda: run_engine("bogus", catalog_config("fig1a")),
          "unknown engine"),
-    ], ids=["empty-state", "negative-thermal", "gaussian-fock", "engine"])
+    ], ids=["empty-state", "negative-thermal", "engine"])
     def test_invalid_input_raises(self, build, match):
         with pytest.raises(ConfigError, match=match):
             build()
@@ -780,6 +795,26 @@ class TestCli:
         printed = capsys.readouterr().out.splitlines()
         assert [p.rsplit("/", 1)[-1] for p in printed] == \
             ["fig1a_nonhermitian.csv"]
+
+    def test_single_engine_prints_its_warnings(self, tmp_path, capsys):
+        # no comparison CSV holds a lone engine's warnings, so they go to
+        # stderr; the rows hold the NaNs they name
+        conf = tmp_path / "vacuum.conf"
+        conf.write_text("state = thermal 0\nengines = gaussian\nsamples = 5\n")
+        out = tmp_path / "one"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: gaussian: renormalized observables undefined "
+            "(<N> <= 0) at 5 samples, first at t=0.000000e+00"]
+        rows = (out / "custom_gaussian.csv").read_text().splitlines()[1:]
+        assert rows[0] == "0,0,0,0,nan,nan,nan,nan,1"
+        # two engines write their warnings to the comparison CSV only
+        conf.write_text("state = fock 0 0\nsamples = 5\n")
+        out = tmp_path / "two"
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "# warning: lindblad: renormalized observables undefined" \
+            in (out / "custom_comparison.csv").read_text()
 
     def test_explicit_truncation_matches_auto(self, tmp_path):
         conf = tmp_path / "light.conf"
