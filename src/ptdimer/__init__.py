@@ -13,10 +13,9 @@ from .fock import FockSpace, QuantumState, TruncationError, \
     mode_annihilator, noon_state, thermal_density_matrix, \
     thermal_truncation_dim, truncation_dim
 from .gaussian import count_prominent_extrema, diffusion_matrix, drift_matrix, \
-    evolve_moments, fit_decay_rate, moment_closure_residual, moment_flow_rhs, \
+    evolve_moments, fit_decay_rate, moment_closure_residual, \
     steady_state_moments, thermal_moment_state
-from .lindblad import LindbladChannel, dissipator_apply, evolve_density, \
-    lindblad_rhs, thermal_channels
+from .lindblad import LindbladChannel, evolve_density, thermal_channels
 from .nonhermitian import evolve_nonhermitian, occupation_ode_residual, \
     renormalized_observables
 from .observables import ObservableTrajectory
@@ -39,9 +38,8 @@ __all__ = [
     "thermal_density_matrix", "thermal_truncation_dim", "truncation_dim",
     "count_prominent_extrema", "diffusion_matrix", "drift_matrix",
     "evolve_moments", "fit_decay_rate", "moment_closure_residual",
-    "moment_flow_rhs", "steady_state_moments", "thermal_moment_state",
-    "LindbladChannel", "dissipator_apply", "evolve_density", "lindblad_rhs",
-    "thermal_channels",
+    "steady_state_moments", "thermal_moment_state",
+    "LindbladChannel", "evolve_density", "thermal_channels",
     "evolve_nonhermitian", "occupation_ode_residual",
     "renormalized_observables",
     "ObservableTrajectory",

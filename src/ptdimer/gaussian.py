@@ -33,16 +33,6 @@ def diffusion_matrix(params: SystemParams) -> np.ndarray:
                     params.gamma_b * params.nbar_b()])
 
 
-def moment_flow_rhs(n_mat: np.ndarray, m_mat: np.ndarray,
-                    d_mat: np.ndarray) -> np.ndarray:
-    """dN/dt = i(conj(M) N - N M^T) + D.
-
-    Any real multiple of the identity added to M cancels exactly, so the flow
-    is independent of the omega_b rotation.
-    """
-    return 1j * (m_mat.conj() @ n_mat - n_mat @ m_mat.T) + d_mat
-
-
 def check_moment_state(n_mat: np.ndarray, what: str = "moment matrix") -> np.ndarray:
     """Validate Hermiticity, positive semidefiniteness, and real diagonal."""
     n_mat = np.asarray(n_mat, dtype=complex)
@@ -68,7 +58,9 @@ def thermal_moment_state(params: SystemParams, temperature: float) -> np.ndarray
 
 def _moment_generator(params: SystemParams):
     """(L, vec D) of d vec(N)/dt = L vec(N) + vec(D), N row-major, in the
-    frame rotating at omega_b (exactly neutral, see moment_flow_rhs)."""
+    frame rotating at omega_b. The frame takes omega_b I off M, and a real
+    multiple of the identity cancels exactly from conj(M) N - N M^T, so
+    the flow is the same in every such frame."""
     m_int = drift_matrix(params) - params.omega_b * np.eye(2)
     eye = np.eye(2, dtype=complex)
     # vec(A N) = (A (x) I) vec(N), vec(N B) = (I (x) B^T) vec(N)

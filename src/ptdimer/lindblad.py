@@ -28,8 +28,6 @@ and stay 0. ``ode.integrate_adaptive`` evolves every coordinate, exactly up to
 on the slices it starts in. At zero temperature H_eff is the lossy
 Hamiltonian H_L, and the non-Hermitian engine is the same builder without
 jumps, which also takes the zero-temperature channels.
-``dissipator_apply`` keeps the textbook D[A] form as an independent
-reference.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .fock import HOP, QuantumState, _move
 # importable: perfbench/tracing.py times them as sites of this module
 from .fock import beam_splitter_hamiltonian, mode_annihilator  # noqa: F401
 from .observables import ObservableOps, ObservableTrajectory, \
-    hermitian_coordinates, hermitian_values
+    hermitian_coordinates
 from .ode import OdeProblem, integrate_adaptive
 from .params import SystemParams
 
@@ -74,15 +72,6 @@ def thermal_channels(params: SystemParams) -> list[LindbladChannel]:
                 LindbladChannel((0, -1), params.gamma_b * (nbar_b + 1.0)),
                 LindbladChannel((0, 1), params.gamma_b * nbar_b)]
     return [ch for ch in channels if ch.rate > 0.0]
-
-
-def dissipator_apply(channel_op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D[A] rho = A rho A^dag - (A^dag A rho + rho A^dag A)/2 at unit rate."""
-    a = np.asarray(channel_op, dtype=complex)
-    ad = a.conj().T
-    ada = ad @ a
-    rho = np.asarray(rho, dtype=complex)
-    return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
 def liouville_block(state: QuantumState, params: SystemParams, *,
@@ -275,19 +264,6 @@ def _rows(space, entries, diagonal, g, jumping):
     hit = inside & (key[at] == source)
     weights[~hit] = 0.0
     return np.where(hit, at, 0), weights
-
-
-def lindblad_rhs(state: QuantumState, params: SystemParams) -> np.ndarray:
-    """d rho/dt of the move-built generator (``liouville_block``) at
-    ``state``, as a dense density matrix (pure states are promoted to
-    projectors)."""
-    entries, y0, rhs = liouville_block(state, params)
-    dim = state.space.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    values = hermitian_values(rhs(0.0, y0), entries)
-    out[entries] = values
-    out[entries[::-1]] = values.conj()  # the mirrors the block leaves out
-    return out
 
 
 def evolve_density(state0: QuantumState, params: SystemParams,

@@ -77,48 +77,13 @@ class ObservableTrajectory:
                                      f"t={self.times[hits[0]]:.6e}")
 
 
-def coordinate_map(entries):
-    """How a Hermitian rho at the density-matrix ``entries`` (sorted
-    row-major) maps to its real coordinates, one per entry, and back.
-
-    x = Re(unit rho), with unit 1 on and above the diagonal and i below it:
-    x_rc = Re rho_rc for r <= c and Im rho_cr for r > c. Back, Re rho =
-    re x[real_at] and Im rho = im x[imag_at]. A coordinate held at a mirror
-    entry that ``entries`` leave out is 0, and its factor re or im is 0.
-    Returns (unit, real_at, imag_at, re, im).
-    """
-    rows, cols = entries
-    at = np.arange(rows.size)
-    # keys r n + c are sorted with the entries; the mirror of (r, c) is
-    # (c, r), held where its key is found
-    n = 1 + max(rows.max(initial=0), cols.max(initial=0))
-    key, mirror_key = rows * n + cols, cols * n + rows
-    mirror = np.minimum(np.searchsorted(key, mirror_key), max(at.size - 1, 0))
-    held = key[mirror] == mirror_key
-    mirror = np.where(held, mirror, at)
-    upper = rows <= cols
-    return (np.where(upper, 1.0, 1j), np.where(upper, at, mirror),
-            np.where(upper, mirror, at), np.where(upper | held, 1.0, 0.0),
-            np.where(upper & ~held, 0.0, np.sign(cols - rows)))
-
-
 def hermitian_coordinates(values: np.ndarray, entries) -> np.ndarray:
-    """Real coordinates (``coordinate_map``) of rho from its ``values``
-    (..., m) at ``entries``, each read from its own entry: Re rho_rc for
-    r <= c, -Im rho_rc = Im rho_cr for r > c."""
+    """Real coordinates of a Hermitian rho from its ``values`` (..., m) at
+    the density-matrix ``entries``, one per entry, each read from its own
+    entry: x_rc = Re rho_rc for r <= c and -Im rho_rc = Im rho_cr for
+    r > c."""
     rows, cols = entries
     return np.where(rows <= cols, values.real, -values.imag)
-
-
-def hermitian_values(x: np.ndarray, entries) -> np.ndarray:
-    """rho at ``entries`` from its real coordinates x (..., m), a coordinate
-    not held being 0; exactly Hermitian where an entry and its mirror are
-    both held, with a real diagonal."""
-    _, real_at, imag_at, re, im = coordinate_map(entries)
-    out = np.empty(x.shape, dtype=complex)
-    out.real = re * x[..., real_at]
-    out.imag = im * x[..., imag_at]
-    return out
 
 
 class ObservableOps:
@@ -128,8 +93,8 @@ class ObservableOps:
     engines evolve them: one full-space index array per axis of the state,
     (i,) for vectors or (row, col) for density matrices, sorted row-major.
     Entries left out are 0. A density stack holds the real coordinates of
-    its entries (``coordinate_map``), so a coordinate whose entry is left
-    out, such as one of an entry's mirror, is 0.
+    its entries (``hermitian_coordinates``), so a coordinate whose entry is
+    left out, such as one of an entry's mirror, is 0.
 
     One table (d, 6) holds, per held population: n_a, n_b, 1 (the weight),
     the quartics n_a L and n_b L with L = gamma_a n_a + gamma_b n_b, and 1 on
@@ -167,8 +132,8 @@ class ObservableOps:
         rows, cols = entries
         # <c^dag d> = sum rho[s, t] factor over the hops t of s, each above
         # the diagonal: its real part is read at the held entries (s, t) and
-        # its imaginary part at the held (t, s) (``coordinate_map``); a
-        # coordinate not held is 0
+        # its imaginary part at the held (t, s) (``hermitian_coordinates``);
+        # a coordinate not held is 0
         real = np.flatnonzero(inside[rows] & (target[rows] == cols))
         imag = np.flatnonzero(inside[cols] & (target[cols] == rows))
         self._readout = np.zeros((rows.size, 8))

@@ -33,8 +33,10 @@ GAMMA_A = 3.26e5
 GAMMA_B = 3.00e2
 
 ENGINES = ("lindblad", "nonhermitian", "gaussian")
-# numerical failures of a run: exit code 3 and a .partial marker
-NUMERICAL_FAILURES = (IntegrationFailure, FloatingPointError, np.linalg.LinAlgError)
+# numerical failures of a run, an allocation it cannot make among them: exit
+# code 3 and a .partial marker
+NUMERICAL_FAILURES = (IntegrationFailure, FloatingPointError,
+                      np.linalg.LinAlgError, MemoryError)
 _SECTIONS = {"scenario", "params", "initial", "grid", "numerics", "output"}
 
 # the kinds of coupling, of which a config sets at most one

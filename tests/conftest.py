@@ -1,15 +1,18 @@
-"""Shared constants and builders for the test suite.
+"""Shared constants, builders and references for the test suite.
 
 The experimental parameter set (rad/s) used throughout: a lossy cavity mode
 at 1.02e10 coupled to a mechanical mode at 1.59e7 with decay rates 3.26e5
 and 3.00e2, probed at three couplings (strong, balanced-loss, weak).
+
+The references are textbook forms that no engine runs: the dissipator
+D[A], the matrix moment flow and the scalar one, and the inverse of the
+real coordinate map of a density block with the dense generator it gives.
 """
 import numpy as np
 import pytest
 
 from ptdimer import OdeProblem, SystemParams, integrate_adaptive
 from ptdimer.lindblad import liouville_block
-from ptdimer.observables import hermitian_values
 
 OMEGA_A = 1.02e10
 OMEGA_B = 1.59e7
@@ -28,6 +31,64 @@ def make_params(g=G_STRONG, temperature=0.0, **overrides):
                   gamma_b=GAMMA_B, g=g, temperature=temperature)
     kwargs.update(overrides)
     return SystemParams(**kwargs)
+
+
+def coordinate_map(entries):
+    """How a Hermitian rho at the density-matrix ``entries`` (sorted
+    row-major) maps to its real coordinates, one per entry, and back.
+
+    x = Re(unit rho), with unit 1 on and above the diagonal and i below it:
+    x_rc = Re rho_rc for r <= c and Im rho_cr for r > c. Back, Re rho =
+    re x[real_at] and Im rho = im x[imag_at]. A coordinate held at a mirror
+    entry that ``entries`` leave out is 0, and its factor re or im is 0.
+    Returns (unit, real_at, imag_at, re, im).
+    """
+    rows, cols = entries
+    at = np.arange(rows.size)
+    # keys r n + c are sorted with the entries; the mirror of (r, c) is
+    # (c, r), held where its key is found
+    n = 1 + max(rows.max(initial=0), cols.max(initial=0))
+    key, mirror_key = rows * n + cols, cols * n + rows
+    mirror = np.minimum(np.searchsorted(key, mirror_key), max(at.size - 1, 0))
+    held = key[mirror] == mirror_key
+    mirror = np.where(held, mirror, at)
+    upper = rows <= cols
+    return (np.where(upper, 1.0, 1j), np.where(upper, at, mirror),
+            np.where(upper, mirror, at), np.where(upper | held, 1.0, 0.0),
+            np.where(upper & ~held, 0.0, np.sign(cols - rows)))
+
+
+def hermitian_values(x, entries):
+    """rho at ``entries`` from its real coordinates x (..., m), a coordinate
+    not held being 0; exactly Hermitian where an entry and its mirror are
+    both held, with a real diagonal."""
+    _, real_at, imag_at, re, im = coordinate_map(entries)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = re * x[..., real_at]
+    out.imag = im * x[..., imag_at]
+    return out
+
+
+def lindblad_rhs(state, params):
+    """d rho/dt of the move-built generator (``liouville_block``) at
+    ``state``, as a dense density matrix (pure states are promoted to
+    projectors)."""
+    entries, y0, rhs = liouville_block(state, params)
+    dim = state.space.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    values = hermitian_values(rhs(0.0, y0), entries)
+    out[entries] = values
+    out[entries[::-1]] = values.conj()  # the mirrors the block leaves out
+    return out
+
+
+def dissipator_apply(channel_op, rho):
+    """D[A] rho = A rho A^dag - (A^dag A rho + rho A^dag A)/2 at unit rate."""
+    a = np.asarray(channel_op, dtype=complex)
+    ad = a.conj().T
+    ada = ad @ a
+    rho = np.asarray(rho, dtype=complex)
+    return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
 
 
 def sampled_states(state, params, times, *, jumps=True, rtol=1e-9,
@@ -59,6 +120,15 @@ def sampled_states(state, params, times, *, jumps=True, rtol=1e-9,
     mirror = np.minimum(np.searchsorted(key, cols * dim + rows), key.size - 1)
     return (rows, cols), np.where(key[at] == closure, values[:, at],
                                   values[:, mirror].conj())
+
+
+def moment_flow_rhs(n_mat, m_mat, d_mat):
+    """dN/dt = i(conj(M) N - N M^T) + D.
+
+    Any real multiple of the identity added to M cancels exactly, so the flow
+    is independent of the omega_b rotation.
+    """
+    return 1j * (m_mat.conj() @ n_mat - n_mat @ m_mat.T) + d_mat
 
 
 def moment_rhs(m, params):

@@ -29,10 +29,10 @@ from ptdimer import (
     thermal_occupation,
     FockSpace,
 )
-from ptdimer.gaussian import diffusion_matrix, drift_matrix, moment_flow_rhs
-from ptdimer.scenarios import run_engine
+from ptdimer.gaussian import diffusion_matrix, drift_matrix
+from ptdimer.scenarios import parse_config, run_engine
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_A, \
-    OMEGA_B, ROOM_T, make_params, moment_rhs, sampled_states
+    OMEGA_B, ROOM_T, make_params, moment_flow_rhs, moment_rhs, sampled_states
 
 _RUNS: dict = {}
 
@@ -275,11 +275,10 @@ def test_criterion_10_fixed_step_global_order(criterion):
 _FLOW_BOUND = 1e-14  # relative to max(1, largest occupation)
 
 
-def _moment_flow_error(sid: str, cfg) -> float:
-    """Largest gap between the catalog Lindblad run of ``sid`` and the
-    gaussian run of ``cfg`` in n_a_raw, n_b_raw and the coherence, relative
-    to max(1, the Lindblad run's largest occupation)."""
-    lind = _catalog_run(sid, "lindblad")
+def _moment_flow_error(lind, cfg) -> float:
+    """Largest gap between the Lindblad trajectory ``lind`` and the gaussian
+    run of ``cfg`` in n_a_raw, n_b_raw and the coherence, relative to
+    max(1, the Lindblad run's largest occupation)."""
     flow = run_engine("gaussian", cfg)
     scale = max(1.0, lind.n_a_raw.max(), lind.n_b_raw.max())
     return max(np.abs(flow.n_a_raw - lind.n_a_raw).max(),
@@ -294,10 +293,33 @@ def test_fock_lindblad_runs_follow_the_exact_moment_flow():
     sids = [s for s in scenario_ids() if catalog_config(s).state[0] != "thermal"]
     assert len(sids) == 30
     for sid in sids:
-        assert _moment_flow_error(sid, catalog_config(sid)) < _FLOW_BOUND, sid
+        assert _moment_flow_error(_catalog_run(sid, "lindblad"),
+                                  catalog_config(sid)) < _FLOW_BOUND, sid
     # a coupling off by one part in 1e9 fails the pin: 5.0e-10, 5.0e-10 and
     # 6.4e-10
     for sid in ("fig1a", "fig2a", "fig4d"):
         cfg = catalog_config(sid)
         off = replace(cfg, g_over_omega_b=cfg.g_over_omega_b * (1.0 + 1e-9))
-        assert _moment_flow_error(sid, off) > _FLOW_BOUND, sid
+        assert _moment_flow_error(_catalog_run(sid, "lindblad"),
+                                  off) > _FLOW_BOUND, sid
+
+
+# the thermal Lindblad configs of .github/scripts/write-outputs.sh, each
+# with its bound: their gaps read 7.42e-7 (exact path, 204 coordinates),
+# 1.81e-6 (DP5, 819) and 1.65e-5 (DP5, 4,324), each at n_b_raw at t = 0,
+# so the level is the truncation of the thermal start itself
+_THERMAL_PINS = (("6e-5", 1e-6), ("1e-4", 2.5e-6), ("2e-4", 2.5e-5))
+
+
+def test_thermal_lindblad_runs_follow_the_exact_moment_flow():
+    for temperature, bound in _THERMAL_PINS:
+        cfg = parse_config(f"state = thermal {temperature}\n"
+                           f"temperature = {temperature}\n"
+                           "engines = lindblad, gaussian\n"
+                           "allow_lindblad_thermal = true\nsamples = 200\n")
+        lind = run_engine("lindblad", cfg)
+        assert _moment_flow_error(lind, cfg) < bound, temperature
+        # a coupling off by one part in 1e9 cannot fail a pin at this level;
+        # one off by one part in 1e4 fails each: 1.33e-5, 3.69e-5 and 8.4e-5
+        off = replace(cfg, g=cfg.coupling() * (1.0 + 1e-4))
+        assert _moment_flow_error(lind, off) > bound, temperature

@@ -15,10 +15,9 @@ from ptdimer import (
     thermal_occupation,
 )
 from ptdimer.scenarios import run_engine
-from ptdimer.gaussian import check_moment_state, diffusion_matrix, drift_matrix, \
-    moment_flow_rhs
+from ptdimer.gaussian import check_moment_state, diffusion_matrix, drift_matrix
 from conftest import GAMMA_A, GAMMA_B, G_BALANCED, G_STRONG, G_WEAK, OMEGA_A, \
-    OMEGA_B, ROOM_T, make_params, moment_rhs
+    OMEGA_B, ROOM_T, make_params, moment_flow_rhs, moment_rhs
 
 
 def _random_moment_state(rng, scale=1.0):

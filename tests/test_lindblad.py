@@ -11,13 +11,11 @@ from ptdimer import (
     OdeProblem,
     QuantumState,
     beam_splitter_hamiltonian,
-    dissipator_apply,
     evolve_density,
     evolve_moments,
     fock_product_state,
     integrate_adaptive,
     ladder,
-    lindblad_rhs,
     lossy_hamiltonian,
     mode_annihilator,
     moment_closure_residual,
@@ -29,11 +27,11 @@ from ptdimer import (
     truncation_dim,
 )
 from ptdimer.lindblad import liouville_block
-from ptdimer.observables import ObservableOps, hermitian_coordinates, \
-    hermitian_values
+from ptdimer.observables import ObservableOps, hermitian_coordinates
 from ptdimer.scenarios import _initial_state, catalog_config, \
     parse_config, run_engine
-from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, make_params, \
+from conftest import GAMMA_A, GAMMA_B, OMEGA_A, OMEGA_B, ROOM_T, \
+    dissipator_apply, hermitian_values, lindblad_rhs, make_params, \
     moment_rhs, random_density, sampled_states
 
 

@@ -28,9 +28,8 @@ from ptdimer import (
 )
 from ptdimer.fock import HOP, _move
 from ptdimer.lindblad import liouville_block
-from ptdimer.observables import coordinate_map
 from ptdimer.scenarios import parse_config
-from conftest import ROOM_T, make_params
+from conftest import ROOM_T, coordinate_map, make_params
 
 
 def reference_block(state, params, jumps):

@@ -5,9 +5,8 @@ import pytest
 from ptdimer import FockSpace, QuantumState, evolve_density, mode_annihilator
 from ptdimer.fock import TAIL_TOL
 from ptdimer.observables import ObservableOps, ObservableTrajectory, \
-    derivative_residual, hermitian_coordinates, hermitian_values, \
-    record_from_moments
-from conftest import GAMMA_A, make_params, random_density
+    derivative_residual, hermitian_coordinates, record_from_moments
+from conftest import GAMMA_A, hermitian_values, make_params, random_density
 
 
 def _dense_ops(space, gamma_a, gamma_b):

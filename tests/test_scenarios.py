@@ -716,17 +716,24 @@ class TestRunScenario:
         assert not any("leakage" in l for l in cold_header)
 
     def test_failure_leaves_partial_marker(self, tmp_path, monkeypatch):
-        def explode(engine, cfg):
-            raise IntegrationFailure("diverged", 1e-6)
+        # an allocation the run cannot make, such as numpy's for the dense
+        # thermal start of a hot config, is a numerical failure too
+        for name, error, text in (
+                ("diverged", IntegrationFailure("diverged", 1e-6), "diverged"),
+                ("memory", MemoryError("Unable to allocate 14.9 PiB"),
+                 "Unable to allocate 14.9 PiB")):
+            def explode(engine, cfg):
+                raise error
 
-        monkeypatch.setattr("ptdimer.scenarios.run_engine", explode)
-        cfg = replace(catalog_config("fig1a"), directory=str(tmp_path))
-        with pytest.raises(IntegrationFailure):
-            run_scenario(cfg)
-        marker = tmp_path / "fig1a.partial"
-        assert marker.exists()
-        assert "lindblad" in marker.read_text()
-        assert "diverged" in marker.read_text()
+            monkeypatch.setattr("ptdimer.scenarios.run_engine", explode)
+            cfg = replace(catalog_config("fig1a"),
+                          directory=str(tmp_path / name))
+            with pytest.raises(type(error)):
+                run_scenario(cfg)
+            marker = tmp_path / name / "fig1a.partial"
+            assert marker.exists()
+            assert "lindblad" in marker.read_text()
+            assert text in marker.read_text()
 
     def test_successful_rerun_removes_a_stale_marker(self, tmp_path):
         marker = tmp_path / "fig1a.partial"
@@ -881,7 +888,8 @@ class TestCli:
         # a ValueError, and must not read as a config error
         errors = [IntegrationFailure("diverged", 0.0),
                   FloatingPointError("overflow"),
-                  np.linalg.LinAlgError("Singular matrix")]
+                  np.linalg.LinAlgError("Singular matrix"),
+                  MemoryError("Unable to allocate 14.9 PiB")]
         assert tuple(type(e) for e in errors) == NUMERICAL_FAILURES
         for error in errors:
             def explode(cfg):
